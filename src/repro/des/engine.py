@@ -5,20 +5,19 @@ a primary :class:`~repro.server.server.TransactionServer` over a
 :class:`~repro.durability.manager.DurableTransactionManager`, follower
 nodes each owning a :class:`~repro.replication.follower.FollowerApplier`
 plus a dispatcher serving ``follower_read``, and scripted client nodes
-— all on a single :class:`~repro.fuzz.loop.VirtualClockLoop`, connected
-by the modeled :class:`~repro.des.network.Network` (per-link latency,
+— on the deterministic harness the fuzzer runs on
+(:mod:`repro.fuzz.harness`): each primary epoch is literally a
+:class:`~repro.fuzz.plan.FuzzPlan` executed by one
+:class:`~repro.fuzz.harness.Epoch`, on a stack whose every hop crosses
+the modeled :class:`~repro.des.network.Network` (per-link latency,
 jitter, bandwidth, partition windows, slow nodes).
 
-Only the transports are modeled: client requests are submitted
-straight to the dispatchers (with network transit sleeps around every
-hop) and WAL shipping drives the hub's ``register``/``next_batch``/
-``ack`` core directly — the same bypass the deterministic fuzzer uses,
-so two runs of the same scenario are byte-identical.
-
-Crash scenarios add a second epoch: at ``crash_primary_at`` the
+What is the simulator's own lives here: the network, the virtual-time
+primary kill, election and promotion, and the epoch-aware evidence
+views.  Crash scenarios add a second epoch: at ``crash_primary_at`` the
 primary dispatcher is killed the way SIGKILL would, a survivor copy of
 its WAL preserves what stable storage kept, the healed follower set is
-electd via :class:`~repro.replication.promoter.Promoter` and the
+elected via :class:`~repro.replication.promoter.Promoter` and the
 winner promoted in place through the stock ``recover --verify`` gate,
 and the remaining followers re-attach to the new primary's hub.  Each
 epoch's transcript becomes fuzz-shaped :class:`Evidence` and the fuzz
@@ -28,292 +27,29 @@ and why), plus cluster-level invariants over the whole history.
 
 from __future__ import annotations
 
-import asyncio
-import shutil
-import tempfile
 from dataclasses import replace
 from pathlib import Path
 from typing import Any
 
-from ..durability.harness import build_survivor_copy
-from ..durability.manager import DurableTransactionManager
-from ..durability.recovery import recover
-from ..durability.wal import scan_wal
-from ..errors import ReproError
-from ..fuzz.loop import FuzzDeadlockError, VirtualClockLoop
-from ..fuzz.oracles import run_oracles
-from ..fuzz.plan import ClientPlan, FuzzPlan
-from ..fuzz.runner import Evidence, fuzz_database
-from ..obs.metrics import MetricsRegistry
-from ..replication import (
-    ROLE_FOLLOWER,
-    ROLE_PRIMARY,
-    FollowerApplier,
-    Promoter,
-    ReplicationContext,
-    ReplicationHub,
-    encode_message,
-    promote_in_place,
+from ..fuzz.harness import (
+    Epoch,
+    Follower,
+    FollowerReads,
+    ReplicaSet,
+    VirtualRun,
+    build_stack,
+    virtual_run,
 )
-from ..replication.messages import KIND_SNAPSHOT
-from ..server.protocol import Request
-from ..server.server import ServerConfig, TransactionServer
-from ..server.session import SessionState
-from ..sim.clock import VirtualClock
+from ..fuzz.oracles import run_oracles
+from ..fuzz.plan import FuzzPlan
+from ..obs.metrics import MetricsRegistry
+from ..replication import Promoter, promote_in_place
+from ..server.server import ServerConfig
 from .invariants import EPOCH2_ORACLES, cluster_invariants
 from .network import Network
 from .report import build_report
 from .scenarios import Scenario
 from .workload import build_clients, build_plan, expand_partitions
-
-_DEAD_CODES = {"ABORTED", "UNKNOWN_TXN", "SHUTTING_DOWN"}
-_BUSY_RETRIES = 5
-_BUSY_BACKOFF = 0.05
-#: Pump poll period (virtual seconds) while idle or partitioned.
-_POLL = 0.05
-
-
-def _noop_notify(payload: dict[str, Any]) -> None:
-    return None
-
-
-class FollowerNode:
-    """One follower node: applier + a read-serving dispatcher."""
-
-    def __init__(
-        self,
-        index: int,
-        wal_dir: Path,
-        scenario: Scenario,
-        clock: VirtualClock,
-    ) -> None:
-        self.index = index
-        self.name = f"follower{index}"
-        self.dir = wal_dir
-        # Own registry and no tracer: follower-side counters and spans
-        # must not leak into the primary's metrics evidence.
-        self.registry = MetricsRegistry()
-        self.applier = FollowerApplier(
-            wal_dir,
-            registry=self.registry,
-            clock=clock,
-            wall_clock=clock,
-        )
-        self.server = TransactionServer(
-            fuzz_database(),
-            config=ServerConfig(
-                # Large queue: a follower BUSY would desynchronise the
-                # primary's transcript-vs-counters oracle.
-                queue_size=4096,
-                request_timeout=scenario.request_timeout,
-                drain_grace=scenario.drain_grace,
-                strict=scenario.strict,
-            ),
-            registry=self.registry,
-            clock=clock,
-        )
-        context = ReplicationContext(
-            ROLE_FOLLOWER,
-            applier=self.applier,
-            primary_host="sim",
-            primary_port=0,
-        )
-        self.server.replication = context
-        self.server.dispatcher.replication = context
-        self.slot: Any = None
-        self.dispatcher_task: "asyncio.Task | None" = None
-        self.serving = True
-
-    async def start(self) -> None:
-        self.dispatcher_task = asyncio.ensure_future(
-            self.server.dispatcher.run()
-        )
-
-    async def stop(self) -> None:
-        if not self.serving:
-            return
-        self.serving = False
-        await self.server.shutdown()
-        if self.dispatcher_task is not None:
-            await self.dispatcher_task
-            self.dispatcher_task = None
-
-
-class ClusterContext:
-    """One epoch's transcript and client-visible state."""
-
-    def __init__(
-        self,
-        scenario: Scenario,
-        clock: VirtualClock,
-        net: Network,
-        server: TransactionServer,
-        primary_node: str,
-        epoch: int,
-    ) -> None:
-        self.scenario = scenario
-        self.clock = clock
-        self.net = net
-        self.server = server
-        self.dispatcher = server.dispatcher
-        self.primary_node = primary_node
-        self.epoch = epoch
-        self.events: list[dict[str, Any]] = []
-        self.names: dict[str, str] = {}
-        # (commit_lsn, arrival_seq, txn): unlike the fuzzer's in-process
-        # replies, acks cross the modeled network, so arrival order can
-        # differ from commit order — the oracles want commit order, and
-        # the reply's commit_lsn is exactly the sort key a real client
-        # library would use.
-        self._acked: list[tuple[int, int, str]] = []
-        self._indeterminate: list[tuple[int, int, str]] = []
-        self.requests: dict[tuple[int, int], dict[str, Any]] = {}
-        self.rid_counters: dict[int, int] = {}
-        #: Read-your-writes token per client: highest commit LSN any
-        #: of the client's commit replies carried (including
-        #: indeterminate ones — the commit may well be durable).
-        self.session_lsn: dict[int, int] = {}
-        self.drain_summary: "dict[str, Any] | None" = None
-        self.crashed = False
-
-    @property
-    def acked_committed(self) -> list[str]:
-        return [txn for _, _, txn in sorted(self._acked)]
-
-    @property
-    def indeterminate_committed(self) -> list[str]:
-        return [txn for _, _, txn in sorted(self._indeterminate)]
-
-    def emit(self, kind: str, **fields: Any) -> None:
-        event = {"t": round(self.clock.now, 6), "kind": kind}
-        event.update(fields)
-        self.events.append(event)
-
-    def notify_for(self, client_id: int):
-        def _notify(payload: dict[str, Any]) -> None:
-            self.emit(
-                "event",
-                client=client_id,
-                event=payload.get("event"),
-                txn=payload.get("txn"),
-            )
-
-        return _notify
-
-    def next_rid(self, client_id: int) -> int:
-        rid = self.rid_counters.get(client_id, 0) + 1
-        self.rid_counters[client_id] = rid
-        return rid
-
-    def _bump_token(self, client_id: int, lsn: Any) -> None:
-        if isinstance(lsn, int) and not isinstance(lsn, bool):
-            current = self.session_lsn.get(client_id, 0)
-            self.session_lsn[client_id] = max(current, lsn)
-
-    async def request(
-        self,
-        client_id: int,
-        session: SessionState,
-        op: str,
-        params: dict[str, Any],
-        *,
-        txn: "str | None" = None,
-        entity: "str | None" = None,
-        node: "str | None" = None,
-        dispatcher: Any = None,
-        bounds: "dict[str, Any] | None" = None,
-    ) -> dict[str, Any]:
-        """Submit one request over the network, retrying BUSY."""
-        target = node if node is not None else self.primary_node
-        dispatcher = (
-            dispatcher if dispatcher is not None else self.dispatcher
-        )
-        client_node = f"client{client_id}"
-        rid = self.next_rid(client_id)
-        entry: dict[str, Any] = {
-            "client": client_id,
-            "rid": rid,
-            "op": op,
-            "txn": txn,
-            "entity": entity,
-            "node": target,
-            "status": "pending",
-            "outcome": None,
-        }
-        if bounds is not None:
-            entry["bounds"] = bounds
-        self.requests[(client_id, rid)] = entry
-        self.emit(
-            "request",
-            client=client_id,
-            rid=rid,
-            op=op,
-            txn=txn,
-            node=target,
-        )
-        nbytes = max(96, len(repr(params)))
-        reply: dict[str, Any] = {}
-        for attempt in range(_BUSY_RETRIES + 1):
-            await self.net.transit(client_node, target, nbytes)
-            outcome = dispatcher.submit(
-                session, Request(rid, op, dict(params))
-            )
-            reply = (
-                outcome if isinstance(outcome, dict) else await outcome
-            )
-            await self.net.transit(target, client_node, 256)
-            code = (
-                (reply.get("error") or {}).get("code")
-                if reply.get("ok") is False
-                else None
-            )
-            if code != "BUSY" or attempt == _BUSY_RETRIES:
-                break
-            self.emit("busy", client=client_id, rid=rid, op=op)
-            await asyncio.sleep(_BUSY_BACKOFF * (attempt + 1))
-        code = (
-            (reply.get("error") or {}).get("code")
-            if reply.get("ok") is False
-            else None
-        )
-        entry["status"] = "ok" if reply.get("ok") else f"error:{code}"
-        entry["outcome"] = reply.get("outcome")
-        extra: dict[str, Any] = {}
-        if op == "follower_read":
-            if reply.get("ok"):
-                for key in ("applied_lsn", "lag_lsn", "role"):
-                    entry[key] = reply.get(key)
-                    extra[key] = reply.get(key)
-            else:
-                details = (reply.get("error") or {}).get("details") or {}
-                entry["error_details"] = dict(details)
-        self.emit(
-            "reply",
-            client=client_id,
-            rid=rid,
-            op=op,
-            ok=bool(reply.get("ok")),
-            code=code,
-            outcome=reply.get("outcome"),
-            value=reply.get("value"),
-            **extra,
-        )
-        if op == "commit" and txn:
-            if reply.get("outcome") == "committed":
-                self._acked.append(
-                    (_lsn_key(reply.get("commit_lsn")), rid, txn)
-                )
-                self._bump_token(client_id, reply.get("commit_lsn"))
-            elif not reply.get("ok"):
-                details = (reply.get("error") or {}).get("details") or {}
-                if details.get("indeterminate"):
-                    self._indeterminate.append(
-                        (_lsn_key(details.get("commit_lsn")), rid, txn)
-                    )
-                    self._bump_token(
-                        client_id, details.get("commit_lsn")
-                    )
-        return reply
 
 
 class ClusterSim:
@@ -325,920 +61,278 @@ class ClusterSim:
         workdir: "Path | str | None" = None,
     ) -> None:
         self.scenario = scenario
-        self._owns_workdir = workdir is None
-        self.base = Path(
-            tempfile.mkdtemp(prefix="repro-des-")
-            if workdir is None
-            else workdir
-        )
-        self.clock = VirtualClock()
+        self._workdir = workdir
         self.partitions = expand_partitions(scenario)
-        self.net = Network(
-            self.clock,
-            seed=scenario.seed,
-            latency=scenario.latency,
-            jitter=scenario.jitter,
-            bandwidth=scenario.bandwidth,
-            slow_nodes=dict(scenario.slow_nodes),
-            partitions=[
-                (f"follower{int(index)}", start, end)
-                for index, start, end in self.partitions
-            ],
-        )
         self.samples: list[dict[str, Any]] = []
-        self.followers: list[FollowerNode] = []
-        self.deadlock: "str | None" = None
         self.promotion: "dict[str, Any] | None" = None
-        self._epochs: list[dict[str, Any]] = []
         # Set during the run.
-        self._ctx1: "ClusterContext | None" = None
-        self._ctx2: "ClusterContext | None" = None
-        self._plan1: "FuzzPlan | None" = None
-        self._plan2: "FuzzPlan | None" = None
+        self._net: "Network | None" = None
+        self._reads: "FollowerReads | None" = None
+        #: The epoch now serving, until its evidence is collected.
+        self._epoch: "Epoch | None" = None
+        #: ``{"epoch", "evidence", "oracles"}`` per judged epoch.
+        self._judged: list[dict[str, Any]] = []
         self._baseline_committed: "list[str] | None" = None
-
-    # -- replication pumping ----------------------------------------------
-
-    def _sample(
-        self, node: FollowerNode, hub: "ReplicationHub | None" = None
-    ) -> None:
-        if node.applier.state is None:
-            return  # no snapshot yet: nothing to observe
-        applied_lsn, view = node.applier.read_view()
-        # The simulator is omniscient: measure lag against the hub's
-        # true durable tip, not just the tip the follower last heard
-        # about — a partitioned follower's self-reported lag freezes.
-        lag_lsn = (
-            max(0, hub.durable_lsn - applied_lsn)
-            if hub is not None
-            else node.applier.lag_lsn
-        )
-        self.samples.append(
-            {
-                "t": round(self.clock.now, 6),
-                "replica": node.index,
-                "applied_lsn": applied_lsn,
-                "lag_lsn": lag_lsn,
-                "lag_ms": round(node.applier.lag_ms, 3),
-                "view": dict(view),
-            }
-        )
-
-    def _register(self, hub: ReplicationHub, node: FollowerNode) -> None:
-        slot, initial = hub.register(
-            node.applier.applied_lsn, node.name
-        )
-        node.slot = slot
-        if initial is not None:
-            node.applier.install_snapshot(
-                initial["state"], initial["last_lsn"]
-            )
-        hub.ack(slot, node.applier.applied_lsn)
-
-    def _pump_once(
-        self, hub: ReplicationHub, node: FollowerNode
-    ) -> bool:
-        """Ship/apply/ack one message synchronously (no network)."""
-        if node.slot is None:
-            self._register(hub, node)
-        message = hub.next_batch(node.slot)
-        if message is None:
-            return False
-        if message["kind"] == KIND_SNAPSHOT:
-            node.applier.install_snapshot(
-                message["state"], message["last_lsn"]
-            )
-        else:
-            node.applier.apply_records(message)
-        hub.ack(node.slot, node.applier.applied_lsn)
-        self._sample(node, hub)
-        return True
-
-    async def _pump(
-        self,
-        hub: ReplicationHub,
-        node: FollowerNode,
-        primary_node: str,
-        stop: asyncio.Event,
-    ) -> None:
-        """One follower's ship loop over the modeled network.
-
-        Inside a partition window the node drops its hub registration
-        (the TCP link is dead); on heal it re-registers from its
-        ``applied_lsn``, which exercises the hub's record catch-up and
-        — if retention ever dropped the cursor's segment — the
-        snapshot-fallback resync.
-        """
-        while not stop.is_set():
-            now = self.clock.now
-            if now > self.scenario.horizon:
-                return
-            if self.net.partitioned(node.name, now):
-                if node.slot is not None:
-                    hub.unregister(node.slot)
-                    node.slot = None
-                self._sample(node, hub)
-                await self._wait_poll(stop)
-                continue
-            if node.slot is None:
-                self._register(hub, node)
-            message = hub.next_batch(node.slot)
-            if message is None:
-                self._sample(node, hub)
-                await self._wait_poll(stop)
-                continue
-            await self.net.transit(
-                primary_node, node.name, len(encode_message(message))
-            )
-            if message["kind"] == KIND_SNAPSHOT:
-                node.applier.install_snapshot(
-                    message["state"], message["last_lsn"]
-                )
-            else:
-                node.applier.apply_records(message)
-            applied = node.applier.applied_lsn
-            await self.net.transit(node.name, primary_node, 64)
-            if node.slot is not None:
-                hub.ack(node.slot, applied)
-            self._sample(node, hub)
-
-    @staticmethod
-    async def _wait_poll(stop: asyncio.Event) -> None:
-        try:
-            await asyncio.wait_for(stop.wait(), _POLL)
-        except asyncio.TimeoutError:
-            pass
-
-    def _catch_up(
-        self, hub: ReplicationHub, nodes: "list[FollowerNode]"
-    ) -> None:
-        """Heal every partition and drain every backlog (clean end)."""
-        self.net.heal()
-        for node in nodes:
-            while self._pump_once(hub, node):
-                pass
-
-    # -- client execution --------------------------------------------------
-
-    async def _run_client(
-        self,
-        ctx: ClusterContext,
-        cplan: ClientPlan,
-        followers_by_index: "dict[int, FollowerNode]",
-    ) -> None:
-        client_id = cplan.client_id
-        session = SessionState(
-            session_id=client_id + 1, notify=ctx.notify_for(client_id)
-        )
-        follower_sessions: dict[int, SessionState] = {}
-        for txn_plan in cplan.txns:
-            reply = await ctx.request(
-                client_id,
-                session,
-                "define",
-                {
-                    "updates": list(txn_plan.updates),
-                    "input": txn_plan.input,
-                    "output": txn_plan.output,
-                    "predecessors": [
-                        ctx.names[label]
-                        for label in txn_plan.predecessors
-                        if label in ctx.names
-                    ],
-                },
-            )
-            if not reply.get("ok"):
-                continue
-            name = reply["txn"]
-            ctx.names[txn_plan.label] = name
-            reply = await ctx.request(
-                client_id, session, "validate", {"txn": name}, txn=name
-            )
-            if not reply.get("ok"):
-                if _reply_code(reply) == "TIMEOUT":
-                    await self._abort_quietly(
-                        ctx, client_id, session, name
-                    )
-                continue
-            if reply.get("outcome") == "failed":
-                continue  # validation failure already aborted the txn
-            dead = False
-            for op in txn_plan.ops:
-                if dead:
-                    break
-                kind = op[0]
-                if kind == "sleep":
-                    await asyncio.sleep(op[1])
-                    continue
-                if kind == "follower_read":
-                    await self._follower_read(
-                        ctx,
-                        client_id,
-                        follower_sessions,
-                        followers_by_index,
-                        entity=op[1],
-                        index=op[2],
-                    )
-                    continue
-                if kind == "read":
-                    reply = await ctx.request(
-                        client_id,
-                        session,
-                        "read",
-                        {"txn": name, "entity": op[1]},
-                        txn=name,
-                        entity=op[1],
-                    )
-                elif kind == "write":
-                    reply = await ctx.request(
-                        client_id,
-                        session,
-                        "write",
-                        {"txn": name, "entity": op[1], "value": op[2]},
-                        txn=name,
-                        entity=op[1],
-                    )
-                elif kind == "commit":
-                    reply = await ctx.request(
-                        client_id,
-                        session,
-                        "commit",
-                        {"txn": name},
-                        txn=name,
-                    )
-                    if (
-                        reply.get("ok")
-                        and reply.get("outcome") == "failed"
-                    ):
-                        await self._abort_quietly(
-                            ctx, client_id, session, name
-                        )
-                    dead = True
-                elif kind == "abort":
-                    reply = await ctx.request(
-                        client_id,
-                        session,
-                        "abort",
-                        {"txn": name, "reason": "scripted abort"},
-                        txn=name,
-                    )
-                    dead = True
-                else:  # pragma: no cover — generator never emits others
-                    raise ReproError(f"unknown planned op {kind!r}")
-                code = _reply_code(reply)
-                indeterminate = bool(
-                    (
-                        (reply.get("error") or {}).get("details") or {}
-                    ).get("indeterminate")
-                )
-                if code in _DEAD_CODES:
-                    dead = True
-                elif code == "TIMEOUT" and indeterminate:
-                    # Durable locally, replication ack unknown: the
-                    # contract forbids treating it as lost, so no
-                    # clean-up abort (it would undo the commit).
-                    dead = True
-                elif code == "TIMEOUT":
-                    await self._abort_quietly(
-                        ctx, client_id, session, name
-                    )
-                    dead = True
-                elif code is not None and kind in ("read", "write"):
-                    dead = True
-
-    async def _follower_read(
-        self,
-        ctx: ClusterContext,
-        client_id: int,
-        sessions: "dict[int, SessionState]",
-        followers_by_index: "dict[int, FollowerNode]",
-        *,
-        entity: "str | None",
-        index: int,
-    ) -> None:
-        node = followers_by_index.get(index)
-        if node is None or not node.serving:
-            return  # promoted or retired mid-history
-        fsession = sessions.get(index)
-        if fsession is None:
-            fsession = SessionState(
-                session_id=client_id + 1, notify=_noop_notify
-            )
-            sessions[index] = fsession
-        params: dict[str, Any] = {}
-        if entity is not None:
-            params["entity"] = entity
-        bounds: dict[str, Any] = {
-            "max_lag_lsn": self.scenario.max_lag_lsn,
-            "min_applied_lsn": None,
-        }
-        if self.scenario.max_lag_lsn is not None:
-            params["max_lag_lsn"] = self.scenario.max_lag_lsn
-        token = ctx.session_lsn.get(client_id, 0)
-        if self.scenario.read_your_writes and token:
-            params["min_applied_lsn"] = token
-            bounds["min_applied_lsn"] = token
-        await ctx.request(
-            client_id,
-            fsession,
-            "follower_read",
-            params,
-            entity=entity,
-            node=node.name,
-            dispatcher=node.server.dispatcher,
-            bounds=bounds,
-        )
-
-    async def _abort_quietly(
-        self,
-        ctx: ClusterContext,
-        client_id: int,
-        session: SessionState,
-        name: str,
-    ) -> None:
-        await ctx.request(
-            client_id,
-            session,
-            "abort",
-            {"txn": name, "reason": "sim client gave up"},
-            txn=name,
-        )
-
-    # -- epoch orchestration ----------------------------------------------
-
-    async def _killer(
-        self, at: float, dispatcher_task: "asyncio.Task"
-    ) -> None:
-        await asyncio.sleep(max(0.0, at - self.clock.now))
-        dispatcher_task.cancel()
-
-    async def _run_epoch(
-        self,
-        ctx: ClusterContext,
-        clients: "list[ClientPlan]",
-        hub: ReplicationHub,
-        pump_nodes: "list[FollowerNode]",
-        dispatcher_task: "asyncio.Task",
-        crash_at: "float | None",
-        followers_by_index: "dict[int, FollowerNode]",
-    ) -> None:
-        pumps_stop = asyncio.Event()
-        pump_tasks = [
-            asyncio.ensure_future(
-                self._pump(hub, node, ctx.primary_node, pumps_stop)
-            )
-            for node in pump_nodes
-        ]
-        client_tasks = [
-            asyncio.ensure_future(
-                self._run_client(ctx, cplan, followers_by_index)
-            )
-            for cplan in clients
-        ]
-        clients_task = asyncio.ensure_future(
-            asyncio.gather(*client_tasks, return_exceptions=False)
-        )
-        if crash_at is not None:
-            killer = asyncio.ensure_future(
-                self._killer(crash_at, dispatcher_task)
-            )
-            # The kill fires even if every client finished early: the
-            # scenario's epoch boundary is a point in virtual time.
-            await asyncio.wait(
-                {dispatcher_task}, return_when=asyncio.FIRST_COMPLETED
-            )
-            killer.cancel()
-            clients_task.cancel()
-            for task in client_tasks:
-                task.cancel()
-            for pending in (killer, clients_task, *client_tasks):
-                try:
-                    await pending
-                except asyncio.CancelledError:
-                    pass
-            await self._stop_pumps(pumps_stop, pump_tasks)
-            try:
-                await dispatcher_task
-            except asyncio.CancelledError:
-                pass
-            ctx.crashed = True
-            ctx.emit("crash", point="des.primary_kill")
-            return
-        await asyncio.wait(
-            {dispatcher_task, clients_task},
-            return_when=asyncio.FIRST_COMPLETED,
-        )
-        if dispatcher_task.done() and not clients_task.done():
-            clients_task.cancel()
-            for task in client_tasks:
-                task.cancel()
-            try:
-                await clients_task
-            except asyncio.CancelledError:
-                pass
-            await self._stop_pumps(pumps_stop, pump_tasks)
-            exc = dispatcher_task.exception()
-            if exc is not None:
-                raise exc
-            raise ReproError(
-                "dispatcher exited without being stopped"
-            )
-        await clients_task
-        await self._stop_pumps(pumps_stop, pump_tasks)
-        ctx.drain_summary = await ctx.server.shutdown()
-        await dispatcher_task
-
-    @staticmethod
-    async def _stop_pumps(
-        stop: asyncio.Event, pump_tasks: "list[asyncio.Task]"
-    ) -> None:
-        stop.set()
-        for task in pump_tasks:
-            task.cancel()
-        for task in pump_tasks:
-            try:
-                await task
-            except asyncio.CancelledError:
-                pass
-
-    # -- the run ----------------------------------------------------------
 
     def run(self) -> dict[str, Any]:
         """Execute the scenario; returns the JSON report."""
+        # Expanded before anything is acquired: a scenario the
+        # workload generator rejects leaves no workdir and no loop.
+        plan1 = self._plan("e1", self.scenario.followers)
+        with virtual_run(self._workdir, prefix="repro-des-") as run:
+            self._net = Network(
+                run.clock,
+                seed=self.scenario.seed,
+                latency=self.scenario.latency,
+                jitter=self.scenario.jitter,
+                bandwidth=self.scenario.bandwidth,
+                slow_nodes=dict(self.scenario.slow_nodes),
+                partitions=[
+                    (f"follower{int(index)}", start, end)
+                    for index, start, end in self.partitions
+                ],
+            )
+            run.run(self._run_cluster(run, plan1))
+            return self._finalize(run)
+
+    # -- epochs --------------------------------------------------------------
+
+    def _plan(self, phase: str, followers: int) -> FuzzPlan:
+        """One epoch as a :class:`FuzzPlan` over ``followers`` nodes."""
         scenario = self.scenario
-        loop = VirtualClockLoop(self.clock)
-        registry1 = MetricsRegistry()
-        primary_dir = self.base / "primary"
-        manager1, _ = DurableTransactionManager.open(
-            primary_dir,
-            fuzz_database,
-            flush_interval=scenario.flush_interval,
-            checkpoint_every=scenario.checkpoint_every,
-            retain=99,  # keep every segment: oracles read history
-            registry=registry1,
-            strict=scenario.strict,
-        )
-        server1 = TransactionServer(
-            manager1.database,
-            config=ServerConfig(
-                queue_size=scenario.queue_size,
-                request_timeout=scenario.request_timeout,
-                drain_grace=scenario.drain_grace,
-                strict=scenario.strict,
+        return build_plan(
+            scenario,
+            clients=build_clients(
+                scenario,
+                phase=phase,
+                txns_per_client=(
+                    None
+                    if phase == "e1"
+                    else scenario.post_crash_txns_per_client
+                ),
             ),
-            registry=registry1,
-            manager=manager1,
-            clock=self.clock,
+            replicas=followers,
+            sync_replicas=min(scenario.sync_replicas, followers),
+            partitions=self.partitions,
         )
-        sync1 = min(scenario.sync_replicas, scenario.followers)
-        hub1 = ReplicationHub(
-            manager1,
-            sync_replicas=sync1,
-            registry=registry1,
-            clock=self.clock,
-            wall_clock=self.clock,
+
+    def _start_epoch(
+        self,
+        run: VirtualRun,
+        plan: FuzzPlan,
+        wal_root: Path,
+        primary: str,
+        followers: "list[Follower]",
+        registry: MetricsRegistry,
+        manager: Any = None,
+    ) -> Epoch:
+        """One primary stack + its replica set, as a harness epoch.
+
+        Each epoch has its own ``registry``: the new primary's
+        counters never saw the old one's traffic.
+        """
+        stack = build_stack(
+            plan,
+            wal_root,
+            run.clock,
+            registry,
+            manager=manager,
+            sync_replicas=plan.sync_replicas,
         )
-        hub1.on_replicated = server1.dispatcher.on_replicated
-        server1.dispatcher.replication = ReplicationContext(
-            ROLE_PRIMARY, hub=hub1
+        assert stack.hub is not None
+        self._epoch = Epoch(
+            plan,
+            stack,
+            run.clock,
+            give_up="sim client gave up",
+            replicas=ReplicaSet(
+                stack.hub,
+                followers,
+                run.clock,
+                self.partitions,
+                horizon=self.scenario.horizon,
+                net=self._net,
+                primary=primary,
+                samples=self.samples,
+            ),
+            net=self._net,
+            primary=primary,
+            reads=self._reads,
         )
-        self.followers = [
-            FollowerNode(
-                index, self.base / f"follower{index}", scenario, self.clock
+        return self._epoch
+
+    async def _retire(self, epoch: Epoch) -> None:
+        """Clean epoch end: heal, drain backlogs, retire followers."""
+        assert self._net is not None and epoch.replicas is not None
+        self._net.heal()
+        await epoch.replicas.catch_up()
+        epoch.replicas.hub.close()
+        for follower in epoch.replicas.followers:
+            await follower.stop()
+
+    def _judge(self, run: VirtualRun) -> None:
+        """Collect the serving epoch's evidence and run its oracles."""
+        epoch = self._epoch
+        assert epoch is not None and epoch.replicas is not None
+        self._epoch = None
+        number = len(self._judged) + 1
+        evidence = epoch.collect(run.base / "survivor", run.deadlock)
+        epoch.replicas.hub.close()
+        if number == 1:
+            oracles = run_oracles(evidence)
+        else:
+            # The oracles were written for a single-epoch run; after a
+            # promotion the epoch-1 history is *legitimately committed
+            # but never acked in this epoch*, which is exactly what
+            # the ``indeterminate_committed`` category accepts.  So the
+            # judged view folds the promotion baseline into the
+            # indeterminate set, while the metrics oracle (whose
+            # counters are epoch-2-only) keeps the epoch's own list.
+            # ``write_multiplicity`` does not transfer at all: acked
+            # writes of transactions that never committed may be
+            # legitimately absent from the winner's log (they were in
+            # flight on the dead primary) — epoch 1 already checked it
+            # against the survivor copy, and the cluster-level
+            # ``no_acked_write_lost`` invariant covers committed
+            # writes.
+            baseline = self._baseline_committed
+            assert baseline is not None
+            own = evidence.indeterminate_committed
+            evidence.indeterminate_committed = list(baseline) + [
+                txn for txn in own if txn not in baseline
+            ]
+            oracles = run_oracles(evidence, names=EPOCH2_ORACLES)
+            oracles.extend(
+                run_oracles(
+                    replace(evidence, indeterminate_committed=own),
+                    names=["metrics_consistent"],
+                )
+            )
+        self._judged.append(
+            {"epoch": number, "evidence": evidence, "oracles": oracles}
+        )
+
+    # -- the run ----------------------------------------------------------
+
+    async def _run_cluster(self, run: VirtualRun, plan1: FuzzPlan) -> None:
+        scenario = self.scenario
+        followers = [
+            Follower(
+                index,
+                f"follower{index}",
+                run.base / f"follower{index}",
+                run.clock,
+                # Own registry and no tracer: follower-side counters
+                # and spans must not leak into the primary's metrics
+                # evidence.
+                registry=MetricsRegistry(),
+                read_config=ServerConfig(
+                    # Large queue: a follower BUSY would desynchronise
+                    # the primary's transcript-vs-counters oracle.
+                    queue_size=4096,
+                    request_timeout=scenario.request_timeout,
+                    drain_grace=scenario.drain_grace,
+                    strict=scenario.strict,
+                ),
             )
             for index in range(scenario.followers)
         ]
-        # Registered (and snapshot-seeded) before the run: partitions
-        # model links failing, not followers that never joined.
-        for node in self.followers:
-            self._register(hub1, node)
-        clients1 = build_clients(scenario, phase="e1")
-        self._plan1 = build_plan(
-            scenario,
-            clients=clients1,
-            sync_replicas=sync1,
-            partitions=self.partitions,
+        self._reads = FollowerReads(
+            {follower.index: follower for follower in followers},
+            max_lag_lsn=scenario.max_lag_lsn,
+            read_your_writes=scenario.read_your_writes,
         )
-        ctx1 = ClusterContext(
-            scenario, self.clock, self.net, server1, "primary", epoch=1
+        epoch1 = self._start_epoch(
+            run,
+            plan1,
+            run.base / "primary",
+            "primary",
+            followers,
+            MetricsRegistry(),
         )
-        self._ctx1 = ctx1
-        self._manager1 = manager1
-        self._registry1 = registry1
-        self._hub1 = hub1
-        self._primary_dir = primary_dir
-        followers_by_index = {
-            node.index: node for node in self.followers
-        }
-        try:
-            asyncio.set_event_loop(loop)
-            try:
-                loop.run_until_complete(
-                    self._run_cluster(
-                        ctx1, clients1, hub1, followers_by_index
-                    )
-                )
-            except FuzzDeadlockError as error:
-                self.deadlock = str(error)
-                _cancel_pending(loop)
-            finally:
-                asyncio.set_event_loop(None)
-            return self._finalize()
-        finally:
-            loop.close()
-            if self._owns_workdir:
-                shutil.rmtree(self.base, ignore_errors=True)
-
-    async def _run_cluster(
-        self,
-        ctx1: ClusterContext,
-        clients1: "list[ClientPlan]",
-        hub1: ReplicationHub,
-        followers_by_index: "dict[int, FollowerNode]",
-    ) -> None:
-        for node in self.followers:
-            await node.start()
-        dispatcher_task = asyncio.ensure_future(
-            ctx1.server.dispatcher.run()
-        )
-        await self._run_epoch(
-            ctx1,
-            clients1,
-            hub1,
-            list(self.followers),
-            dispatcher_task,
-            self.scenario.crash_primary_at,
-            followers_by_index,
-        )
-        if not ctx1.crashed:
-            # Clean single-epoch end: heal, drain backlogs, retire.
-            self._catch_up(hub1, self.followers)
-            hub1.close()
-            for node in self.followers:
-                await node.stop()
+        for follower in followers:
+            follower.start()
+        await epoch1.run(kill_at=scenario.crash_primary_at)
+        if epoch1.crash is None:
+            await self._retire(epoch1)
             return
         # -- epoch boundary: survivor copy, election, promotion --------
-        survivor = build_survivor_copy(
-            self._primary_dir, self.base / "survivor", mode="kill"
-        )
-        wal = self._manager1.wal
-        if wal is not None and not wal.closed:
-            wal.close()
-        self._survivor_dir = survivor
-        self._replicas_at_crash = [
-            _recover_entry(node) for node in self.followers
-        ]
-        self._samples_at_crash = list(self.samples)
-        hub1.close()
+        # Judged now: epoch 2 is about to rewrite the follower dirs.
+        self._judge(run)
         # Election is out-of-band over the FULL follower set (the
         # operator console reaches every node; partition windows model
         # the replication links): electing among a reachable minority
         # could pick a node missing acked commits.
-        statuses = [
-            dict(node.applier.status(), node=node.name, index=node.index)
-            for node in self.followers
-        ]
-        choice = Promoter.choose(statuses)
-        winner = followers_by_index[choice["index"]]
+        choice = Promoter.choose(
+            [
+                dict(f.applier.status(), node=f.name, index=f.index)
+                for f in followers
+            ]
+        )
+        winner = self._reads.followers[choice["index"]]
         await winner.stop()  # drains its read traffic, closes applier
         registry2 = MetricsRegistry()
         manager2, recovery2 = promote_in_place(
             winner.dir,
-            flush_interval=self.scenario.flush_interval,
-            checkpoint_every=self.scenario.checkpoint_every,
+            flush_interval=scenario.flush_interval,
+            checkpoint_every=scenario.checkpoint_every,
             retain=99,
             registry=registry2,
-            strict=self.scenario.strict,
+            strict=scenario.strict,
         )
         self._baseline_committed = list(recovery2.committed)
         self.promotion = {
             "winner": winner.name,
             "promoted_from_lsn": choice["applied_lsn"],
-            "at": round(self.clock.now, 6),
+            "at": round(run.clock.now, 6),
             "baseline_committed": list(recovery2.committed),
             "verified": recovery2.verified,
         }
-        remaining = [
-            node for node in self.followers if node is not winner
-        ]
-        # -- epoch 2: the promoted winner serves ------------------------
-        server2 = TransactionServer(
-            manager2.database,
-            config=ServerConfig(
-                queue_size=self.scenario.queue_size,
-                request_timeout=self.scenario.request_timeout,
-                drain_grace=self.scenario.drain_grace,
-                strict=self.scenario.strict,
-            ),
-            registry=registry2,
-            manager=manager2,
-            clock=self.clock,
-        )
-        sync2 = min(self.scenario.sync_replicas, len(remaining))
-        hub2 = ReplicationHub(
-            manager2,
-            sync_replicas=sync2,
-            registry=registry2,
-            clock=self.clock,
-            wall_clock=self.clock,
-        )
-        hub2.on_replicated = server2.dispatcher.on_replicated
-        server2.dispatcher.replication = ReplicationContext(
-            ROLE_PRIMARY, hub=hub2
-        )
-        for node in remaining:
-            node.slot = None  # cursor belonged to the dead hub
-            self._register(hub2, node)
-        clients2 = build_clients(
-            self.scenario,
-            phase="e2",
-            txns_per_client=self.scenario.post_crash_txns_per_client,
-        )
-        self._plan2 = build_plan(
-            self.scenario,
-            clients=clients2,
-            replicas=len(remaining),
-            sync_replicas=sync2,
-            partitions=self.partitions,
-        )
-        ctx2 = ClusterContext(
-            self.scenario,
-            self.clock,
-            self.net,
-            server2,
+        # -- epoch 2: the promoted winner serves; the rest re-attach ----
+        remaining = [f for f in followers if f is not winner]
+        epoch2 = self._start_epoch(
+            run,
+            self._plan("e2", len(remaining)),
+            winner.dir,
             winner.name,
-            epoch=2,
+            remaining,
+            registry2,
+            manager=manager2,
         )
-        self._ctx2 = ctx2
-        self._manager2 = manager2
-        self._registry2 = registry2
-        self._hub2 = hub2
-        self._winner = winner
-        self._remaining = remaining
-        ctx2.emit(
+        epoch2.transcript.emit(
             "promotion",
             winner=winner.name,
             applied_lsn=choice["applied_lsn"],
         )
-        dispatcher2_task = asyncio.ensure_future(
-            server2.dispatcher.run()
-        )
-        await self._run_epoch(
-            ctx2,
-            clients2,
-            hub2,
-            remaining,
-            dispatcher2_task,
-            None,
-            followers_by_index,
-        )
-        # Clean epoch-2 end: heal, drain backlogs, retire followers.
-        self._catch_up(hub2, remaining)
-        hub2.close()
-        for node in remaining:
-            await node.stop()
+        await epoch2.run()
+        await self._retire(epoch2)
 
-    async def _shutdown_followers(self) -> None:
-        for node in self.followers:
-            await node.stop()
-
-    # -- evidence and the report ------------------------------------------
-
-    def _finalize(self) -> dict[str, Any]:
-        scenario = self.scenario
-        ctx1 = self._ctx1
-        assert ctx1 is not None and self._plan1 is not None
-        epochs: list[dict[str, Any]] = []
-        evidences: list[Evidence] = []
-        if not ctx1.crashed:
-            evidence = self._epoch1_clean_evidence()
-            oracles = run_oracles(evidence)
-            epochs.append(
-                {"epoch": 1, "evidence": evidence, "oracles": oracles}
-            )
-            evidences.append(evidence)
-            final_records = evidence.records
-            final_recovery = evidence.recovery
-        else:
-            ev1 = self._epoch1_crash_evidence()
-            oracles1 = run_oracles(ev1)
-            epochs.append(
-                {"epoch": 1, "evidence": ev1, "oracles": oracles1}
-            )
-            evidences.append(ev1)
-            final_records = ev1.records
-            final_recovery = ev1.recovery
-            if self._ctx2 is not None:
-                ev2, oracles2 = self._epoch2_evidence()
-                epochs.append(
-                    {"epoch": 2, "evidence": ev2, "oracles": oracles2}
-                )
-                evidences.append(ev2)
-                final_records = ev2.records
-                final_recovery = ev2.recovery
+    def _finalize(self, run: VirtualRun) -> dict[str, Any]:
+        if self._epoch is not None:
+            epoch = self._epoch
+            self._judge(run)
+            if run.deadlock is not None:
+                # _retire never ran: release the follower WAL fds.
+                for follower in epoch.replicas.followers:
+                    follower.applier.close()
+        final = self._judged[-1]["evidence"].nodes[0]
         invariants = cluster_invariants(
-            evidences,
-            final_records=final_records,
-            final_recovery=final_recovery,
+            [entry["evidence"] for entry in self._judged],
+            final_records=final.records,
+            final_recovery=final.recovery,
             baseline_committed=self._baseline_committed,
         )
+        assert self._net is not None
         return build_report(
-            scenario,
-            epochs,
+            self.scenario,
+            self._judged,
             invariants,
             promotion=self.promotion,
-            deadlock=self.deadlock,
+            deadlock=run.deadlock,
             samples=self.samples,
-            network=self.net,
-            virtual_duration=round(self.clock.now, 6),
+            network=self._net,
+            virtual_duration=round(run.clock.now, 6),
             partitions=self.partitions,
-        )
-
-    def _epoch1_clean_evidence(self) -> Evidence:
-        ctx1 = self._ctx1
-        assert ctx1 is not None and self._plan1 is not None
-        evidence = Evidence(
-            plan=self._plan1,
-            events=ctx1.events,
-            names=ctx1.names,
-            acked_committed=ctx1.acked_committed,
-            indeterminate_committed=ctx1.indeterminate_committed,
-            requests=ctx1.requests,
-            crashed=False,
-            deadlock=self.deadlock,
-            dispatcher=ctx1.server.dispatcher,
-            drain_summary=ctx1.drain_summary,
-            registry=self._registry1,
-        )
-        wal = self._manager1.wal
-        if wal is not None and not wal.closed:
-            wal.close()  # deadlocked run: shutdown() never completed
-        try:
-            evidence.recovery = recover(self._primary_dir, verify=True)
-            evidence.records = list(
-                scan_wal(self._primary_dir).records
-            )
-        except ReproError as error:
-            evidence.recovery_error = f"{type(error).__name__}: {error}"
-        if self.deadlock is None:
-            # _run_cluster already caught up and retired the followers.
-            evidence.manager = self._manager1
-        else:
-            self._hub1.close()
-            for node in self.followers:
-                if node.serving:
-                    node.applier.close()
-        evidence.replicas = [
-            _recover_entry(node) for node in self.followers
-        ]
-        evidence.follower_samples = list(self.samples)
-        return evidence
-
-    def _epoch1_crash_evidence(self) -> Evidence:
-        ctx1 = self._ctx1
-        assert ctx1 is not None and self._plan1 is not None
-        evidence = Evidence(
-            plan=self._plan1,
-            events=ctx1.events,
-            names=ctx1.names,
-            acked_committed=ctx1.acked_committed,
-            indeterminate_committed=ctx1.indeterminate_committed,
-            requests=ctx1.requests,
-            crashed=True,
-            crash_info={"point": "des.primary_kill", "at_hit": 1},
-            deadlock=None,
-            dispatcher=ctx1.server.dispatcher,
-            drain_summary=None,
-            registry=self._registry1,
-            replicas=self._replicas_at_crash,
-            follower_samples=self._samples_at_crash,
-        )
-        try:
-            evidence.recovery = recover(self._survivor_dir, verify=True)
-            evidence.records = list(
-                scan_wal(self._survivor_dir).records
-            )
-        except ReproError as error:
-            evidence.recovery_error = f"{type(error).__name__}: {error}"
-        return evidence
-
-    def _epoch2_evidence(
-        self,
-    ) -> "tuple[Evidence, list[Any]]":
-        """Post-promotion evidence, judged through epoch-aware views.
-
-        The oracles were written for a single-epoch fuzz run; after a
-        promotion the epoch-1 history is *legitimately committed but
-        never acked in this epoch*, which is exactly what the oracles'
-        ``indeterminate_committed`` category accepts.  So view A folds
-        the promotion baseline into the indeterminate set, while view
-        B (the metrics oracle, whose counters are epoch-2-only) keeps
-        the epoch-2 indeterminate list.  ``write_multiplicity`` does
-        not transfer at all: acked writes of transactions that never
-        committed may be legitimately absent from the winner's log
-        (they were in flight on the dead primary) — epoch 1 already
-        checked it against the survivor copy, and the cluster-level
-        ``no_acked_write_lost`` invariant covers committed writes.
-        """
-        ctx2 = self._ctx2
-        assert ctx2 is not None and self._plan2 is not None
-        assert self._baseline_committed is not None
-        baseline = self._baseline_committed
-        evidence = Evidence(
-            plan=self._plan2,
-            events=ctx2.events,
-            names=ctx2.names,
-            acked_committed=ctx2.acked_committed,
-            indeterminate_committed=(
-                list(baseline)
-                + [
-                    txn
-                    for txn in ctx2.indeterminate_committed
-                    if txn not in baseline
-                ]
-            ),
-            requests=ctx2.requests,
-            crashed=False,
-            deadlock=self.deadlock,
-            dispatcher=ctx2.server.dispatcher,
-            drain_summary=ctx2.drain_summary,
-            registry=self._registry2,
-        )
-        winner_dir = self._winner.dir
-        wal = self._manager2.wal
-        if wal is not None and not wal.closed:
-            wal.close()
-        try:
-            evidence.recovery = recover(winner_dir, verify=True)
-            evidence.records = list(scan_wal(winner_dir).records)
-        except ReproError as error:
-            evidence.recovery_error = f"{type(error).__name__}: {error}"
-        if self.deadlock is None:
-            evidence.manager = self._manager2
-        evidence.replicas = [
-            _recover_entry(node) for node in self._remaining
-        ]
-        evidence.follower_samples = list(self.samples)
-        oracles = list(run_oracles(evidence, names=EPOCH2_ORACLES))
-        metrics_view = replace(
-            evidence,
-            indeterminate_committed=ctx2.indeterminate_committed,
-        )
-        oracles.extend(
-            run_oracles(metrics_view, names=["metrics_consistent"])
-        )
-        return evidence, oracles
-
-
-def _reply_code(reply: dict[str, Any]) -> "str | None":
-    if reply.get("ok"):
-        return None
-    return (reply.get("error") or {}).get("code", "INTERNAL")
-
-
-def _lsn_key(lsn: Any) -> int:
-    """Sort key for ack ordering; unknown LSNs sort last, stably."""
-    if isinstance(lsn, int) and not isinstance(lsn, bool):
-        return lsn
-    return 1 << 62
-
-
-def _recover_entry(node: FollowerNode) -> dict[str, Any]:
-    """One follower's ``recover --verify`` verdict (fuzz shape)."""
-    entry: dict[str, Any] = {
-        "replica": node.index,
-        "applied_lsn": node.applier.applied_lsn,
-        "snapshots_installed": node.applier.snapshots_installed,
-        "records_applied": node.applier.records_applied,
-        "error": None,
-    }
-    try:
-        recovery = recover(node.dir, verify=True)
-    except ReproError as error:
-        entry["error"] = f"{type(error).__name__}: {error}"
-    else:
-        if recovery is None:
-            entry["committed"] = []
-            entry["verified"] = True
-            entry["recovered_lsn"] = 0
-        else:
-            entry["committed"] = list(recovery.committed)
-            entry["verified"] = recovery.verified
-            entry["violations"] = list(recovery.violations)
-            entry["recovered_lsn"] = recovery.summary()["last_lsn"]
-    return entry
-
-
-def _cancel_pending(loop: asyncio.AbstractEventLoop) -> None:
-    """After a deadlock verdict: unwind whatever is still pending."""
-    pending = [
-        task for task in asyncio.all_tasks(loop) if not task.done()
-    ]
-    for task in pending:
-        task.cancel()
-    if pending:
-        loop.run_until_complete(
-            asyncio.gather(*pending, return_exceptions=True)
         )
 
 

@@ -5,7 +5,7 @@ cluster, possibly across a promotion, so correctness splits into two
 layers:
 
 * **per-epoch**: each epoch's transcript + artifacts are fuzz-shaped
-  :class:`~repro.fuzz.runner.Evidence`, judged by the fuzz oracles
+  :class:`~repro.fuzz.harness.Evidence`, judged by the fuzz oracles
   through :func:`repro.fuzz.oracles.run_oracles`.  Epoch 1 (whether it
   ends cleanly or in a primary kill) gets the full suite.  Epoch 2
   (post-promotion) gets :data:`EPOCH2_ORACLES` — everything except

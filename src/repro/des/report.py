@@ -26,6 +26,7 @@ def percentile(values: "list[float]", q: float) -> float:
 def _epoch_section(entry: dict[str, Any]) -> dict[str, Any]:
     evidence = entry["evidence"]
     oracles = entry["oracles"]
+    recovery = evidence.nodes[0].recovery  # one primary per epoch
     replies = [e for e in evidence.events if e["kind"] == "reply"]
     section = {
         "epoch": entry["epoch"],
@@ -51,9 +52,7 @@ def _epoch_section(entry: dict[str, Any]) -> dict[str, Any]:
             evidence.indeterminate_committed
         ),
         "recovered_committed": (
-            list(evidence.recovery.committed)
-            if evidence.recovery is not None
-            else None
+            list(recovery.committed) if recovery is not None else None
         ),
         "recovery_error": evidence.recovery_error,
         "drain_summary": evidence.drain_summary,

@@ -267,11 +267,12 @@ def build_plan(
     sync_replicas: "int | None" = None,
     partitions: "list[list[float]] | None" = None,
 ) -> FuzzPlan:
-    """The oracle-facing :class:`FuzzPlan` for one epoch.
+    """One epoch as a :class:`FuzzPlan`.
 
-    The DES engine drives its own harness, but the fuzz oracles read
-    run configuration off ``evidence.plan`` — this builds that plan,
-    with epoch overrides for the post-promotion phase.
+    The shared harness (:mod:`repro.fuzz.harness`) executes exactly
+    this plan — stack tunables and client scripts — and the fuzz
+    oracles read run configuration off ``evidence.plan``; the keyword
+    overrides describe the post-promotion phase.
     """
     return FuzzPlan(
         seed=scenario.seed,

@@ -11,8 +11,12 @@ maintains.  This package is that search:
   JSON-serializable run plans;
 * :mod:`repro.fuzz.loop` — an asyncio event loop on a virtual clock
   (no wall time, no I/O → bit-for-bit reproducible interleavings);
-* :mod:`repro.fuzz.runner` — executes a plan against the real server
-  stack with crash-point injection, collecting a transcript;
+* :mod:`repro.fuzz.harness` — the one deterministic engine (stack
+  builder, followers and pumps, transcript, epoch runner, evidence
+  collector) that both ``repro fuzz`` and the cluster simulator
+  (:mod:`repro.des`) run on;
+* :mod:`repro.fuzz.runner` — executes a plan on the harness with
+  crash-point injection and tracing, and builds the report;
 * :mod:`repro.fuzz.oracles` — the invariants every run must satisfy;
 * :mod:`repro.fuzz.shrink` — delta-debugging to a minimal reproducer;
 * :mod:`repro.fuzz.corpus` — seed ranges, reproducer files, exit

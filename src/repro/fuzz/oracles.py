@@ -94,25 +94,52 @@ def _indeterminate(evidence: Any) -> set:
     return set(getattr(evidence, "indeterminate_committed", []) or [])
 
 
-def _full_history(evidence: Any) -> bool:
-    """Did the WAL retain the run from LSN 1 (no checkpoint cleanup)?"""
-    return (
-        evidence.records is not None
-        and len(evidence.records) > 0
-        and evidence.records[0].lsn == 1
-    )
-
-
 def _sharded(evidence: Any) -> bool:
     return getattr(evidence.plan, "shards", 1) > 1
 
 
-def _branch_shard(name: str) -> "int | None":
-    """``sh2.5`` → ``2``: the shard a branch name is rooted at."""
+def _where(evidence: Any, node: Any) -> str:
+    """Detail prefix naming the node — empty when there is only one."""
+    return f"shard{node.index}: " if len(evidence.nodes) > 1 else ""
+
+
+def _wal_history(
+    evidence: Any, name: str, *, need_recovery: bool = True
+) -> "OracleResult | None":
+    """Why the WAL-history oracles must skip this run (``None`` = go).
+
+    They replay every node's log from LSN 1, so they need the records
+    (and usually the recovered commit order) of every node, and no
+    checkpoint cleanup may have truncated early history.
+    """
+    nodes = evidence.nodes
+    if not nodes or any(
+        node.records is None
+        or (need_recovery and node.recovery is None)
+        for node in nodes
+    ):
+        return OracleResult.skip(
+            name, "no WAL history (in-memory or unrecoverable run)"
+        )
+    if not all(
+        node.records and node.records[0].lsn == 1 for node in nodes
+    ):
+        return OracleResult.skip(
+            name, "checkpoint cleanup truncated early history"
+        )
+    return None
+
+
+def _home(name: str) -> int:
+    """The node a transaction name is rooted at.
+
+    ``sh2.5`` → ``2``; an unsharded run's names carry no shard root
+    and live on its only node, ``0``.
+    """
     head = name.split(".", 1)[0]
     if head.startswith("sh") and head[2:].isdigit():
         return int(head[2:])
-    return None
+    return 0
 
 
 def _gid_of(evidence: Any, branch: str) -> str:
@@ -128,36 +155,31 @@ def _branches_of(evidence: Any) -> dict[str, dict[int, str]]:
     for branch, gid in (
         getattr(evidence, "branch_map", None) or {}
     ).items():
-        shard = _branch_shard(branch)
-        if shard is not None:
-            out.setdefault(gid, {})[shard] = branch
+        out.setdefault(gid, {})[_home(branch)] = branch
     return out
 
 
-def _shard_full_history(records: "list[Any]") -> bool:
-    return len(records) > 0 and records[0].lsn == 1
-
-
-def _acked_branches_on_shard(
-    evidence: Any,
+def _branches_on_node(
+    gids: Any,
     branches_of: dict[str, dict[int, str]],
     index: int,
 ) -> "list[tuple[str, bool]]":
-    """The acked commit sequence projected onto shard ``index``.
+    """``gids`` projected onto node ``index``, order preserved.
 
-    Yields ``(branch, is_cross)`` in ack order.  Cross-shard branches
-    are flagged: their per-shard commit records are written by a 2PC
-    fan-out whose arrival order at any one shard is not the global ack
-    order, so the order contract only binds single-shard commits.
+    Yields ``(branch, is_cross)``.  Cross-shard branches are flagged:
+    their per-shard commit records are written by a 2PC fan-out whose
+    arrival order at any one shard is not the global ack order, so the
+    order contract only binds single-shard commits.  A gid that is not
+    a cross-shard transaction is its own (only) branch.
     """
     projected: list[tuple[str, bool]] = []
-    for gid in evidence.acked_committed:
+    for gid in gids:
         cross = branches_of.get(gid)
         if cross is not None:
             branch = cross.get(index)
             if branch is not None:
                 projected.append((branch, True))
-        elif _branch_shard(gid) == index:
+        elif _home(gid) == index:
             projected.append((gid, False))
     return projected
 
@@ -222,33 +244,12 @@ def _write_multiplicity(evidence: Any) -> OracleResult:
     request twice.
     """
     name = "write_multiplicity"
-    if _sharded(evidence):
-        if evidence.shard_records is None:
-            return OracleResult.skip(
-                name, "no WAL (in-memory or unrecoverable run)"
-            )
-        if not all(
-            _shard_full_history(records)
-            for records in evidence.shard_records.values()
-        ):
-            return OracleResult.skip(
-                name, "checkpoint cleanup truncated early history"
-            )
-        records = [
-            record
-            for _, shard_records in sorted(
-                evidence.shard_records.items()
-            )
-            for record in shard_records
-        ]
-    elif evidence.records is None:
-        return OracleResult.skip(name, "no WAL (in-memory run)")
-    elif not _full_history(evidence):
-        return OracleResult.skip(
-            name, "checkpoint cleanup truncated early history"
-        )
-    else:
-        records = evidence.records
+    skip = _wal_history(evidence, name, need_recovery=False)
+    if skip is not None:
+        return skip
+    records = [
+        record for node in evidence.nodes for record in node.records
+    ]
     wal_writes: dict[tuple[str, str], int] = {}
     for record in records:
         if record.op == OP_WRITE:
@@ -287,94 +288,38 @@ def _recovery_verified(evidence: Any) -> OracleResult:
         return OracleResult(
             name, False, [f"recovery failed: {evidence.recovery_error}"]
         )
-    if _sharded(evidence):
-        if evidence.shard_recovery is None:
-            return OracleResult(name, False, ["recovery never ran"])
-        if evidence.shard_recovery.verified:
-            return OracleResult(name, True)
-        return OracleResult(
-            name,
-            False,
-            [
-                f"shard{index}: {violation}"
-                for index, result in sorted(
-                    evidence.shard_recovery.shards.items()
-                )
-                for violation in result.violations
-            ],
-        )
-    if evidence.recovery is None:
+    nodes = evidence.nodes
+    if not nodes or any(node.recovery is None for node in nodes):
         return OracleResult(name, False, ["recovery never ran"])
-    if evidence.recovery.verified:
-        return OracleResult(name, True)
     return OracleResult(
-        name, False, list(evidence.recovery.violations)
+        name,
+        all(node.recovery.verified for node in nodes),
+        [
+            f"{_where(evidence, node)}{violation}"
+            for node in nodes
+            for violation in node.recovery.violations
+        ],
     )
 
 
 def _committed_prefix(evidence: Any) -> OracleResult:
     """Acked commits survive recovery, in order; nothing else commits.
 
-    The client-visible contract: an acknowledged commit is durable
-    (the WAL append precedes the ack), so the acked sequence must be a
-    subsequence of the recovered commit order.  Conversely a recovered
-    commit nobody was acked for is only legitimate when its commit
-    request was still in flight at the crash.
+    The client-visible contract, node by node: an acknowledged commit
+    is durable (the WAL append precedes the ack), so the acked
+    sequence projected onto a node must be a subsequence of that
+    node's recovered commit order.  Acked cross-shard commits must
+    appear on every participant shard, but only membership is required
+    — the 2PC fan-out (and recovery's in-doubt resolution, which
+    appends the decided commit at the WAL tail) makes their per-shard
+    positions schedule-dependent.  Conversely a recovered commit
+    nobody was acked for is only legitimate when its reply was
+    indeterminate or its commit request was still in flight at the
+    crash.
     """
     name = "committed_prefix"
-    if _sharded(evidence):
-        return _committed_prefix_sharded(evidence)
-    if evidence.recovery is None:
-        return OracleResult.skip(
-            name, "no recovery pass (in-memory run or recovery error)"
-        )
-    recovered = list(evidence.recovery.committed)
-    details = []
-    # Subsequence check preserves the order of the acks.
-    position = 0
-    for acked in evidence.acked_committed:
-        try:
-            position = recovered.index(acked, position) + 1
-        except ValueError:
-            details.append(
-                f"acked commit {acked} missing from recovered order "
-                f"{recovered}"
-            )
-    inflight_commits = {
-        entry["txn"]
-        for entry in evidence.pending_requests
-        if entry["op"] == "commit"
-    }
-    indeterminate = _indeterminate(evidence)
-    for txn in recovered:
-        if txn in evidence.acked_committed:
-            continue
-        if txn in indeterminate:
-            # The client was told exactly this could happen: durable
-            # locally, replication ack unknown.
-            continue
-        if evidence.crashed and txn in inflight_commits:
-            continue
-        details.append(
-            f"recovered commit {txn} was never acknowledged"
-        )
-    return OracleResult(name, not details, details)
-
-
-def _committed_prefix_sharded(evidence: Any) -> OracleResult:
-    """The sharded commit contract, shard by shard.
-
-    Acked single-shard commits must appear in their shard's recovered
-    commit order *in ack order*; acked cross-shard commits must appear
-    on every participant shard, but only membership is required — the
-    2PC fan-out (and recovery's in-doubt resolution, which appends the
-    decided commit at the WAL tail) makes their per-shard positions
-    schedule-dependent.  Conversely, every recovered commit must map
-    back to an acked, indeterminate, or crash-in-flight transaction.
-    """
-    name = "committed_prefix"
-    recovery = evidence.shard_recovery
-    if recovery is None:
+    nodes = evidence.nodes
+    if not nodes or any(node.recovery is None for node in nodes):
         return OracleResult.skip(
             name, "no recovery pass (in-memory run or recovery error)"
         )
@@ -387,17 +332,19 @@ def _committed_prefix_sharded(evidence: Any) -> OracleResult:
         for entry in evidence.pending_requests
         if entry["op"] == "commit"
     }
-    for index, result in sorted(recovery.shards.items()):
-        recovered = list(result.committed)
+    for node in nodes:
+        where = _where(evidence, node)
+        recovered = list(node.recovery.committed)
         recovered_set = set(recovered)
+        # Subsequence check preserves the order of the acks.
         position = 0
-        for branch, is_cross in _acked_branches_on_shard(
-            evidence, branches_of, index
+        for branch, is_cross in _branches_on_node(
+            evidence.acked_committed, branches_of, node.index
         ):
             if is_cross:
                 if branch not in recovered_set:
                     details.append(
-                        f"shard{index}: acked cross-shard commit "
+                        f"{where}acked cross-shard commit "
                         f"{_gid_of(evidence, branch)} (branch {branch})"
                         f" missing from recovered order {recovered}"
                     )
@@ -406,18 +353,20 @@ def _committed_prefix_sharded(evidence: Any) -> OracleResult:
                 position = recovered.index(branch, position) + 1
             except ValueError:
                 details.append(
-                    f"shard{index}: acked commit {branch} missing "
-                    f"from recovered order {recovered}"
+                    f"{where}acked commit {branch} missing from "
+                    f"recovered order {recovered}"
                 )
         for branch in recovered:
             gid = _gid_of(evidence, branch)
+            # Indeterminate: the client was told exactly this could
+            # happen — durable locally, replication ack unknown.
             if gid in acked or gid in indeterminate:
                 continue
             if evidence.crashed and gid in inflight_commits:
                 continue
             details.append(
-                f"shard{index}: recovered commit {branch} "
-                f"(txn {gid}) was never acknowledged"
+                f"{where}recovered commit {branch} (txn {gid}) was "
+                f"never acknowledged"
             )
     return OracleResult(name, not details, details)
 
@@ -429,48 +378,19 @@ def _history_rc(evidence: Any) -> OracleResult:
         return OracleResult.skip(
             name, "non-strict run: RC is not promised"
         )
-    if _sharded(evidence):
-        # Each shard is its own single-writer history; RC is a
-        # per-history property, checked shard by shard.
-        if (
-            evidence.shard_records is None
-            or evidence.shard_recovery is None
-        ):
-            return OracleResult.skip(name, "no WAL history")
-        if not all(
-            _shard_full_history(records)
-            for records in evidence.shard_records.values()
-        ):
-            return OracleResult.skip(
-                name, "checkpoint cleanup truncated early history"
-            )
-        details = [
-            f"shard{index}: committed reader precedes its author"
-            for index, records in sorted(
-                evidence.shard_records.items()
-            )
-            if not recorded_is_rc(
-                records,
-                list(
-                    evidence.shard_recovery.shards[index].committed
-                ),
-            )
-        ]
-        return OracleResult(name, not details, details)
-    if evidence.records is None or evidence.recovery is None:
-        return OracleResult.skip(name, "no WAL history")
-    if not _full_history(evidence):
-        return OracleResult.skip(
-            name, "checkpoint cleanup truncated early history"
+    skip = _wal_history(evidence, name)
+    if skip is not None:
+        return skip
+    # Each node is its own single-writer history; RC is a per-history
+    # property, checked node by node.
+    details = [
+        f"{_where(evidence, node)}committed reader precedes its author"
+        for node in evidence.nodes
+        if not recorded_is_rc(
+            node.records, list(node.recovery.committed)
         )
-    ok = recorded_is_rc(
-        evidence.records, list(evidence.recovery.committed)
-    )
-    return OracleResult(
-        name,
-        ok,
-        [] if ok else ["committed reader precedes its author"],
-    )
+    ]
+    return OracleResult(name, not details, details)
 
 
 def _classifier_lattice(evidence: Any) -> OracleResult:
@@ -484,165 +404,91 @@ def _classifier_lattice(evidence: Any) -> OracleResult:
     of every fast path.
     """
     name = "classifier_lattice"
-    if _sharded(evidence):
-        if (
-            evidence.shard_records is None
-            or evidence.shard_recovery is None
-        ):
-            return OracleResult.skip(name, "no WAL history")
-        if not all(
-            _shard_full_history(records)
-            for records in evidence.shard_records.values()
-        ):
-            return OracleResult.skip(
-                name, "checkpoint cleanup truncated early history"
+    skip = _wal_history(evidence, name)
+    if skip is not None:
+        return skip
+    details: list[str] = []
+    unclassified: list[str] = []
+    for node in evidence.nodes:
+        where = _where(evidence, node)
+        projection = committed_projection(
+            node.records, list(node.recovery.committed)
+        )
+        if projection is None:
+            unclassified.append(f"{where}no committed data operations")
+            continue
+        schedule = projection.schedule
+        if len(schedule) > _CLASSIFY_CAP:
+            unclassified.append(
+                f"{where}projection has {len(schedule)} ops "
+                f"(> {_CLASSIFY_CAP}); classifier pass skipped"
             )
-        details = []
-        checked = 0
-        for index, records in sorted(evidence.shard_records.items()):
-            projection = committed_projection(
-                records,
-                list(
-                    evidence.shard_recovery.shards[index].committed
-                ),
-            )
-            if projection is None:
-                continue
-            schedule = projection.schedule
-            if len(schedule) > _CLASSIFY_CAP:
-                continue  # this shard is too big for the NP pass
-            checked += 1
-            details.extend(
-                f"shard{index}: {violation}"
-                for violation in containment_violations(
-                    classify(schedule)
+            continue
+        membership = classify(schedule)
+        violations = containment_violations(membership)
+        details.extend(f"{where}{violation}" for violation in violations)
+        if not violations and len(schedule) <= _EXACT_CAP:
+            exact = classify(schedule, exact=True)
+            if membership.as_dict() != exact.as_dict():
+                details.append(
+                    f"{where}staged classify disagrees with exact: "
+                    f"{membership.as_dict()} != {exact.as_dict()}"
                 )
-            )
-        if not checked:
-            return OracleResult.skip(
-                name, "no classifiable committed projection on any shard"
-            )
-        return OracleResult(name, not details, details)
-    if evidence.records is None or evidence.recovery is None:
-        return OracleResult.skip(name, "no WAL history")
-    if not _full_history(evidence):
-        return OracleResult.skip(
-            name, "checkpoint cleanup truncated early history"
-        )
-    projection = committed_projection(
-        evidence.records, list(evidence.recovery.committed)
-    )
-    if projection is None:
-        return OracleResult.skip(
-            name, "no committed data operations"
-        )
-    schedule = projection.schedule
-    if len(schedule) > _CLASSIFY_CAP:
-        return OracleResult.skip(
-            name,
-            f"projection has {len(schedule)} ops "
-            f"(> {_CLASSIFY_CAP}); classifier pass skipped",
-        )
-    membership = classify(schedule)
-    details = [
-        str(violation)
-        for violation in containment_violations(membership)
-    ]
-    if not details and len(schedule) <= _EXACT_CAP:
-        exact = classify(schedule, exact=True)
-        if membership.as_dict() != exact.as_dict():
-            details.append(
-                "staged classify disagrees with exact: "
-                f"{membership.as_dict()} != {exact.as_dict()}"
-            )
+    if len(unclassified) == len(evidence.nodes):
+        return OracleResult(name, True, unclassified, skipped=True)
     return OracleResult(name, not details, details)
 
 
 def _protocol_verify(evidence: Any) -> OracleResult:
-    """Post-drain manager state passes Lemma 4 / Theorem 2 and is clean."""
+    """Post-drain manager state passes Lemma 4 / Theorem 2 and is clean.
+
+    Node by node, plus the commit map: each manager's committed
+    children are exactly the acked ∪ indeterminate transactions'
+    branches on that node.
+    """
     name = "protocol_verify"
-    if _sharded(evidence):
-        return _protocol_verify_sharded(evidence)
-    if evidence.manager is None:
+    nodes = evidence.nodes
+    if not nodes or any(node.manager is None for node in nodes):
         return OracleResult.skip(
             name, "no live manager (crash or deadlock)"
-        )
-    manager = evidence.manager
-    details = []
-    root = manager.root
-    details.extend(manager.verify_parent_based(root))
-    details.extend(manager.verify_correctness(root))
-    committed = set()
-    for child in manager.children_of(root):
-        record = manager.record(child)
-        if not record.terminated:
-            details.append(f"{child} still live after drain")
-        if record.phase is TxnPhase.COMMITTED:
-            committed.add(child)
-    expected = set(evidence.acked_committed) | _indeterminate(evidence)
-    if committed != expected:
-        details.append(
-            f"manager committed set {sorted(committed)} != acked "
-            f"∪ indeterminate {sorted(expected)}"
-        )
-    if evidence.dispatcher is not None:
-        parked = evidence.dispatcher.parked_count
-        if parked:
-            details.append(
-                f"{parked} commands still parked after drain"
-            )
-    return OracleResult(name, not details, details)
-
-
-def _protocol_verify_sharded(evidence: Any) -> OracleResult:
-    """Per-shard Lemma 4 / Theorem 2 plus the cross-shard commit map."""
-    name = "protocol_verify"
-    managers = evidence.shard_managers
-    if managers is None:
-        return OracleResult.skip(
-            name, "no live managers (crash or deadlock)"
         )
     branches_of = _branches_of(evidence)
     acked_or_indet = set(evidence.acked_committed) | _indeterminate(
         evidence
     )
     details: list[str] = []
-    for index, manager in enumerate(managers):
+    for node in nodes:
+        where = _where(evidence, node)
+        manager = node.manager
         root = manager.root
         details.extend(
-            f"shard{index}: {problem}"
+            f"{where}{problem}"
             for problem in manager.verify_parent_based(root)
         )
         details.extend(
-            f"shard{index}: {problem}"
+            f"{where}{problem}"
             for problem in manager.verify_correctness(root)
         )
         committed = set()
         for child in manager.children_of(root):
             record = manager.record(child)
             if not record.terminated:
-                details.append(
-                    f"shard{index}: {child} still live after drain"
-                )
+                details.append(f"{where}{child} still live after drain")
             if record.phase is TxnPhase.COMMITTED:
                 committed.add(child)
-        expected = set()
-        for gid in acked_or_indet:
-            cross = branches_of.get(gid)
-            if cross is not None:
-                branch = cross.get(index)
-                if branch is not None:
-                    expected.add(branch)
-            elif _branch_shard(gid) == index:
-                expected.add(gid)
+        expected = {
+            branch
+            for branch, _ in _branches_on_node(
+                acked_or_indet, branches_of, node.index
+            )
+        }
         if committed != expected:
             details.append(
-                f"shard{index}: manager committed set "
-                f"{sorted(committed)} != acked ∪ indeterminate "
-                f"branches {sorted(expected)}"
+                f"{where}manager committed set {sorted(committed)} != "
+                f"acked ∪ indeterminate {sorted(expected)}"
             )
     if evidence.dispatcher is not None:
-        parked = getattr(evidence.dispatcher, "parked_count", 0)
+        parked = evidence.dispatcher.parked_count
         if parked:
             details.append(
                 f"{parked} commands still parked after drain"
@@ -674,18 +520,13 @@ def _metrics_consistent(evidence: Any) -> OracleResult:
         registry.counter("server.txns.committed").value
     )
     indeterminate = _indeterminate(evidence)
-    if _sharded(evidence):
-        # The committed counter ticks once per *branch* commit, so a
-        # cross-shard transaction on k shards counts k times.
-        branches_of = _branches_of(evidence)
-        expected_commits = sum(
-            len(branches_of.get(gid) or (gid,))
-            for gid in set(evidence.acked_committed) | indeterminate
-        )
-    else:
-        expected_commits = len(evidence.acked_committed) + len(
-            indeterminate - set(evidence.acked_committed)
-        )
+    # The committed counter ticks once per *branch* commit, so a
+    # cross-shard transaction on k shards counts k times.
+    branches_of = _branches_of(evidence)
+    expected_commits = sum(
+        len(branches_of.get(gid) or (gid,))
+        for gid in set(evidence.acked_committed) | indeterminate
+    )
     if committed_count != expected_commits:
         details.append(
             f"server.txns.committed={committed_count} but "
@@ -824,30 +665,31 @@ def _cross_shard_atomicity(evidence: Any) -> OracleResult:
         return OracleResult.skip(
             name, "no cross-shard transactions in this run"
         )
+    nodes = {node.index: node for node in evidence.nodes}
     if evidence.plan.durable:
-        if evidence.shard_recovery is None:
+        if not nodes or any(
+            node.recovery is None for node in nodes.values()
+        ):
             return OracleResult.skip(
                 name,
                 f"recovery unavailable: {evidence.recovery_error}",
             )
-        committed_by_shard = {
-            index: set(result.committed)
-            for index, result in evidence.shard_recovery.shards.items()
-        }
 
         def _fate(shard: int, branch: str) -> bool:
-            return branch in committed_by_shard.get(shard, set())
+            node = nodes.get(shard)
+            return node is not None and branch in node.recovery.committed
 
     else:
-        managers = evidence.shard_managers
-        if managers is None:
+        if not nodes or any(
+            node.manager is None for node in nodes.values()
+        ):
             return OracleResult.skip(
                 name, "no live managers (crash or deadlock)"
             )
 
         def _fate(shard: int, branch: str) -> bool:
             try:
-                record = managers[shard].record(branch)
+                record = nodes[shard].manager.record(branch)
             except Exception:  # noqa: BLE001 — unknown branch = no commit
                 return False
             return record.phase is TxnPhase.COMMITTED

@@ -1,135 +1,59 @@
 """Execute one :class:`FuzzPlan` deterministically, collecting evidence.
 
-The run drives the *real* server stack — :class:`TransactionServer`
-wiring, :class:`CommandDispatcher` parking/timeout machinery, and (for
-durable plans) a :class:`DurableTransactionManager` over a scratch WAL
-directory with crash points armed — on a
-:class:`~repro.fuzz.loop.VirtualClockLoop`.  Only the TCP transport is
-bypassed: fuzz clients are coroutines that submit requests straight to
-the dispatcher and await the futures, exactly as a connection handler
-would.  Everything that happens is appended to a transcript whose
-timestamps come from the virtual clock, so two runs of the same plan
-produce byte-identical transcripts.
+A fuzz run is one :class:`~repro.fuzz.harness.Epoch` of the shared
+harness on a stack without a network: the real server, a
+:class:`DurableTransactionManager` over a scratch WAL directory with
+crash points armed (durable plans), in-run followers (replicated
+plans), and a :class:`LiveTracer` whose span ids and timestamps both
+come from deterministic sources — so the collected span set is as
+replayable as the transcript, and the metrics oracle checks its tree
+structure after the drain.
 
 A fired :class:`SimulatedCrash` kills the dispatcher the way SIGKILL
-would; the runner then copies the WAL directory the way stable storage
-would keep it (``kill`` survival model: every ``os.write`` survives),
-runs recovery against the copy, and hands both the pre-crash transcript
-and the recovered state to the oracles.
+would; the harness then recovers a survivor copy of the WAL and hands
+both the pre-crash transcript and the recovered state to the oracles.
 """
 
 from __future__ import annotations
 
-import asyncio
-import shutil
-import tempfile
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
 
-from ..core.entities import Domain, Entity, Schema
-from ..core.predicates import Predicate
-from ..durability.crashpoints import CrashPoints, SimulatedCrash
-from ..durability.harness import build_survivor_copy
-from ..durability.manager import DurableTransactionManager
-from ..durability.recovery import RecoveryResult, recover
-from ..durability.shard_recovery import (
-    ShardedRecoveryResult,
-    list_shard_dirs,
-    recover_sharded,
-    shard_wal_dir,
-)
-from ..durability.wal import scan_wal
+from ..durability.crashpoints import CrashPoints
 from ..errors import ReproError
 from ..obs.live import LiveTracer, SpanRing
 from ..obs.metrics import MetricsRegistry
-from ..obs.trace import Span
-from ..protocol.scheduler import TransactionManager
-from ..replication import (
-    ROLE_PRIMARY,
-    FollowerApplier,
-    ReplicationContext,
-    ReplicationHub,
-)
-from ..replication.messages import KIND_SNAPSHOT
-from ..server.protocol import Request
-from ..server.server import ServerConfig, TransactionServer
-from ..server.session import SessionState
 from ..sim.clock import VirtualClock
-from ..storage.database import Database
-from .loop import FuzzDeadlockError, VirtualClockLoop
-from .plan import ENTITIES, FuzzPlan
+from .harness import (
+    Epoch,
+    Evidence,
+    Follower,
+    NodeEvidence,
+    ReplicaSet,
+    build_stack,
+    fuzz_database,
+    virtual_run,
+)
+from .plan import FuzzPlan
+
+__all__ = [
+    "Evidence",
+    "NodeEvidence",
+    "RunResult",
+    "execute_plan",
+    "fuzz_database",
+]
 
 FUZZ_REPORT_VERSION = 1
-
-#: Codes after which a transaction script is abandoned outright (the
-#: transaction is already gone server-side).
-_DEAD_CODES = {"ABORTED", "UNKNOWN_TXN", "SHUTTING_DOWN"}
-
-_BUSY_RETRIES = 5
-_BUSY_BACKOFF = 0.05
 
 #: Span ring capacity for the run's live tracer.  Far above what any
 #: bounded plan emits, so a non-zero dropped count is itself evidence
 #: (and the metrics oracle flags it).
 _SPAN_RING_CAPACITY = 1 << 16
 
-
-def fuzz_database() -> Database:
-    """The fixed fuzz schema: x, y, z in [0, 100], all initially 1."""
-    schema = Schema(
-        [Entity(name, Domain.interval(0, 100)) for name in ENTITIES]
-    )
-    constraint = Predicate.parse(
-        " & ".join(f"{name} >= 0" for name in ENTITIES)
-    )
-    return Database(schema, constraint, {name: 1 for name in ENTITIES})
-
-
-@dataclass
-class Evidence:
-    """Everything the oracles get to look at after a run."""
-
-    plan: FuzzPlan
-    events: list[dict[str, Any]]
-    names: dict[str, str]
-    acked_committed: list[str]
-    requests: dict[tuple[int, int], dict[str, Any]]
-    #: Commits whose reply said "durable locally, replication ack
-    #: unknown" (sync-replication timeout or shutdown).  Oracles must
-    #: accept these as committed without requiring an ack.
-    indeterminate_committed: list[str] = field(default_factory=list)
-    #: Per-replica post-run recovery verdicts (``None`` = no replicas).
-    replicas: "list[dict[str, Any]] | None" = None
-    #: Sampled follower reads: ``{t, replica, applied_lsn, view}``.
-    follower_samples: "list[dict[str, Any]] | None" = None
-    crashed: bool = False
-    crash_info: "dict[str, Any] | None" = None
-    deadlock: "str | None" = None
-    manager: "TransactionManager | None" = None
-    dispatcher: Any = None
-    drain_summary: "dict[str, Any] | None" = None
-    registry: "MetricsRegistry | None" = None
-    spans: "list[Span] | None" = None
-    spans_dropped: int = 0
-    open_spans: "list[Span] | None" = None
-    records: "list[Any] | None" = None
-    recovery: "RecoveryResult | None" = None
-    recovery_error: "str | None" = None
-    #: Cross-shard branch name → client-visible gid (sharded runs).
-    branch_map: dict[str, str] = field(default_factory=dict)
-    #: Sharded equivalents of ``recovery`` / ``records`` / ``manager``.
-    shard_recovery: "ShardedRecoveryResult | None" = None
-    shard_records: "dict[int, list[Any]] | None" = None
-    shard_managers: "list[TransactionManager] | None" = None
-
-    @property
-    def pending_requests(self) -> list[dict[str, Any]]:
-        return [
-            entry
-            for entry in self.requests.values()
-            if entry["status"] == "pending"
-        ]
+#: Follower pumps exit past this virtual time (see ``ReplicaSet``).
+_HORIZON = 120.0
 
 
 @dataclass
@@ -153,749 +77,87 @@ class RunResult:
         )
 
 
-class _RunContext:
-    """Mutable run state shared by the client coroutines."""
-
-    def __init__(
-        self,
-        plan: FuzzPlan,
-        clock: VirtualClock,
-        server: TransactionServer,
-    ) -> None:
-        self.plan = plan
-        self.clock = clock
-        self.server = server
-        self.dispatcher = server.dispatcher
-        self.events: list[dict[str, Any]] = []
-        self.names: dict[str, str] = {}
-        self.acked_committed: list[str] = []
-        self.indeterminate_committed: list[str] = []
-        self.requests: dict[tuple[int, int], dict[str, Any]] = {}
-        self.rid_counters: dict[int, int] = {}
-        self.branch_map: dict[str, str] = {}
-        self.drain_summary: "dict[str, Any] | None" = None
-        self.crash_exc: "SimulatedCrash | None" = None
-        self.replicas: "_ReplicaSet | None" = None
-
-    def emit(self, kind: str, **fields: Any) -> None:
-        event = {"t": round(self.clock.now, 6), "kind": kind}
-        event.update(fields)
-        self.events.append(event)
-
-    def notify_for(self, client_id: int):
-        def _notify(payload: dict[str, Any]) -> None:
-            self.emit(
-                "event",
-                client=client_id,
-                event=payload.get("event"),
-                txn=payload.get("txn"),
-            )
-
-        return _notify
-
-    def next_rid(self, client_id: int) -> int:
-        rid = self.rid_counters.get(client_id, 0) + 1
-        self.rid_counters[client_id] = rid
-        return rid
-
-    async def request(
-        self,
-        client_id: int,
-        session: SessionState,
-        op: str,
-        params: dict[str, Any],
-        *,
-        txn: "str | None" = None,
-        entity: "str | None" = None,
-    ) -> dict[str, Any]:
-        """Submit one request, retrying BUSY with deterministic backoff."""
-        rid = self.next_rid(client_id)
-        entry: dict[str, Any] = {
-            "client": client_id,
-            "rid": rid,
-            "op": op,
-            "txn": txn,
-            "entity": entity,
-            "status": "pending",
-            "outcome": None,
-        }
-        self.requests[(client_id, rid)] = entry
-        self.emit(
-            "request", client=client_id, rid=rid, op=op, txn=txn
-        )
-        reply: dict[str, Any] = {}
-        for attempt in range(_BUSY_RETRIES + 1):
-            outcome = self.dispatcher.submit(
-                session, Request(rid, op, dict(params))
-            )
-            reply = (
-                outcome
-                if isinstance(outcome, dict)
-                else await outcome
-            )
-            code = (
-                (reply.get("error") or {}).get("code")
-                if reply.get("ok") is False
-                else None
-            )
-            if code != "BUSY" or attempt == _BUSY_RETRIES:
-                break
-            self.emit("busy", client=client_id, rid=rid, op=op)
-            await asyncio.sleep(_BUSY_BACKOFF * (attempt + 1))
-        code = (
-            (reply.get("error") or {}).get("code")
-            if reply.get("ok") is False
-            else None
-        )
-        entry["status"] = "ok" if reply.get("ok") else f"error:{code}"
-        entry["outcome"] = reply.get("outcome")
-        self.emit(
-            "reply",
-            client=client_id,
-            rid=rid,
-            op=op,
-            ok=bool(reply.get("ok")),
-            code=code,
-            outcome=reply.get("outcome"),
-            value=reply.get("value"),
-        )
-        if (
-            op == "define"
-            and reply.get("ok")
-            and isinstance(reply.get("branches"), dict)
-        ):
-            # A cross-shard define: remember which per-shard branch
-            # belongs to which client-visible gid, so the oracles can
-            # translate WAL records back to acked transactions.
-            for branch in reply["branches"].values():
-                self.branch_map[branch] = reply["txn"]
-        if op == "commit" and reply.get("outcome") == "committed" and txn:
-            self.acked_committed.append(txn)
-        if op == "commit" and txn and not reply.get("ok"):
-            details = (reply.get("error") or {}).get("details") or {}
-            if details.get("indeterminate"):
-                self.indeterminate_committed.append(txn)
-        return reply
-
-
-class _ReplicaSet:
-    """Transport-free WAL shipping for a fuzz run.
-
-    One :class:`ReplicationHub` on the primary manager plus
-    ``plan.replicas`` appliers, each pumped by a coroutine on the
-    virtual loop — the exact core the TCP shipper wraps, minus the
-    sockets.  Partitions are virtual-time windows from the plan during
-    which a replica's pump neither ships nor acks (and sync commits on
-    the primary run into their deadlines, yielding *indeterminate*
-    replies).  Both hub clocks are the shared virtual clock, so lag
-    stamps are deterministic too.
-    """
-
-    #: Pump poll period (virtual seconds) while idle or partitioned.
-    _POLL = 0.05
-    #: Pumps exit past this virtual time: their timers must not keep a
-    #: genuinely stuck run alive forever, or the loop's deadlock
-    #: detector (select-forever → FuzzDeadlockError) would never fire.
-    _HORIZON = 120.0
-
-    def __init__(
-        self,
-        plan: FuzzPlan,
-        base: Path,
-        manager: DurableTransactionManager,
-        dispatcher: Any,
-        registry: MetricsRegistry,
-        tracer: Any,
-        clock: VirtualClock,
-    ) -> None:
-        self.plan = plan
-        self.clock = clock
-        self.samples: list[dict[str, Any]] = []
-        self.hub = ReplicationHub(
-            manager,
-            sync_replicas=plan.sync_replicas,
-            registry=registry,
-            tracer=tracer,
-            clock=clock,
-            wall_clock=clock,
-        )
-        self.hub.on_replicated = dispatcher.on_replicated
-        dispatcher.replication = ReplicationContext(
-            ROLE_PRIMARY, hub=self.hub
-        )
-        self.dirs: list[Path] = []
-        self.appliers: list[FollowerApplier] = []
-        self.slots: list[Any] = []
-        for index in range(plan.replicas):
-            replica_dir = base / f"replica{index}"
-            applier = FollowerApplier(
-                replica_dir,
-                tracer=tracer,
-                clock=clock,
-                wall_clock=clock,
-            )
-            # Registered (and snapshot-seeded) before the run starts:
-            # partitions model links failing, not followers that never
-            # joined.
-            slot, initial = self.hub.register(0, f"replica{index}")
-            if initial is not None:
-                applier.install_snapshot(
-                    initial["state"], initial["last_lsn"]
-                )
-                self.hub.ack(slot, applier.applied_lsn)
-            self.dirs.append(replica_dir)
-            self.appliers.append(applier)
-            self.slots.append(slot)
-
-    def _partitioned(self, index: int, now: float) -> bool:
-        return any(
-            window[0] == index and window[1] <= now < window[2]
-            for window in self.plan.partitions
-        )
-
-    def _pump_once(self, index: int) -> bool:
-        """Ship/apply/ack one message; sample the follower read."""
-        applier = self.appliers[index]
-        message = self.hub.next_batch(self.slots[index])
-        if message is None:
-            return False
-        if message["kind"] == KIND_SNAPSHOT:
-            applier.install_snapshot(
-                message["state"], message["last_lsn"]
-            )
-        else:
-            applier.apply_records(message)
-        self.hub.ack(self.slots[index], applier.applied_lsn)
-        applied_lsn, view = applier.read_view()
-        self.samples.append(
-            {
-                "t": round(self.clock.now, 6),
-                "replica": index,
-                "applied_lsn": applied_lsn,
-                "view": dict(view),
-            }
-        )
-        return True
-
-    async def pump(self, index: int, stop: asyncio.Event) -> None:
-        while not stop.is_set():
-            now = self.clock.now
-            if now > self._HORIZON:
-                return
-            if not self._partitioned(index, now):
-                if self._pump_once(index):
-                    continue  # drain the backlog before sleeping
-            try:
-                await asyncio.wait_for(stop.wait(), self._POLL)
-            except asyncio.TimeoutError:
-                pass
-
-    def catch_up(self) -> None:
-        """Heal every partition and drain every backlog (clean runs)."""
-        for index in range(len(self.appliers)):
-            while self._pump_once(index):
-                pass
-
-    def finalize(self, evidence: "Evidence") -> None:
-        """Close appliers, recover every replica dir, attach evidence.
-
-        Each replica directory goes through the stock
-        ``recover --verify`` gate — exactly what promotion runs — so
-        the promotion oracle judges the same artifact a real failover
-        would trust.
-        """
-        self.hub.close()
-        entries: list[dict[str, Any]] = []
-        for index, applier in enumerate(self.appliers):
-            applier.close()
-            entry: dict[str, Any] = {
-                "replica": index,
-                "applied_lsn": applier.applied_lsn,
-                "snapshots_installed": applier.snapshots_installed,
-                "records_applied": applier.records_applied,
-                "error": None,
-            }
-            try:
-                recovery = recover(self.dirs[index], verify=True)
-            except ReproError as error:
-                entry["error"] = f"{type(error).__name__}: {error}"
-            else:
-                if recovery is None:
-                    entry["committed"] = []
-                    entry["verified"] = True
-                    entry["recovered_lsn"] = 0
-                else:
-                    entry["committed"] = list(recovery.committed)
-                    entry["verified"] = recovery.verified
-                    entry["violations"] = list(recovery.violations)
-                    entry["recovered_lsn"] = recovery.summary()[
-                        "last_lsn"
-                    ]
-            entries.append(entry)
-        evidence.replicas = entries
-        evidence.follower_samples = list(self.samples)
-
-
-def _reply_code(reply: dict[str, Any]) -> "str | None":
-    if reply.get("ok"):
-        return None
-    return (reply.get("error") or {}).get("code", "INTERNAL")
-
-
-async def _abort_quietly(
-    ctx: _RunContext,
-    client_id: int,
-    session: SessionState,
-    name: str,
-) -> None:
-    await ctx.request(
-        client_id,
-        session,
-        "abort",
-        {"txn": name, "reason": "fuzz client gave up"},
-        txn=name,
-    )
-
-
-async def _run_client(ctx: _RunContext, cplan) -> None:
-    client_id = cplan.client_id
-    session = SessionState(
-        session_id=client_id + 1, notify=ctx.notify_for(client_id)
-    )
-    requests_done = 0
-
-    async def _step(op, params, *, txn=None, entity=None):
-        nonlocal requests_done
-        reply = await ctx.request(
-            client_id, session, op, params, txn=txn, entity=entity
-        )
-        requests_done += 1
-        return reply
-
-    def _disconnect_due() -> bool:
-        return (
-            cplan.disconnect_after is not None
-            and requests_done >= cplan.disconnect_after
-        )
-
-    for txn_plan in cplan.txns:
-        if _disconnect_due():
-            break
-        reply = await _step(
-            "define",
-            {
-                "updates": list(txn_plan.updates),
-                "input": txn_plan.input,
-                "output": txn_plan.output,
-                "predecessors": [
-                    ctx.names[label]
-                    for label in txn_plan.predecessors
-                    if label in ctx.names
-                ],
-            },
-        )
-        if not reply.get("ok"):
-            continue
-        name = reply["txn"]
-        ctx.names[txn_plan.label] = name
-        if _disconnect_due():
-            break
-        reply = await _step("validate", {"txn": name}, txn=name)
-        if not reply.get("ok"):
-            if _reply_code(reply) == "TIMEOUT":
-                await _abort_quietly(ctx, client_id, session, name)
-                requests_done += 1
-            continue
-        if reply.get("outcome") == "failed":
-            continue  # validation failure already aborted the txn
-        dead = False
-        for op in txn_plan.ops:
-            if _disconnect_due() or dead:
-                break
-            kind = op[0]
-            if kind == "sleep":
-                await asyncio.sleep(op[1])
-                continue
-            if kind == "read":
-                reply = await _step(
-                    "read",
-                    {"txn": name, "entity": op[1]},
-                    txn=name,
-                    entity=op[1],
-                )
-            elif kind == "write":
-                reply = await _step(
-                    "write",
-                    {"txn": name, "entity": op[1], "value": op[2]},
-                    txn=name,
-                    entity=op[1],
-                )
-            elif kind == "commit":
-                reply = await _step("commit", {"txn": name}, txn=name)
-                if reply.get("ok") and reply.get("outcome") == "failed":
-                    await _abort_quietly(
-                        ctx, client_id, session, name
-                    )
-                    requests_done += 1
-                dead = True
-            elif kind == "abort":
-                reply = await _step(
-                    "abort",
-                    {"txn": name, "reason": "scripted abort"},
-                    txn=name,
-                )
-                dead = True
-            else:  # pragma: no cover — generator never emits others
-                raise ReproError(f"unknown planned op {kind!r}")
-            code = _reply_code(reply)
-            indeterminate = bool(
-                ((reply.get("error") or {}).get("details") or {}).get(
-                    "indeterminate"
-                )
-            )
-            if code in _DEAD_CODES:
-                dead = True
-            elif code == "TIMEOUT" and indeterminate:
-                # A replication-ack timeout: the commit is durable
-                # locally and may well survive — the protocol contract
-                # says the client must NOT treat it as lost, so no
-                # clean-up abort (which would undo the commit).
-                dead = True
-            elif code == "TIMEOUT":
-                await _abort_quietly(ctx, client_id, session, name)
-                requests_done += 1
-                dead = True
-            elif code is not None and kind in ("read", "write"):
-                dead = True
-    if cplan.disconnect_after is not None and _disconnect_due():
-        ctx.emit("disconnect", client=client_id)
-        await ctx.dispatcher.close_session(session)
-
-
-async def _stop_pumps(
-    stop: asyncio.Event, pump_tasks: "list[asyncio.Task]"
-) -> None:
-    stop.set()
-    for task in pump_tasks:
-        task.cancel()
-    for task in pump_tasks:
-        try:
-            await task
-        except asyncio.CancelledError:
-            pass
-
-
-async def _main(ctx: _RunContext) -> None:
-    dispatcher_task = asyncio.ensure_future(ctx.dispatcher.run())
-    pumps_stop = asyncio.Event()
-    pump_tasks = (
-        [
-            asyncio.ensure_future(ctx.replicas.pump(index, pumps_stop))
-            for index in range(len(ctx.replicas.appliers))
-        ]
-        if ctx.replicas is not None
-        else []
-    )
-    client_tasks = [
-        asyncio.ensure_future(_run_client(ctx, cplan))
-        for cplan in ctx.plan.clients
-    ]
-    clients_task = asyncio.ensure_future(
-        asyncio.gather(*client_tasks, return_exceptions=False)
-    )
-    await asyncio.wait(
-        {dispatcher_task, clients_task},
-        return_when=asyncio.FIRST_COMPLETED,
-    )
-    if dispatcher_task.done() and not clients_task.done():
-        # The dispatcher died under the clients: an injected crash (or
-        # a harness bug, which we re-raise below).
-        clients_task.cancel()
-        for task in client_tasks:
-            task.cancel()
-        try:
-            await clients_task
-        except asyncio.CancelledError:
-            pass
-        await _stop_pumps(pumps_stop, pump_tasks)
-        exc = dispatcher_task.exception()
-        if isinstance(exc, SimulatedCrash):
-            ctx.crash_exc = exc
-            ctx.emit("crash", point=exc.point)
-            return
-        if exc is not None:
-            raise exc
-        raise ReproError("dispatcher exited without being stopped")
-    await clients_task
-    await _stop_pumps(pumps_stop, pump_tasks)
-    try:
-        ctx.drain_summary = await ctx.server.shutdown()
-    except SimulatedCrash as exc:
-        # A crash point armed deep enough to fire during the drain's
-        # cleanup aborts or the final checkpoint.
-        ctx.crash_exc = exc
-        ctx.emit("crash", point=exc.point)
-        dispatcher_task.cancel()
-        try:
-            await dispatcher_task
-        except asyncio.CancelledError:
-            pass
-        return
-    await dispatcher_task
-
-
-def _cancel_pending(loop: asyncio.AbstractEventLoop) -> None:
-    """After a deadlock verdict: unwind whatever is still pending."""
-    pending = [
-        task for task in asyncio.all_tasks(loop) if not task.done()
-    ]
-    for task in pending:
-        task.cancel()
-    if pending:
-        loop.run_until_complete(
-            asyncio.gather(*pending, return_exceptions=True)
-        )
-
-
 def execute_plan(
     plan: FuzzPlan, workdir: "Path | str | None" = None
 ) -> RunResult:
     """Run ``plan`` to completion and evaluate every oracle."""
     from .oracles import run_oracles
 
-    owns_workdir = workdir is None
-    base = Path(
-        tempfile.mkdtemp(prefix="repro-fuzz-")
-        if workdir is None
-        else workdir
-    )
-    base.mkdir(parents=True, exist_ok=True)
-    clock = VirtualClock()
-    loop = VirtualClockLoop(clock)
-    registry = MetricsRegistry()
-    # Every run is traced: span ids and timestamps both come from
-    # deterministic sources (a monotonic counter, the virtual clock),
-    # so the collected span set is as replayable as the transcript —
-    # and the metrics oracle checks its tree structure after drain.
-    ring = SpanRing(_SPAN_RING_CAPACITY)
-    span_feed = ring.subscribe()
-    tracer = LiveTracer(ring, clock=clock)
-    wal_dir = base / "wal"
-    crash_points: "CrashPoints | None" = None
-    sharded = plan.shards > 1
-    if sharded and plan.replicas:
+    if plan.shards > 1 and plan.replicas:
         raise ReproError(
             "sharded plans cannot ship a WAL (replicas must be 0)"
         )
-    shard_managers: "list[TransactionManager] | None" = None
-    try:
-        if plan.durable:
-            # Sharded plans share one CrashPoints: any shard's WAL or
-            # checkpoint write can fire the armed point, so the crash
-            # lands wherever the schedule takes it.
-            crash_points = CrashPoints()
-            if sharded:
-                shard_managers = []
-                for index in range(plan.shards):
-                    shard_manager, _ = DurableTransactionManager.open(
-                        shard_wal_dir(wal_dir, index),
-                        fuzz_database,
-                        flush_interval=plan.flush_interval,
-                        checkpoint_every=plan.checkpoint_every,
-                        retain=99,
-                        tracer=tracer,
-                        registry=registry,
-                        strict=plan.strict,
-                        crash_points=crash_points,
-                        root_name=f"sh{index}",
-                    )
-                    shard_managers.append(shard_manager)
-                manager = shard_managers[0]
-            else:
-                manager, _ = DurableTransactionManager.open(
-                    wal_dir,
-                    fuzz_database,
-                    flush_interval=plan.flush_interval,
-                    checkpoint_every=plan.checkpoint_every,
-                    retain=99,  # keep every segment: oracles read history
-                    tracer=tracer,
-                    registry=registry,
-                    strict=plan.strict,
-                    crash_points=crash_points,
-                )
-            if plan.crash_point is not None:
-                # Armed *after* open(): hit counts start at "serving".
-                crash_points.arm(plan.crash_point, plan.crash_at_hit)
-        elif sharded:
-            shard_managers = [
-                TransactionManager(
-                    fuzz_database(),
-                    tracer=tracer,
-                    registry=registry,
-                    strict=plan.strict,
-                    root_name=f"sh{index}",
-                )
-                for index in range(plan.shards)
-            ]
-            manager = shard_managers[0]
-        else:
-            manager = TransactionManager(
-                fuzz_database(),
-                tracer=tracer,
-                registry=registry,
-                strict=plan.strict,
-            )
-        server = TransactionServer(
-            manager.database,
-            config=ServerConfig(
-                queue_size=plan.queue_size,
-                request_timeout=plan.request_timeout,
-                drain_grace=plan.drain_grace,
-                strict=plan.strict,
-                shards=plan.shards,
-            ),
-            registry=registry,
+    with virtual_run(workdir, prefix="repro-fuzz-") as run:
+        clock = run.clock
+        ring = SpanRing(_SPAN_RING_CAPACITY)
+        span_feed = ring.subscribe()
+        tracer = LiveTracer(ring, clock=clock)
+        crash_points = CrashPoints() if plan.durable else None
+        stack = build_stack(
+            plan,
+            run.base / "wal",
+            clock,
+            MetricsRegistry(),
             tracer=tracer,
-            manager=None if sharded else manager,
-            shard_managers=shard_managers if sharded else None,
-            clock=clock,
-        )
-        ctx = _RunContext(plan, clock, server)
-        if plan.durable and plan.replicas > 0:
-            ctx.replicas = _ReplicaSet(
-                plan,
-                base,
-                manager,
-                server.dispatcher,
-                registry,
-                tracer,
-                clock,
-            )
-        deadlock: "str | None" = None
-        try:
-            asyncio.set_event_loop(loop)
-            try:
-                loop.run_until_complete(_main(ctx))
-            except FuzzDeadlockError as error:
-                deadlock = str(error)
-            # Unconditional: a deadlock verdict leaves client tasks
-            # pending, and a sharded crash leaves the *surviving*
-            # shards' dispatcher loops parked on their queues.
-            _cancel_pending(loop)
-        finally:
-            asyncio.set_event_loop(None)
-        evidence = Evidence(
-            plan=plan,
-            events=ctx.events,
-            names=ctx.names,
-            acked_committed=ctx.acked_committed,
-            indeterminate_committed=ctx.indeterminate_committed,
-            requests=ctx.requests,
-            crashed=ctx.crash_exc is not None,
-            crash_info=(
-                {"point": ctx.crash_exc.point, "at_hit": plan.crash_at_hit}
-                if ctx.crash_exc is not None
+            crash_points=crash_points,
+            sync_replicas=(
+                plan.sync_replicas
+                if plan.durable and plan.replicas > 0
                 else None
             ),
-            deadlock=deadlock,
-            dispatcher=ctx.dispatcher,
-            drain_summary=ctx.drain_summary,
-            registry=registry,
-            branch_map=dict(ctx.branch_map),
         )
-        evidence.spans, evidence.spans_dropped = span_feed.poll()
-        evidence.open_spans = tracer.open_spans()
-        if plan.durable:
-            if crash_points is not None:
-                crash_points.disarm()
-            if sharded:
-                _collect_sharded_evidence(
-                    evidence, shard_managers, wal_dir, base
-                )
-            else:
-                _collect_durable_evidence(
-                    evidence, manager, wal_dir, base
-                )
-        if ctx.replicas is not None:
-            if not evidence.crashed and deadlock is None:
-                # Clean run: partitions heal and the backlog drains, so
-                # replica recoveries below see the whole history.  A
-                # crashed run keeps exactly what each replica held.
-                ctx.replicas.catch_up()
-            ctx.replicas.finalize(evidence)
-        if not evidence.crashed and deadlock is None:
-            if sharded:
-                evidence.shard_managers = shard_managers
-            else:
-                evidence.manager = manager
+        if crash_points is not None and plan.crash_point is not None:
+            # Armed *after* open(): hit counts start at "serving".
+            crash_points.arm(plan.crash_point, plan.crash_at_hit)
+        replicas: "ReplicaSet | None" = None
+        if stack.hub is not None:
+            replicas = ReplicaSet(
+                stack.hub,
+                [
+                    Follower(
+                        index,
+                        f"replica{index}",
+                        run.base / f"replica{index}",
+                        clock,
+                        tracer=tracer,
+                    )
+                    for index in range(plan.replicas)
+                ],
+                clock,
+                plan.partitions,
+                horizon=_HORIZON,
+            )
+        epoch = Epoch(
+            plan,
+            stack,
+            clock,
+            give_up="fuzz client gave up",
+            replicas=replicas,
+        )
+        run.run(epoch.run())
+        spans, spans_dropped = span_feed.poll()
+        open_spans = tracer.open_spans()
+        if crash_points is not None:
+            crash_points.disarm()
+        if (
+            replicas is not None
+            and epoch.crash is None
+            and run.deadlock is None
+        ):
+            # Clean run: partitions heal and the backlog drains, so
+            # replica recoveries see the whole history.  A crashed run
+            # keeps exactly what each replica held.
+            run.run(replicas.catch_up())
+        evidence = epoch.collect(run.base / "survivor", run.deadlock)
+        evidence.spans, evidence.spans_dropped = spans, spans_dropped
+        evidence.open_spans = open_spans
+        if replicas is not None:
+            replicas.hub.close()
+            for follower in replicas.followers:
+                follower.applier.close()
         oracles = run_oracles(evidence)
         report = _build_report(plan, evidence, oracles, clock)
         return RunResult(plan=plan, report=report, evidence=evidence)
-    finally:
-        loop.close()
-        if owns_workdir:
-            shutil.rmtree(base, ignore_errors=True)
-
-
-def _collect_durable_evidence(
-    evidence: Evidence,
-    manager: DurableTransactionManager,
-    wal_dir: Path,
-    base: Path,
-) -> None:
-    if evidence.crashed:
-        # Kill-model survival: every byte the live process os.write()d
-        # is on "disk".  Copy first, then release the live fd.
-        target = build_survivor_copy(
-            wal_dir, base / "survivor", mode="kill"
-        )
-        if manager.wal is not None and not manager.wal.closed:
-            manager.wal.close()
-    else:
-        target = wal_dir
-        if manager.wal is not None and not manager.wal.closed:
-            # Deadlocked run: shutdown() never completed; release the
-            # fd so the scan below reads settled bytes.
-            manager.wal.close()
-    try:
-        evidence.recovery = recover(target, verify=True)
-        evidence.records = list(scan_wal(target).records)
-    except ReproError as error:
-        evidence.recovery_error = f"{type(error).__name__}: {error}"
-
-
-def _collect_sharded_evidence(
-    evidence: Evidence,
-    managers: "list[DurableTransactionManager]",
-    wal_dir: Path,
-    base: Path,
-) -> None:
-    """Per-shard survivor copies, one sharded recovery over them all."""
-    if evidence.crashed:
-        target = base / "survivor"
-        for index, manager in enumerate(managers):
-            build_survivor_copy(
-                shard_wal_dir(wal_dir, index),
-                shard_wal_dir(target, index),
-                mode="kill",
-            )
-            if manager.wal is not None and not manager.wal.closed:
-                manager.wal.close()
-    else:
-        target = wal_dir
-        for manager in managers:
-            if manager.wal is not None and not manager.wal.closed:
-                manager.wal.close()
-    try:
-        # recover_sharded resolves in-doubt 2PC branches first (the
-        # presumed-abort protocol), then replays every shard.
-        evidence.shard_recovery = recover_sharded(target, verify=True)
-        evidence.shard_records = {
-            index: list(scan_wal(path).records)
-            for index, path in list_shard_dirs(target)
-        }
-    except ReproError as error:
-        evidence.recovery_error = f"{type(error).__name__}: {error}"
 
 
 def _build_report(
@@ -905,6 +167,10 @@ def _build_report(
     clock: VirtualClock,
 ) -> dict[str, Any]:
     replies = [e for e in evidence.events if e["kind"] == "reply"]
+    # The report keeps one key family per layout: ``recovered_committed``
+    # for the single stack, ``shard_*`` for a sharded one.
+    sharded = plan.shards > 1
+    recovered = [n for n in evidence.nodes if n.recovery is not None]
     report = {
         "fuzz_version": FUZZ_REPORT_VERSION,
         "seed": plan.seed,
@@ -957,23 +223,21 @@ def _build_report(
         ),
         "replicas": evidence.replicas,
         "recovered_committed": (
-            list(evidence.recovery.committed)
-            if evidence.recovery is not None
+            list(recovered[0].recovery.committed)
+            if recovered and not sharded
             else None
         ),
         "shard_recovered_committed": (
             {
-                str(index): list(result.committed)
-                for index, result in sorted(
-                    evidence.shard_recovery.shards.items()
-                )
+                str(node.index): list(node.recovery.committed)
+                for node in recovered
             }
-            if evidence.shard_recovery is not None
+            if recovered and sharded
             else None
         ),
         "shard_resolutions": (
-            [dict(entry) for entry in evidence.shard_recovery.resolutions]
-            if evidence.shard_recovery is not None
+            [dict(entry) for entry in evidence.resolutions or []]
+            if recovered and sharded
             else None
         ),
         "crashed": evidence.crashed,

@@ -2,6 +2,12 @@
 
 from __future__ import annotations
 
+import asyncio
+import gc
+import tempfile
+import warnings
+from contextlib import contextmanager
+
 import pytest
 
 from repro.core import (
@@ -48,3 +54,50 @@ def simple_db(xyz_schema: Schema) -> Database:
 @pytest.fixture
 def trivial_spec() -> Spec:
     return Spec.trivial()
+
+
+# -- deterministic-harness fixtures (tests/fuzz, tests/des) ----------------
+
+
+@pytest.fixture
+def scratch(tmp_path, monkeypatch):
+    """Route ``tempfile.mkdtemp`` under ``tmp_path`` so leaks show."""
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+    return tmp_path
+
+
+@pytest.fixture
+def no_unclosed_loops():
+    """``with no_unclosed_loops():`` fails if a loop is dropped open."""
+
+    @contextmanager
+    def check():
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            yield
+            gc.collect()  # an unclosed loop warns from __del__
+        assert not [
+            str(w.message)
+            for w in caught
+            if "unclosed event loop" in str(w.message)
+        ]
+
+    return check
+
+
+@pytest.fixture
+def lose_first_commit_reply(monkeypatch):
+    """The server "forgets" one reply: a future nobody resolves."""
+    from repro.server.session import CommandDispatcher
+
+    real_submit = CommandDispatcher.submit
+    lost = []
+
+    def submit(self, session, request):
+        if request.op == "commit" and not lost:
+            lost.append(request)
+            return asyncio.get_running_loop().create_future()
+        return real_submit(self, session, request)
+
+    monkeypatch.setattr(CommandDispatcher, "submit", submit)
+    return lost

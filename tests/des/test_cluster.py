@@ -105,3 +105,29 @@ class TestPercentile:
         assert percentile(values, 95) == 4.0
         assert percentile(values, 100) == 4.0
         assert percentile([], 95) == 0.0
+
+
+class TestHarnessLifetime:
+    def test_rejected_scenario_acquires_nothing(
+        self, scratch, no_unclosed_loops
+    ):
+        scenario = get_scenario("hot_key_storm").with_overrides(
+            workload="bogus"
+        )
+        with no_unclosed_loops():
+            with pytest.raises(ValueError, match="bogus"):
+                run_scenario(scenario)
+        assert list(scratch.iterdir()) == []
+
+    def test_lost_reply_is_a_deadlock_report(
+        self, scratch, lose_first_commit_reply
+    ):
+        report = run_scenario(get_scenario("abort_cascade"))
+        assert lose_first_commit_reply
+        assert report["deadlock"] and report["ok"] is False
+        (epoch,) = report["epochs"]
+        assert not epoch["oracles"]["no_deadlock"]["ok"]
+        # Evidence was still collected, and everything was released.
+        assert epoch["recovered_committed"] is not None
+        assert len(epoch["replicas"]) == 2
+        assert list(scratch.iterdir()) == []

@@ -4,9 +4,12 @@ from __future__ import annotations
 
 from types import SimpleNamespace
 
+import pytest
+
 from repro.durability.records import OP_WRITE
 from repro.fuzz import generate_plan, run_oracles
-from repro.fuzz.runner import Evidence
+from repro.fuzz.runner import Evidence, NodeEvidence
+from repro.protocol.scheduler import TxnPhase
 
 
 def _verdict(results, name):
@@ -16,7 +19,10 @@ def _verdict(results, name):
     raise AssertionError(f"oracle {name} never ran")
 
 
-def _evidence(**kw) -> Evidence:
+def _evidence(records=None, recovery=None, **kw) -> Evidence:
+    """Hand-built evidence; ``records``/``recovery`` make one node 0."""
+    if records is not None or recovery is not None:
+        kw["nodes"] = [NodeEvidence(0, records, recovery)]
     base = dict(
         plan=generate_plan(1, durable=False),
         events=[],
@@ -272,15 +278,12 @@ def _sharded_plan(**kw):
     return generate_plan(1, shards=4, **kw)
 
 
-def _shard_recovery(shards, resolutions=()):
-    return SimpleNamespace(
-        shards={
-            index: _recovery(committed)
-            for index, committed in shards.items()
-        },
-        resolutions=list(resolutions),
-        verified=True,
-    )
+def _shard_nodes(shards):
+    """``{shard: recovered commit order}`` → per-node evidence."""
+    return [
+        NodeEvidence(index, recovery=_recovery(committed))
+        for index, committed in sorted(shards.items())
+    ]
 
 
 def test_split_brain_fails_cross_shard_atomicity():
@@ -289,7 +292,7 @@ def test_split_brain_fails_cross_shard_atomicity():
         plan=_sharded_plan(),
         acked_committed=["sh1.2"],
         branch_map={"sh1.2": "sh1.2", "sh3.5": "sh1.2"},
-        shard_recovery=_shard_recovery({1: ["sh1.2"], 3: []}),
+        nodes=_shard_nodes({1: ["sh1.2"], 3: []}),
     )
     verdict = _verdict(run_oracles(evidence), "cross_shard_atomicity")
     assert not verdict.ok
@@ -301,7 +304,7 @@ def test_acked_cross_commit_lost_everywhere_fails_atomicity():
         plan=_sharded_plan(),
         acked_committed=["sh1.2"],
         branch_map={"sh1.2": "sh1.2", "sh3.5": "sh1.2"},
-        shard_recovery=_shard_recovery({1: [], 3: []}),
+        nodes=_shard_nodes({1: [], 3: []}),
     )
     verdict = _verdict(run_oracles(evidence), "cross_shard_atomicity")
     assert not verdict.ok
@@ -313,7 +316,7 @@ def test_unacked_cross_commit_fails_atomicity_on_clean_run():
         plan=_sharded_plan(),
         acked_committed=[],
         branch_map={"sh1.2": "sh1.2", "sh3.5": "sh1.2"},
-        shard_recovery=_shard_recovery({1: ["sh1.2"], 3: ["sh3.5"]}),
+        nodes=_shard_nodes({1: ["sh1.2"], 3: ["sh3.5"]}),
     )
     verdict = _verdict(run_oracles(evidence), "cross_shard_atomicity")
     assert not verdict.ok
@@ -324,7 +327,7 @@ def test_unacked_cross_commit_fails_atomicity_on_clean_run():
         plan=_sharded_plan(),
         acked_committed=[],
         branch_map={"sh1.2": "sh1.2", "sh3.5": "sh1.2"},
-        shard_recovery=_shard_recovery({1: ["sh1.2"], 3: ["sh3.5"]}),
+        nodes=_shard_nodes({1: ["sh1.2"], 3: ["sh3.5"]}),
         crashed=True,
         requests={
             (1, 9): {
@@ -350,9 +353,7 @@ def test_sharded_prefix_is_membership_only_for_cross_branches():
         plan=_sharded_plan(),
         acked_committed=["sh1.2", "sh3.9"],
         branch_map={"sh1.2": "sh1.2", "sh3.5": "sh1.2"},
-        shard_recovery=_shard_recovery(
-            {1: ["sh1.2"], 3: ["sh3.9", "sh3.5"]}
-        ),
+        nodes=_shard_nodes({1: ["sh1.2"], 3: ["sh3.9", "sh3.5"]}),
     )
     assert _verdict(run_oracles(evidence), "committed_prefix").ok
     # But a cross-shard branch missing entirely still fails.
@@ -360,8 +361,70 @@ def test_sharded_prefix_is_membership_only_for_cross_branches():
         plan=_sharded_plan(),
         acked_committed=["sh1.2", "sh3.9"],
         branch_map={"sh1.2": "sh1.2", "sh3.5": "sh1.2"},
-        shard_recovery=_shard_recovery({1: ["sh1.2"], 3: ["sh3.9"]}),
+        nodes=_shard_nodes({1: ["sh1.2"], 3: ["sh3.9"]}),
     )
     verdict = _verdict(run_oracles(missing), "committed_prefix")
     assert not verdict.ok
     assert "sh3.5" in verdict.details[0]
+
+
+def _drained_manager(root, committed, aborted=()):
+    """The slice of a drained manager ``protocol_verify`` reads."""
+    phases = {name: TxnPhase.COMMITTED for name in committed}
+    phases.update({name: TxnPhase.ABORTED for name in aborted})
+    return SimpleNamespace(
+        root=root,
+        verify_parent_based=lambda _root: [],
+        verify_correctness=lambda _root: [],
+        children_of=lambda _root: sorted(phases),
+        record=lambda name: SimpleNamespace(
+            terminated=True, phase=phases[name]
+        ),
+    )
+
+
+@pytest.mark.parametrize(
+    "acked, recovered, live, expect_ok",
+    [
+        ([1, 2], [1, 2, 3], [1, 2], {"protocol_verify"}),
+        ([1, 2], [1, 2], [1, 2], {"committed_prefix", "protocol_verify"}),
+        ([2, 1], [1, 2], [1, 2], {"protocol_verify"}),
+        ([1, 2], [1], [1], set()),
+    ],
+)
+def test_one_node_sharded_shape_matches_unsharded(
+    acked, recovered, live, expect_ok
+):
+    # The case the old ``_sharded`` fork hid: one node whose branch
+    # names are rooted at ``sh0`` is the same history as an unsharded
+    # run rooted at ``t`` — same verdicts, same details.
+    def verdicts(root):
+        def names(numbers):
+            return [f"{root}.{n}" for n in numbers]
+
+        evidence = _evidence(
+            acked_committed=names(acked),
+            nodes=[
+                NodeEvidence(
+                    0,
+                    recovery=_recovery(names(recovered)),
+                    manager=_drained_manager(
+                        root, names(live), aborted=names([9])
+                    ),
+                )
+            ],
+        )
+        return [
+            (
+                result.name,
+                result.ok,
+                [d.replace(f"{root}.", "R.") for d in result.details],
+            )
+            for result in run_oracles(
+                evidence, names=["committed_prefix", "protocol_verify"]
+            )
+        ]
+
+    unsharded = verdicts("t")
+    assert unsharded == verdicts("sh0")
+    assert {name for name, ok, _ in unsharded if ok} == expect_ok

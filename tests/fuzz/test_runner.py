@@ -41,7 +41,7 @@ def test_crash_run_is_deterministic_and_collects_recovery():
         second.report, sort_keys=True
     )
     assert first.report["crash"]["point"]
-    assert first.evidence.recovery is not None
+    assert first.evidence.nodes[0].recovery is not None
     assert first.ok, f"crash-run oracles failed: {first.failed_oracles}"
 
 
@@ -176,8 +176,9 @@ class TestShardedRuns:
         report = result.report
         assert report["crashed"]
         assert result.ok, result.failed_oracles
-        assert result.evidence.shard_recovery is not None
-        assert result.evidence.shard_recovery.verified
+        nodes = result.evidence.nodes
+        assert [node.index for node in nodes] == [0, 1, 2, 3]
+        assert all(node.recovery.verified for node in nodes)
 
     def test_crash_mid_2pc_resolves_in_doubt_branches(self):
         # Seed 14's crash fires between PREPARE and the coordinator's
@@ -206,8 +207,9 @@ class TestShardedRuns:
     def test_in_memory_sharded_run_verifies_live_managers(self):
         result = execute_plan(generate_plan(1, shards=4, durable=False))
         assert result.ok, result.failed_oracles
-        assert result.evidence.shard_managers is not None
-        assert len(result.evidence.shard_managers) == 4
+        nodes = result.evidence.nodes
+        assert len(nodes) == 4
+        assert all(node.manager is not None for node in nodes)
         assert result.report["oracles"]["protocol_verify"]["ok"]
 
     def test_mini_sharded_corpus_is_clean(self):
