@@ -3,9 +3,10 @@
 The tracer must be free when off.  ``test_protocol_throughput`` in
 ``bench_protocol.py`` is the canonical un-traced number (same loop as
 the seed); the benchmarks here run the identical loop with the default
-no-op tracer, with a :class:`~repro.obs.trace.RecordingTracer`, and
-with the server's :class:`~repro.obs.live.LiveTracer` streaming into a
-span ring, all in one ``obs-overhead`` comparison group, so
+no-op tracer and with the one real tracer in both retention modes —
+the server's :class:`~repro.obs.live.LiveTracer` streaming into a span
+ring, and :class:`~repro.obs.live.RecordingTracer` additionally
+keeping every span — all in one ``obs-overhead`` comparison group, so
 
     pytest benchmarks/bench_obs.py benchmarks/bench_protocol.py \
         --benchmark-only --benchmark-group-by=group

@@ -181,40 +181,6 @@ def test_t2_correctness_property(benchmark):
         assert violations == [], violations
 
 
-def test_recovery_replay_throughput(benchmark):
-    """Redo-log replay speed — the §6 recovery story's cost."""
-    from repro.protocol.replay import (
-        histories_match,
-        log_from_json,
-        log_to_json,
-        replay,
-    )
-
-    def build_session():
-        db = _database()
-        tm = TransactionManager(db)
-        for index in range(20):
-            txn = tm.define(
-                tm.root, _spec("x >= 0"), {"y" if index % 2 else "z"}
-            )
-            tm.validate(txn)
-            tm.read(txn, "x")
-            tm.write(
-                txn, "y" if index % 2 else "z", index * 7 % 1000
-            )
-            tm.commit(txn)
-        return tm
-
-    original = build_session()
-    serialized = log_to_json(original.log)
-
-    def replay_once():
-        return replay(log_from_json(serialized), _database())
-
-    rebuilt = benchmark(replay_once)
-    assert histories_match(original, rebuilt)
-
-
 def test_protocol_throughput(benchmark):
     """Micro-benchmark: one full define/validate/read/write/commit."""
 

@@ -17,6 +17,7 @@ Run:  python examples/cad_collaboration.py
 """
 
 from repro.core import Domain, Predicate, Schema, Spec
+from repro.obs import RecordingTracer, render_timeline
 from repro.protocol import Outcome, TransactionManager
 from repro.storage import Database
 
@@ -41,7 +42,8 @@ def build_database() -> Database:
 
 def main() -> None:
     db = build_database()
-    tm = TransactionManager(db)
+    tracer = RecordingTracer()
+    tm = TransactionManager(db, tracer=tracer)
     print("Initial design:", dict(db.initial_state))
     print("Constraint:   ", db.constraint)
     print()
@@ -142,8 +144,8 @@ def main() -> None:
         },
     )
     print()
-    print("Event log:")
-    print(tm.log.dump())
+    print("Timeline (per transaction, in ticks):")
+    print(render_timeline(tracer.spans))
 
 
 if __name__ == "__main__":

@@ -1,27 +1,28 @@
 #!/usr/bin/env python3
-"""Crash recovery by redo-log replay (the paper's §6 future work).
+"""Crash recovery from the write-ahead log (the paper's §6 future work).
 
 A session of cooperating transactions runs under the Section-5
-protocol; its event log is serialized to JSON (the durable redo log).
-Then we simulate a crash — throw the manager away — and rebuild the
-exact same state by replaying the log against a fresh database.
+protocol on a :class:`DurableTransactionManager`, which appends one
+logical WAL record per state transition.  Then we simulate a crash —
+abandon the manager without closing it — and rebuild the state with
+``recover(verify=True)``: checkpoint + WAL replay + undo of whatever
+was in flight, followed by independent verification that the result is
+a correct committed prefix.
 
-Determinism is the point: version selection, re-evaluation, and
-cascades are pure functions of the state the stimulus events build, so
-replay regenerates every derived decision and the stores match bit for
-bit.
+Derived decisions (re-assignments, cascades) are logged as facts, so
+replay is pure state transcription and the committed work comes back
+bit for bit; the transaction caught mid-flight does not.
 
 Run:  python examples/crash_recovery.py
 """
 
+import tempfile
+from pathlib import Path
+
 from repro.core import Domain, Predicate, Schema, Spec
-from repro.protocol import TransactionManager
-from repro.protocol.replay import (
-    histories_match,
-    log_from_json,
-    log_to_json,
-    replay,
-)
+from repro.durability import DurableTransactionManager, recover
+from repro.durability.wal import scan_wal
+from repro.protocol import TxnPhase
 from repro.storage import Database
 
 
@@ -34,8 +35,9 @@ def fresh_database() -> Database:
     )
 
 
-def run_session() -> TransactionManager:
-    tm = TransactionManager(fresh_database())
+def run_session(wal_dir: Path) -> DurableTransactionManager:
+    tm, recovery = DurableTransactionManager.open(wal_dir, fresh_database)
+    assert recovery is None  # a fresh directory: nothing to recover
 
     def spec(i="true", o="true"):
         return Spec(Predicate.parse(i), Predicate.parse(o))
@@ -55,35 +57,63 @@ def run_session() -> TransactionManager:
     tm.write(bob, "y", 77)
     tm.commit(bob)
     tm.read(eve, "z")
-    tm.write(eve, "z", 99)
-    tm.abort(eve)  # Eve changes her mind; versions expunged
+    tm.write(eve, "z", 99)  # Eve is still working when the crash hits
+    tm.flush()
     return tm
 
 
+def committed_versions(manager) -> dict[str, list[tuple[int, str | None]]]:
+    committed = {
+        record.name
+        for record in manager.iter_records()
+        if record.phase is TxnPhase.COMMITTED
+    }
+    return {
+        entity: [
+            (v.value, v.author)
+            for v in manager.database.store.versions(entity)
+            if v.author is None or v.author in committed
+        ]
+        for entity in manager.database.schema.names
+    }
+
+
 def main() -> None:
-    print("=== Running the original session ===")
-    original = run_session()
-    print(f"events logged: {len(original.log)}")
-    print("final world view:", original.view(original.root))
-    print()
+    with tempfile.TemporaryDirectory(prefix="repro-crash-") as tmp:
+        wal_dir = Path(tmp) / "wal"
+        print("=== Running the original session ===")
+        original = run_session(wal_dir)
+        records = scan_wal(wal_dir).records
+        print(f"WAL records: {len(records)}")
+        print("world view before the crash:", original.view(original.root))
+        print()
 
-    print("=== Durable log (excerpt) ===")
-    serialized = log_to_json(original.log)
-    print(serialized[:240], "…")
-    print(f"({len(serialized)} bytes)")
-    print()
+        print("=== Durable log (excerpt) ===")
+        for record in records[:4]:
+            print(" ", record.encode().decode().rstrip())
+        print("  …")
+        print()
 
-    print("=== 💥 crash — manager lost; replaying the log ===")
-    rebuilt = replay(log_from_json(serialized), fresh_database())
-    print("rebuilt world view:", rebuilt.view(rebuilt.root))
-    match = histories_match(original, rebuilt)
-    print("version histories identical:", match)
-    assert match
-    print()
-    print("rebuilt store:")
-    for entity in rebuilt.database.schema.names:
-        versions = rebuilt.database.store.versions(entity)
-        print(f"  {entity}: " + " -> ".join(str(v) for v in versions))
+        print("=== 💥 crash — manager abandoned; recovering the WAL ===")
+        result = recover(wal_dir, verify=True)
+        rebuilt = result.manager
+        print("verified:", result.verified, result.violations)
+        print("committed:", result.committed)
+        print("aborted in flight:", result.undo.aborted_in_flight)
+        print("recovered world view:", rebuilt.view(rebuilt.root))
+        assert result.verified
+        assert result.committed == ["t.0", "t.1"]
+        assert result.undo.aborted_in_flight == ["t.2"]
+        assert rebuilt.view(rebuilt.root) == {"x": 42, "y": 77, "z": 30}
+        match = committed_versions(original) == committed_versions(rebuilt)
+        print("committed version histories identical:", match)
+        assert match
+        print()
+        print("recovered store:")
+        for entity in rebuilt.database.schema.names:
+            versions = rebuilt.database.store.versions(entity)
+            print(f"  {entity}: " + " -> ".join(str(v) for v in versions))
+        original.wal.close()
 
 
 if __name__ == "__main__":

@@ -16,6 +16,7 @@ from repro.core import (
     Spec,
     lemma1_instance,
 )
+from repro.obs import RecordingTracer, render_timeline
 from repro.protocol import Outcome, TransactionManager
 from repro.sat import CNFFormula
 from repro.schedules import Schedule
@@ -51,7 +52,8 @@ def run_the_protocol() -> None:
     db = Database(
         schema, Predicate.parse("x >= 0 & y >= 0"), {"x": 10, "y": 20}
     )
-    tm = TransactionManager(db)
+    tracer = RecordingTracer()
+    tm = TransactionManager(db, tracer=tracer)
 
     alice = tm.define(
         tm.root,
@@ -84,8 +86,8 @@ def run_the_protocol() -> None:
     print("Parent-based violations:", tm.verify_parent_based(tm.root))
     print("Correctness violations: ", tm.verify_correctness(tm.root))
     print()
-    print("Protocol transcript:")
-    print(tm.log.dump())
+    print("Protocol timeline (per transaction, in ticks):")
+    print(render_timeline(tracer.spans))
 
 
 if __name__ == "__main__":

@@ -22,26 +22,13 @@ def conflict_graph(schedule: Schedule) -> dict[str, set[str]]:
 
     Served by the array-encoded path, which carries per-entity
     reader/writer sets in one pass instead of comparing every step
-    pair; :func:`conflict_graph_reference` transcribes the definition
-    directly and is held against this in the differential tests."""
+    pair; :func:`repro.reference.conflict_graph_reference` transcribes
+    the definition directly and is held against this in the
+    differential tests."""
 
     return schedule.memo(
         "conflict_graph", lambda: fast_of(schedule).conflict_graph()
     )
-
-
-def conflict_graph_reference(schedule: Schedule) -> dict[str, set[str]]:
-    """The quadratic definition of the precedence graph (oracle)."""
-    adjacency: dict[str, set[str]] = {
-        txn: set() for txn in schedule.transactions
-    }
-    ops = schedule.operations
-    for i, first in enumerate(ops):
-        for j in range(i + 1, len(ops)):
-            second = ops[j]
-            if first.conflicts_with(second):
-                adjacency[first.txn].add(second.txn)
-    return adjacency
 
 
 def is_conflict_serializable(schedule: Schedule) -> bool:

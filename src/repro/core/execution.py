@@ -138,11 +138,6 @@ class Execution:
         return self._reads_from
 
     @property
-    def reads_from_closure(self) -> frozenset[tuple[TxnName, TxnName]]:
-        """``R+``."""
-        return self._closure
-
-    @property
     def final_state(self) -> VersionState:
         """``X(t_f)`` — the final state of the execution."""
         return self._final_state

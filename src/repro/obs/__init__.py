@@ -24,11 +24,11 @@ from .export import (
     transactions_of,
     write_jsonl,
 )
-from .live import LiveTracer, RingSubscriber, SpanRing
+from .live import LiveTracer, RecordingTracer, RingSubscriber, SpanRing
 from .metrics import Counter, Gauge, Histogram, MetricsRegistry
 from .prom import render_prometheus
 from .top import render_top, run_top
-from .trace import NULL_TRACER, RecordingTracer, Span, Tracer
+from .trace import NULL_TRACER, Span, Tracer
 
 __all__ = [
     "Counter",

@@ -1,27 +1,27 @@
-"""Live telemetry: streaming spans instead of post-hoc dumps.
-
-The :class:`~repro.obs.trace.RecordingTracer` keeps every span forever
-— fine for a bounded simulation, wrong for a server that stays up.
-This module provides the live counterparts:
+"""The span tracer: one implementation, two retention policies.
 
 * :class:`SpanRing` — a bounded ring buffer of *completed* spans with a
   cursor-based subscriber API.  Producers never block; a subscriber
   that falls behind loses the oldest spans and is told exactly how
   many (``dropped``), mirroring the server's own
   ``server.notifications_dropped`` policy for slow consumers.
-* :class:`LiveTracer` — a :class:`~repro.obs.trace.Tracer` with the
-  same alias / open-stack parent propagation as ``RecordingTracer``,
-  but completed spans stream into a :class:`SpanRing` instead of
-  accumulating.  Open spans are tracked only while open, so memory is
-  bounded by ring capacity plus in-flight work.
+* :class:`LiveTracer` — the one real :class:`~repro.obs.trace.Tracer`:
+  ids, aliases, open-stack parent propagation.  Completed spans stream
+  into a :class:`SpanRing`; open spans are tracked only while open, so
+  memory is bounded by ring capacity plus in-flight work — what a
+  server that stays up needs.
 * Slow-transaction capture — when constructed with ``slow_threshold``
   and ``on_slow``, the tracer buffers each root span's subtree and
   hands the complete tree to ``on_slow(root, spans)`` when the root
   closes having taken at least the threshold.  Fast trees are
   discarded the moment their root closes.
+* :class:`RecordingTracer` — a :class:`LiveTracer` that additionally
+  keeps every span, for bounded runs replayed offline
+  (:mod:`repro.obs.export`).
 
-Timestamps default to :func:`time.monotonic`; the fuzzer installs its
-virtual clock through the constructor or :meth:`LiveTracer.set_clock`.
+Timestamps default to :func:`time.monotonic` (a tick counter for the
+recording tracer); the fuzzer and the simulator install their virtual
+clocks through the constructor or :meth:`LiveTracer.set_clock`.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from typing import Any, Callable
 
 from .trace import Span, Tracer
 
-__all__ = ["SpanRing", "RingSubscriber", "LiveTracer"]
+__all__ = ["SpanRing", "RingSubscriber", "LiveTracer", "RecordingTracer"]
 
 
 class RingSubscriber:
@@ -141,14 +141,13 @@ _MAX_LIVE_ROOTS = 1024
 class LiveTracer(Tracer):
     """A tracer that streams completed spans into a :class:`SpanRing`.
 
-    Parent propagation, aliasing and the :meth:`record` /
-    :meth:`current_span_id` group-commit hooks behave exactly like
-    :class:`~repro.obs.trace.RecordingTracer`; the difference is
-    retention — completed spans go to the ring (and optionally the
-    slow-transaction buffer) instead of an ever-growing list.
+    Retention is the two hooks :meth:`_created` / :meth:`_completed`:
+    here completed spans go to the ring (and optionally the
+    slow-transaction buffer) and are otherwise forgotten.
     """
 
     enabled = True
+    _default_clock = staticmethod(time.monotonic)
 
     def __init__(
         self,
@@ -160,7 +159,7 @@ class LiveTracer(Tracer):
     ) -> None:
         self.ring = ring if ring is not None else SpanRing()
         self._ids = itertools.count(1)
-        self._clock = clock if clock is not None else time.monotonic
+        self._clock = clock if clock is not None else self._default_clock
         self._aliases: dict[str, str] = {}
         self._open: dict[str, list[Span]] = {}
         self.slow_threshold = slow_threshold
@@ -175,18 +174,24 @@ class LiveTracer(Tracer):
     # -- configuration -------------------------------------------------------
 
     def set_clock(self, clock: Callable[[], float] | None) -> None:
-        self._clock = clock if clock is not None else time.monotonic
+        self._clock = clock if clock is not None else self._default_clock
 
     def alias(self, name: str, canonical: str) -> None:
         if name == canonical:
             return
         self._aliases[name] = canonical
-        canonical = self._resolve(canonical)
-        open_stack = self._open.pop(name, None)
-        if open_stack:
-            for span in open_stack:
+        self._rehome(self._open, name, self._resolve(canonical))
+
+    @staticmethod
+    def _rehome(
+        index: dict[str, list[Span]], name: str, canonical: str
+    ) -> None:
+        """Move ``index[name]``'s spans under ``canonical``."""
+        moved = index.pop(name, None)
+        if moved:
+            for span in moved:
                 span.txn = canonical
-            self._open.setdefault(canonical, []).extend(open_stack)
+            index.setdefault(canonical, []).extend(moved)
 
     # -- internals -----------------------------------------------------------
 
@@ -199,18 +204,19 @@ class LiveTracer(Tracer):
             txn = self._aliases[txn]
         return txn
 
-    def _parent_id(self, txn: str, parent: Span | int | None) -> int | None:
-        if isinstance(parent, Span):
-            return parent.span_id
-        if parent is not None:
-            return int(parent)
-        stack = self._open.get(txn)
-        return stack[-1].span_id if stack else None
+    def _created(self, span: Span) -> None:
+        """Retention hook: ``span`` now exists (open or instantaneous)."""
+        if self.on_slow is not None:
+            self._track(span)
+
+    def _completed(self, span: Span) -> None:
+        """Retention hook: ``span`` has its end time."""
+        self.ring.push(span)
+        if self.on_slow is not None:
+            self._finish_slow(span)
 
     def _track(self, span: Span) -> None:
         """Attach ``span`` to its root's slow-candidate tree."""
-        if self.on_slow is None:
-            return
         parent = span.parent_id
         if parent is None or parent not in self._roots:
             # A new root. Evict the oldest tree if at capacity.
@@ -248,11 +254,10 @@ class LiveTracer(Tracer):
 
     # -- recording -----------------------------------------------------------
 
-    # The three producers below inline parent resolution and guard the
-    # slow-capture calls behind ``on_slow`` — the tracer rides the
-    # dispatcher hot path, and with slow capture off (the common case)
-    # a span must cost exactly: id, clock, Span(), open-stack append,
-    # ring push.
+    # The producers below inline parent resolution — the tracer rides
+    # the dispatcher hot path, and with slow capture off (the common
+    # case) a span costs: id, clock, Span(), open-stack append, the two
+    # retention hooks (one ring push).
 
     def start(
         self,
@@ -278,8 +283,7 @@ class LiveTracer(Tracer):
             attrs=attrs,  # **attrs is already a fresh dict we own
         )
         self._open.setdefault(txn, []).append(span)
-        if self.on_slow is not None:
-            self._track(span)
+        self._created(span)
         return span
 
     def end(self, span: Span | None, **attrs: Any) -> None:
@@ -293,9 +297,7 @@ class LiveTracer(Tracer):
             stack.remove(span)
             if not stack:
                 del self._open[span.txn]
-        self.ring.push(span)
-        if self.on_slow is not None:
-            self._finish_slow(span)
+        self._completed(span)
 
     def event(
         self,
@@ -333,10 +335,8 @@ class LiveTracer(Tracer):
             parent_id=parent_id,
             attrs=attrs,  # **attrs is already a fresh dict we own
         )
-        self.ring.push(span)
-        if self.on_slow is not None:
-            self._track(span)
-            self._finish_slow(span)
+        self._created(span)
+        self._completed(span)
         return span
 
     def current_span_id(self, txn: str) -> int | None:
@@ -370,3 +370,45 @@ class LiveTracer(Tracer):
         spans = [s for stack in self._open.values() for s in stack]
         spans.sort(key=lambda s: s.start)
         return spans
+
+
+class RecordingTracer(LiveTracer):
+    """A :class:`LiveTracer` that also keeps every span, from creation
+    and indexed by transaction (a late alias re-homes what was already
+    recorded).  Its default clock counts ticks, so clock-less protocol
+    sessions still get a total order."""
+
+    def __init__(self, clock: Callable[[], float] | None = None) -> None:
+        self._spans: list[Span] = []
+        self._by_txn: dict[str, list[Span]] = {}
+        self._ticks = itertools.count()
+        super().__init__(clock=clock)
+
+    def _default_clock(self) -> float:
+        return float(next(self._ticks))
+
+    def _created(self, span: Span) -> None:
+        super()._created(span)
+        self._spans.append(span)
+        self._by_txn.setdefault(span.txn, []).append(span)
+
+    def alias(self, name: str, canonical: str) -> None:
+        super().alias(name, canonical)
+        if name != canonical:
+            self._rehome(self._by_txn, name, self._resolve(canonical))
+
+    @property
+    def spans(self) -> tuple[Span, ...]:
+        return tuple(self._spans)
+
+    def spans_for(self, txn: str) -> list[Span]:
+        return list(self._by_txn.get(self._resolve(txn), ()))
+
+    def of_kind(self, kind: str) -> list[Span]:
+        return [span for span in self._spans if span.kind == kind]
+
+    def kinds(self) -> set[str]:
+        return {span.kind for span in self._spans}
+
+    def __len__(self) -> int:
+        return len(self._spans)

@@ -16,9 +16,10 @@ Design constraints:
   construction behind ``tracer.enabled`` so the disabled cost is one
   attribute load and a branch.
 * **Clock-agnostic.**  The protocol layer has no clock, the simulator
-  runs in virtual time.  A :class:`RecordingTracer` defaults to a
-  monotonic tick counter and accepts any ``clock()`` callable (the
-  simulation engine installs ``lambda: queue.now``).
+  runs in virtual time.  The recording tracer
+  (:mod:`repro.obs.live`) defaults to a monotonic tick counter and
+  accepts any ``clock()`` callable (the simulation engine installs
+  ``lambda: queue.now``).
 * **Two name spaces, one timeline.**  The simulator names transactions
   by engine id (``T1``, ``T1#2``); the protocol by hierarchical name
   (``t.0.5``).  :meth:`Tracer.alias` maps protocol names onto engine
@@ -49,7 +50,6 @@ predicate.eval  event  a predicate evaluated against a state
 
 from __future__ import annotations
 
-import itertools
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterator
@@ -194,170 +194,3 @@ class Tracer:
 
 NULL_TRACER = Tracer()
 """The shared disabled tracer instance."""
-
-
-class RecordingTracer(Tracer):
-    """A tracer that keeps every span in memory.
-
-    Timestamps come from ``clock`` when given (the simulator's virtual
-    ``now``), else from a monotonic tick counter — pure-protocol
-    sessions still get a total order and span durations in "ticks".
-    """
-
-    enabled = True
-
-    def __init__(self, clock: Callable[[], float] | None = None) -> None:
-        self._spans: list[Span] = []
-        self._ids = itertools.count(1)
-        self._ticks = itertools.count()
-        self._clock = clock
-        self._aliases: dict[str, str] = {}
-        self._open: dict[str, list[Span]] = {}
-        self._by_txn: dict[str, list[Span]] = {}
-
-    # -- configuration -------------------------------------------------------
-
-    def set_clock(self, clock: Callable[[], float] | None) -> None:
-        self._clock = clock
-
-    def alias(self, name: str, canonical: str) -> None:
-        if name == canonical:
-            return
-        self._aliases[name] = canonical
-        canonical = self._resolve(canonical)
-        # Re-home spans recorded before the alias was known (e.g. the
-        # protocol's `define` event fires before the adapter learns
-        # the protocol name).
-        moved = self._by_txn.pop(name, None)
-        if moved:
-            for span in moved:
-                span.txn = canonical
-            self._by_txn.setdefault(canonical, []).extend(moved)
-        open_stack = self._open.pop(name, None)
-        if open_stack:
-            self._open.setdefault(canonical, []).extend(open_stack)
-
-    # -- recording -----------------------------------------------------------
-
-    def _now(self) -> float:
-        if self._clock is not None:
-            return self._clock()
-        return float(next(self._ticks))
-
-    def _resolve(self, txn: str) -> str:
-        seen = set()
-        while txn in self._aliases and txn not in seen:
-            seen.add(txn)
-            txn = self._aliases[txn]
-        return txn
-
-    def _parent_id(
-        self, txn: str, parent: Span | int | None
-    ) -> int | None:
-        if isinstance(parent, Span):
-            return parent.span_id
-        if parent is not None:
-            return int(parent)
-        stack = self._open.get(txn)
-        return stack[-1].span_id if stack else None
-
-    def start(
-        self,
-        kind: str,
-        txn: str,
-        parent: Span | int | None = None,
-        **attrs: Any,
-    ) -> Span:
-        txn = self._resolve(txn)
-        span = Span(
-            span_id=next(self._ids),
-            kind=kind,
-            txn=txn,
-            start=self._now(),
-            parent_id=self._parent_id(txn, parent),
-            attrs=attrs,  # **attrs is already a fresh dict we own
-        )
-        self._spans.append(span)
-        self._by_txn.setdefault(txn, []).append(span)
-        self._open.setdefault(txn, []).append(span)
-        return span
-
-    def end(self, span: Span | None, **attrs: Any) -> None:
-        if span is None or span.end is not None:
-            return
-        span.end = self._now()
-        span.attrs.update(attrs)
-        stack = self._open.get(span.txn)
-        if stack and span in stack:
-            stack.remove(span)
-
-    def event(
-        self,
-        kind: str,
-        txn: str,
-        parent: Span | int | None = None,
-        **attrs: Any,
-    ) -> Span:
-        txn = self._resolve(txn)
-        now = self._now()
-        span = Span(
-            span_id=next(self._ids),
-            kind=kind,
-            txn=txn,
-            start=now,
-            end=now,
-            parent_id=self._parent_id(txn, parent),
-            attrs=attrs,  # **attrs is already a fresh dict we own
-        )
-        self._spans.append(span)
-        self._by_txn.setdefault(txn, []).append(span)
-        return span
-
-    def record(
-        self,
-        kind: str,
-        txn: str,
-        start: float,
-        end: float,
-        parent: Span | int | None = None,
-        **attrs: Any,
-    ) -> Span:
-        txn = self._resolve(txn)
-        span = Span(
-            span_id=next(self._ids),
-            kind=kind,
-            txn=txn,
-            start=start,
-            end=end,
-            parent_id=self._parent_id(txn, parent),
-            attrs=attrs,  # **attrs is already a fresh dict we own
-        )
-        self._spans.append(span)
-        self._by_txn.setdefault(txn, []).append(span)
-        return span
-
-    def current_span_id(self, txn: str) -> int | None:
-        stack = self._open.get(self._resolve(txn))
-        return stack[-1].span_id if stack else None
-
-    def reparent(self, span: Span | None, parent: Span | None) -> None:
-        if span is not None:
-            span.parent_id = None if parent is None else parent.span_id
-
-    # -- queries -------------------------------------------------------------
-
-    @property
-    def spans(self) -> tuple[Span, ...]:
-        return tuple(self._spans)
-
-    def spans_for(self, txn: str) -> list[Span]:
-        return list(self._by_txn.get(self._resolve(txn), ()))
-
-    def of_kind(self, kind: str) -> list[Span]:
-        return [span for span in self._spans if span.kind == kind]
-
-    def kinds(self) -> set[str]:
-        return {span.kind for span in self._spans}
-
-    def __len__(self) -> int:
-        return len(self._spans)

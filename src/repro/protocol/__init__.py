@@ -1,6 +1,5 @@
 """The Section-5 correct-execution protocol."""
 
-from .events import Event, EventKind, EventLog
 from .locks import (
     LockMode,
     LockOutcome,
@@ -10,7 +9,6 @@ from .locks import (
     lock_compatibility_matrix,
 )
 from .reeval import ReevalDecision, figure4_decision
-from .replay import histories_match, log_from_json, log_to_json, replay
 from .scheduler import (
     Outcome,
     StepResult,
@@ -30,9 +28,6 @@ from .validation import (
 __all__ = [
     "BacktrackingSelector",
     "DSet",
-    "Event",
-    "EventKind",
-    "EventLog",
     "GreedyLatestSelector",
     "LockMode",
     "LockOutcome",
@@ -49,9 +44,5 @@ __all__ = [
     "compatible",
     "compute_d_set",
     "figure4_decision",
-    "histories_match",
-    "log_from_json",
-    "log_to_json",
     "lock_compatibility_matrix",
-    "replay",
 ]

@@ -41,10 +41,10 @@ Strictness of ``P+`` makes the self-exclusions of the object path
 The index is a pure function of the parent's children, order pairs,
 update sets, and the aborted subset — the transaction manager caches
 one per parent and invalidates by a structure epoch bumped on define
-and abort.  The object path remains in place as the differential
-oracle (``TransactionManager.fast_validation = False`` selects it);
-``tests/protocol/test_fastpath_validation.py`` holds the two paths
-equal on hypothesis-generated histories.
+and abort.  The object path lives in :mod:`repro.reference` as the
+differential oracle (``ReferenceTransactionManager`` validates through
+it); ``tests/protocol/test_fastpath_validation.py`` holds the two
+paths equal on hypothesis-generated histories.
 """
 
 from __future__ import annotations

@@ -49,7 +49,6 @@ from ..obs.metrics import MetricsRegistry
 from ..obs.trace import NULL_TRACER, Tracer
 from ..storage.database import Database
 from ..storage.version_store import Version
-from .events import EventKind, EventLog
 from .fastpath import ParentIndex
 from .locks import LockMode, LockOutcome, LockTable
 from .reeval import ReevalDecision, figure4_decision
@@ -58,7 +57,6 @@ from .validation import (
     DSet,
     TracedSelector,
     VersionSelector,
-    compute_d_set,
 )
 
 
@@ -106,9 +104,8 @@ class TxnRecord:
     spec: Spec
     update_set: frozenset[str]
     phase: TxnPhase = TxnPhase.DEFINED
-    #: Why the transaction aborted (None while live/committed).  The
-    #: server reads this instead of scanning the whole event log
-    #: backwards per cascade victim.
+    #: Why the transaction aborted (None while live/committed); the
+    #: server reports it for every cascade victim.
     abort_reason: str | None = None
     children: list[str] = field(default_factory=list)
     order_pairs: set[tuple[str, str]] = field(default_factory=set)
@@ -156,16 +153,11 @@ class TransactionManager:
         self._write_spans: dict[tuple[str, str], object] = {}
         if tracer is not None or registry is not None:
             self._wrap_selector()
-        self._log = EventLog()
         self._records: dict[str, TxnRecord] = {}
         #: Non-terminated transaction names in definition order —
         #: the abort cascade's scan set (the full record table keeps
         #: every transaction ever defined and only grows).
         self._active: dict[str, None] = {}
-        #: Use the bitmask-encoded :class:`ParentIndex` for D-set
-        #: computation; ``False`` selects the object-path oracle
-        #: (:func:`compute_d_set`) — differential tests flip this.
-        self.fast_validation = True
         # Epoch counters invalidating the fast-path caches: structure
         # (children/order/aborted set) changes on define and abort;
         # the version population changes on write and expunge.
@@ -250,10 +242,6 @@ class TransactionManager:
     @property
     def database(self) -> Database:
         return self._db
-
-    @property
-    def log(self) -> EventLog:
-        return self._log
 
     @property
     def locks(self) -> LockTable:
@@ -449,16 +437,6 @@ class TransactionManager:
         )
         self._active[name] = None
         self._struct_epoch += 1
-        self._log.record(
-            EventKind.DEFINE,
-            name,
-            parent=parent,
-            updates=sorted(updates),
-            predecessors=sorted(preds),
-            successors=sorted(succs),
-            input_constraint=str(spec.input_constraint),
-            output_condition=str(spec.output_condition),
-        )
         if self._tracer.enabled:
             self._tracer.event(
                 "define",
@@ -496,7 +474,6 @@ class TransactionManager:
                 continue
             outcome = self._locks.request(txn, item, LockMode.RV)
             if outcome is LockOutcome.BLOCKED:
-                self._log.record(EventKind.BLOCKED, txn, entity=item)
                 if span is not None:
                     tracer.end(span, outcome="blocked", blocked_on=item)
                 return StepResult(Outcome.BLOCKED, blocked_on=item)
@@ -519,9 +496,6 @@ class TransactionManager:
                 # Every candidate for this item is an uncommitted
                 # sibling's version: wait for the author to terminate
                 # rather than read dirty data (strictness).
-                self._log.record(
-                    EventKind.BLOCKED, txn, entity=blocked_item
-                )
                 if span is not None:
                     tracer.end(
                         span, outcome="blocked", blocked_on=blocked_item
@@ -534,9 +508,6 @@ class TransactionManager:
             txn, d_sets, record.spec.input_constraint
         )
         if assignment is None:
-            self._log.record(
-                EventKind.VALIDATE, txn, ok=False
-            )
             if span is not None:
                 tracer.end(
                     span,
@@ -553,15 +524,6 @@ class TransactionManager:
             )
         record.assigned = assignment
         record.phase = TxnPhase.VALIDATED
-        self._log.record(
-            EventKind.VALIDATE,
-            txn,
-            ok=True,
-            assigned={
-                item: str(version)
-                for item, version in sorted(assignment.items())
-            },
-        )
         if span is not None:
             tracer.end(
                 span,
@@ -576,13 +538,11 @@ class TransactionManager:
     def _compute_d_sets(self, record: TxnRecord) -> dict[str, DSet]:
         """D-sets for every input item (§5.1 part 1).
 
-        The default path answers the three exclusion rules from the
-        bitmask-encoded :class:`ParentIndex`; the object path below is
-        the oracle it must match bit-for-bit (the differential property
-        tests run both).
+        Answers the three exclusion rules from the bitmask-encoded
+        :class:`ParentIndex`; :mod:`repro.reference.validation` holds
+        the rule-by-rule transcription it must match bit-for-bit (the
+        differential property tests run both).
         """
-        if not self.fast_validation:
-            return self._compute_d_sets_object(record)
         assert record.parent is not None
         parent = record.parent
         index = self._parent_index(parent)
@@ -612,51 +572,6 @@ class TransactionManager:
                 used_parent_version=used_parent,
             )
         return d_sets
-
-    def _compute_d_sets_object(
-        self, record: TxnRecord
-    ) -> dict[str, DSet]:
-        assert record.parent is not None
-        parent_record = self.record(record.parent)
-        order = self.order_of(record.parent)
-        siblings = [
-            child
-            for child in parent_record.children
-            if child != record.name
-            and self.record(child).phase is not TxnPhase.ABORTED
-        ]
-        update_sets = {
-            sibling: self.record(sibling).update_set
-            for sibling in siblings
-        }
-        d_sets: dict[str, DSet] = {}
-        for item in sorted(record.input_set):
-            versions_by = {
-                sibling: self._versions_authored(sibling, item)
-                for sibling in siblings
-            }
-            parent_version = self._parent_world_version(
-                record.parent, item
-            )
-            d_sets[item] = compute_d_set(
-                item,
-                record.name,
-                siblings,
-                order,
-                update_sets,
-                versions_by,
-                parent_version,
-            )
-        return d_sets
-
-    def _versions_authored(
-        self, txn: str, item: str
-    ) -> tuple[Version, ...]:
-        return tuple(
-            version
-            for version in self._db.store.versions(item)
-            if version.author == txn
-        )
 
     def _parent_world_version(self, parent: str, item: str) -> Version:
         """The parent's world view of one item, as a version.
@@ -698,14 +613,12 @@ class TransactionManager:
             if assigned is not None and not self._strict_visible(
                 txn, assigned
             ):
-                self._log.record(EventKind.BLOCKED, txn, entity=entity)
                 return StepResult(Outcome.BLOCKED, blocked_on=entity)
         if self._locks.holds(txn, entity, LockMode.R):
             pass  # repeated read: lock already held
         else:
             outcome = self._locks.upgrade_rv_to_r(txn, entity)
             if outcome is LockOutcome.BLOCKED:
-                self._log.record(EventKind.BLOCKED, txn, entity=entity)
                 return StepResult(Outcome.BLOCKED, blocked_on=entity)
         version = record.assigned.get(entity)
         if version is None:
@@ -714,9 +627,6 @@ class TransactionManager:
             )
         record.read_items.add(entity)
         record.did_data_access = True
-        self._log.record(
-            EventKind.READ, txn, entity=entity, version=str(version)
-        )
         if self._tracer.enabled:
             self._tracer.event(
                 "read",
@@ -742,13 +652,11 @@ class TransactionManager:
             if blocker is not None:
                 # Strictness also forbids overwriting uncommitted data:
                 # wait for the earlier writer to terminate.
-                self._log.record(EventKind.BLOCKED, txn, entity=entity)
                 return StepResult(Outcome.BLOCKED, blocked_on=entity)
         outcome = self._locks.request(txn, entity, LockMode.W)
         assert outcome is LockOutcome.GRANTED, "writes never block"
         record.in_flight_writes.add(entity)
         record.did_data_access = True
-        self._log.record(EventKind.WRITE_BEGIN, txn, entity=entity)
         if self._tracer.enabled:
             self._write_spans[(txn, entity)] = self._tracer.start(
                 "write", txn, entity=entity
@@ -769,13 +677,6 @@ class TransactionManager:
         self._version_epoch += 1
         record.writes[entity] = version
         record.in_flight_writes.discard(entity)
-        self._log.record(
-            EventKind.WRITE_END,
-            txn,
-            entity=entity,
-            value=value,
-            version=str(version),
-        )
         write_span = self._write_spans.pop((txn, entity), None)
         if write_span is not None:
             self._tracer.end(
@@ -792,13 +693,6 @@ class TransactionManager:
         result.unblocked.extend(
             t for t in newly if t not in result.aborted
         )
-        for unblocked_txn in newly:
-            if unblocked_txn in result.aborted:
-                continue
-            for event_txn in (unblocked_txn,):
-                self._log.record(
-                    EventKind.UNBLOCKED, event_txn, entity=entity
-                )
         self._reeval(
             txn,
             entity,
@@ -842,13 +736,6 @@ class TransactionManager:
             )
             if decision is ReevalDecision.NONE:
                 continue
-            self._log.record(
-                EventKind.REEVAL,
-                holder,
-                writer=writer,
-                entity=entity,
-                decision=decision.value,
-            )
             if self._tracer.enabled:
                 self._tracer.event(
                     "reeval",
@@ -907,12 +794,6 @@ class TransactionManager:
         if assignment is None:
             return False
         record.assigned = assignment
-        self._log.record(
-            EventKind.REASSIGN,
-            record.name,
-            entity=entity,
-            version=str(new_version),
-        )
         if self._tracer.enabled:
             self._tracer.event(
                 "reassign",
@@ -1114,7 +995,6 @@ class TransactionManager:
             parent_record.release_log.append((txn, released))
             parent_record.merged_child_writes.update(released)
         unblocked = self._locks.release_all(txn)
-        self._log.record(EventKind.COMMIT, txn)
         if span is not None:
             tracer.end(span, outcome="committed")
         result = StepResult(Outcome.OK)
@@ -1175,7 +1055,6 @@ class TransactionManager:
                 txn, item, LockMode.R
             ):
                 self._locks.request(txn, item, LockMode.R)
-        self._log.record(EventKind.UNDO_COMMIT, txn)
         if self._tracer.enabled:
             self._tracer.event("undo-commit", txn)
         return StepResult(Outcome.OK)
@@ -1216,7 +1095,6 @@ class TransactionManager:
         if removed:
             self._version_epoch += 1
         self._locks.release_all(txn)
-        self._log.record(EventKind.ABORT, txn, reason=reason)
         if self._tracer.enabled:
             self._tracer.event(
                 "abort",

@@ -58,10 +58,6 @@ class DSet:
     candidates: tuple[Version, ...]
     used_parent_version: bool
 
-    @property
-    def candidate_values(self) -> list[int]:
-        return sorted({version.value for version in self.candidates})
-
 
 def compute_d_set(
     item: str,

@@ -31,9 +31,9 @@ Equivalence contract
 
 Every method here must return *exactly* what the object path returns —
 same sets, same dict contents, same booleans.  The object
-implementations are kept callable (``Schedule.conflict_pairs_reference``,
-``conflict_graph_reference``, the predicate trio in
-:mod:`repro.schedules.recovery`) precisely so the differential tests in
+implementations are kept callable (``conflict_pairs_reference`` and
+``conflict_graph_reference`` in :mod:`repro.reference`, the predicate
+trio in :mod:`repro.schedules.recovery`) precisely so the differential tests in
 ``tests/schedules/test_fastsched.py`` can hold the two paths against
 each other on generated schedules.
 """

@@ -277,19 +277,12 @@ class Schedule:
         Served by the array-encoded twin
         (:mod:`repro.schedules.fastsched`), which groups steps by
         entity so unrelated entities never meet;
-        :meth:`conflict_pairs_reference` is the direct quadratic
-        transcription kept as the differential oracle.
+        :func:`repro.reference.conflict_pairs_reference` is the direct
+        quadratic transcription kept as the differential oracle.
         """
         from .fastsched import fast_of
 
         return iter(fast_of(self).conflict_pairs())
-
-    def conflict_pairs_reference(self) -> Iterator[tuple[int, int]]:
-        """The Section-4.3 definition, transcribed directly (oracle)."""
-        for i, first in enumerate(self._ops):
-            for j in range(i + 1, len(self._ops)):
-                if first.conflicts_with(self._ops[j]):
-                    yield (i, j)
 
     def conflict_equivalent(self, other: "Schedule") -> bool:
         """Same programs and same order on all conflicting pairs."""
@@ -334,11 +327,6 @@ class Schedule:
             )
 
         return self.memo("conflict_fingerprint", build)
-
-    def _occurrence_key(self, i: int, j: int) -> tuple[int, int]:
-        """Disambiguate repeated identical operations within programs."""
-        numbers = self.occurrence_numbers()
-        return (numbers[i], numbers[j])
 
     # -- projections (for predicate-wise classes) ----------------------------------
 

@@ -566,12 +566,6 @@ class TransactionServer:
             return {"role": "standalone"}
         return context.health()
 
-    async def serve_until(self, stop: asyncio.Event) -> "dict[str, Any]":
-        """Start, run until ``stop`` is set, then drain and shut down."""
-        await self.start()
-        await stop.wait()
-        return await self.shutdown()
-
     async def shutdown(self) -> "dict[str, Any]":
         """Graceful drain: see the module docstring for the order.
 

@@ -253,9 +253,6 @@ class CommandDispatcher:
             + len(self._repl_waiters)
         )
 
-    def owner_of(self, txn: str) -> SessionState | None:
-        return self._owners.get(txn)
-
     # -- submission ----------------------------------------------------------
 
     def submit(

@@ -1,4 +1,5 @@
-"""Tests for the live layer: SpanRing, subscribers, and LiveTracer."""
+"""Tests for the live layer: SpanRing, subscribers, LiveTracer, and its
+agreement with the RecordingTracer retention mode."""
 
 from __future__ import annotations
 
@@ -6,8 +7,10 @@ import itertools
 import threading
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.obs import LiveTracer, SpanRing
+from repro.obs import LiveTracer, RecordingTracer, SpanRing
 from repro.obs.trace import Span
 
 
@@ -261,3 +264,94 @@ class TestSlowCapture:
         assert len(captured) == 1
         _, spans = captured[0]
         assert len(spans) == live._MAX_TREE_SPANS
+
+
+# One implementation, two retention modes: the same call sequence must
+# produce the same span ids, parents and transaction names whether the
+# spans stream to a ring or are all kept.
+
+_PROTOCOL_NAMES = ("t.0", "t.1", "t.2")
+_ENGINE_IDS = ("D0", "D1")
+_names = st.sampled_from(_PROTOCOL_NAMES + _ENGINE_IDS)
+_pick = st.integers(min_value=0, max_value=63)
+_calls = st.lists(
+    st.one_of(
+        st.tuples(st.just("start"), _names, st.none() | _pick),
+        st.tuples(st.just("end"), _pick),
+        st.tuples(st.just("event"), _names, st.none() | _pick),
+        st.tuples(st.just("record"), _names, st.none() | _pick),
+        st.tuples(
+            st.just("alias"),
+            st.sampled_from(_PROTOCOL_NAMES),
+            st.sampled_from(_ENGINE_IDS),
+        ),
+        st.tuples(st.just("reparent"), _pick, st.none() | _pick),
+        st.tuples(st.just("current"), _names),
+    ),
+    max_size=60,
+)
+
+
+def _drive(tracer, calls):
+    """Apply ``calls``; return what each call let its caller observe."""
+    spans: list[Span] = []
+    aliased: set[str] = set()
+    seen = []
+
+    def chosen(index):
+        return spans[index % len(spans)] if spans and index is not None else None
+
+    for call in calls:
+        op = call[0]
+        if op in ("start", "event", "record"):
+            parent = chosen(call[2])
+            if op == "record":
+                span = tracer.record("k", call[1], 2.0, 5.0, parent, n=len(spans))
+            else:
+                span = getattr(tracer, op)("k", call[1], parent, n=len(spans))
+            spans.append(span)
+            seen.append((span.span_id, span.parent_id, span.txn))
+        elif op == "end" and spans:
+            tracer.end(chosen(call[1]), closed=True)
+        elif op == "alias" and call[1] not in aliased:
+            aliased.add(call[1])  # a protocol name is learned once
+            tracer.alias(call[1], call[2])
+        elif op == "reparent" and spans:
+            tracer.reparent(chosen(call[1]), chosen(call[2]))
+        elif op == "current":
+            seen.append(tracer.current_span_id(call[1]))
+    final = [
+        (
+            span.span_id,
+            span.parent_id,
+            tracer._resolve(span.txn),
+            span.start,
+            span.end,
+            span.attrs,
+        )
+        for span in spans
+    ]
+    return seen, final, spans
+
+
+@settings(max_examples=60, deadline=None)
+@given(calls=_calls)
+def test_retention_modes_agree_on_ids_parents_and_names(calls):
+    live = LiveTracer(SpanRing(256), clock=_fake_clock())
+    recording = RecordingTracer(clock=_fake_clock())
+    live_seen, live_final, live_spans = _drive(live, calls)
+    rec_seen, rec_final, rec_spans = _drive(recording, calls)
+    assert live_seen == rec_seen
+    assert live_final == rec_final
+    # Retention is the only difference: the recording tracer kept every
+    # span in creation order (and re-homed them all); the live one
+    # holds exactly the open ones and streamed the completed ones.
+    assert list(recording.spans) == rec_spans
+    assert all(s.txn == recording._resolve(s.txn) for s in rec_spans)
+    assert {s.span_id for s in live.open_spans()} == {
+        s.span_id for s in live_spans if s.end is None
+    }
+    for tracer, spans in ((live, live_spans), (recording, rec_spans)):
+        assert sorted(s.span_id for s in tracer.ring.latest()) == sorted(
+            s.span_id for s in spans if s.end is not None
+        )

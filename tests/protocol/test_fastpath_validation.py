@@ -1,11 +1,12 @@
 """Differential property tests: bitmask validation vs the object path.
 
-The manager's live path computes §5.1 D-sets through the
-:class:`~repro.protocol.fastpath.ParentIndex` bitmask encoding
-(``fast_validation=True``); the direct transcription of the three
-exclusion rules (``_compute_d_sets_object`` →
-:func:`~repro.protocol.validation.compute_d_set`) remains as the
-oracle.  These tests drive two managers in lockstep through identical
+The manager computes §5.1 D-sets through the
+:class:`~repro.protocol.fastpath.ParentIndex` bitmask encoding; the
+direct transcription of the three exclusion rules
+(:func:`repro.reference.compute_d_sets_object` →
+:func:`~repro.protocol.validation.compute_d_set`) is the oracle, and
+:class:`repro.reference.ReferenceTransactionManager` validates through
+it.  These tests drive the two managers in lockstep through identical
 seeded command sequences — including write-triggered cascading aborts
 and predecessor chains — and require byte-for-byte agreement on every
 outcome, and they hold the two D-set computations against each other
@@ -22,7 +23,10 @@ from hypothesis import strategies as st
 from repro.core import Domain, Predicate, Schema, Spec
 from repro.errors import ProtocolError
 from repro.protocol import Outcome, TransactionManager, TxnPhase
-
+from repro.reference import (
+    ReferenceTransactionManager,
+    compute_d_sets_object,
+)
 from repro.storage import Database
 
 ENTITIES = ("x", "y", "z")
@@ -37,11 +41,10 @@ def _database() -> Database:
 
 
 def _managers() -> tuple[TransactionManager, TransactionManager]:
-    fast = TransactionManager(_database())
-    slow = TransactionManager(_database())
-    assert fast.fast_validation  # the live default
-    slow.fast_validation = False
-    return fast, slow
+    return (
+        TransactionManager(_database()),
+        ReferenceTransactionManager(_database()),
+    )
 
 
 def _snapshot(tm: TransactionManager) -> dict:
@@ -78,8 +81,8 @@ def _lockstep(fast, slow, step):
 def _dsets_agree(tm: TransactionManager, txn: str) -> None:
     """The two D-set computations agree on identical manager state."""
     record = tm.record(txn)
-    fast_sets = tm._compute_d_sets(record)
-    object_sets = tm._compute_d_sets_object(record)
+    fast_sets = TransactionManager._compute_d_sets(tm, record)
+    object_sets = compute_d_sets_object(tm, record)
     assert fast_sets == object_sets, (txn, fast_sets, object_sets)
 
 
@@ -203,5 +206,5 @@ def test_d_sets_agree_under_aborted_and_intervening_updaters(seed):
         for peer in validated:
             if tm.phase(peer) is TxnPhase.VALIDATED:
                 fast_sets = tm._compute_d_sets(tm.record(peer))
-                object_sets = tm._compute_d_sets_object(tm.record(peer))
+                object_sets = compute_d_sets_object(tm, tm.record(peer))
                 assert fast_sets == object_sets, (peer, seed)

@@ -6,12 +6,8 @@ import pytest
 
 from repro.core import Domain, Predicate, Schema, Spec
 from repro.errors import ProtocolError
-from repro.protocol import (
-    EventKind,
-    Outcome,
-    TransactionManager,
-    TxnPhase,
-)
+from repro.obs import RecordingTracer
+from repro.protocol import Outcome, TransactionManager, TxnPhase
 from repro.storage import Database
 
 
@@ -93,11 +89,13 @@ class TestUndoRelativeCommit:
         assert result.outcome is Outcome.FAILED
 
     def test_event_logged(self, tm):
+        tracer = RecordingTracer()
+        tm.set_tracer(tracer)
         txn = tm.define(tm.root, _spec(), {"x"})
         tm.validate(txn)
         tm.commit(txn)
         tm.undo_relative_commit(txn)
-        assert tm.log.count(EventKind.UNDO_COMMIT) == 1
+        assert len(tracer.of_kind("undo-commit")) == 1
 
 
 class TestDefineWithUndo:

@@ -2,27 +2,29 @@
 
 from __future__ import annotations
 
+import gc
+
 import pytest
 
 from repro.core import Domain, Predicate, Schema, Spec
 from repro.errors import LockProtocolError, ProtocolError
-from repro.protocol import (
-    EventKind,
-    Outcome,
-    TransactionManager,
-    TxnPhase,
-)
+from repro.obs import RecordingTracer
+from repro.protocol import Outcome, TransactionManager, TxnPhase
 from repro.storage import Database
 
 
-@pytest.fixture
-def db():
+def _database():
     schema = Schema.of("x", "y", "z", domain=Domain.interval(0, 1000))
     return Database(
         schema,
         Predicate.parse("x >= 0 & y >= 0 & z >= 0"),
         {"x": 10, "y": 20, "z": 30},
     )
+
+
+@pytest.fixture
+def db():
+    return _database()
 
 
 @pytest.fixture
@@ -196,6 +198,8 @@ class TestReevalIntegration:
         assert tm.assigned_versions(succ)["x"].value == 42
 
     def test_predecessor_write_aborts_reader_successor(self, tm):
+        tracer = RecordingTracer()
+        tm.set_tracer(tracer)
         pred = tm.define(tm.root, _spec(), {"x"})
         succ = tm.define(
             tm.root, _spec("x >= 0"), set(), predecessors=[pred]
@@ -208,10 +212,10 @@ class TestReevalIntegration:
         assert tm.phase(succ) is TxnPhase.ABORTED
         reasons = [
             event
-            for event in tm.log.of_kind(EventKind.ABORT)
+            for event in tracer.of_kind("abort")
             if event.txn == succ
         ]
-        assert "partial-order invalidation" in reasons[0].details["reason"]
+        assert "partial-order invalidation" in reasons[0].attrs["reason"]
 
     def test_incomparable_sibling_write_is_harmless(self, tm):
         a = tm.define(tm.root, _spec(), {"x"})
@@ -340,3 +344,47 @@ class TestVerification:
         tm.commit(tm.root)
         assert tm.verify_parent_based(tm.root) == []
         assert tm.verify_correctness(tm.root) == []
+
+
+class TestNoPerStepRetention:
+    """An untraced manager records its steps nowhere: what it retains
+    depends on the transactions and versions, not on how many steps
+    (repeated reads, validation retries) they took."""
+
+    @staticmethod
+    def _retained(tm) -> int:
+        """Objects reachable from the manager's own state (instances of
+        ``repro`` classes and the builtin containers holding them)."""
+        containers = (dict, list, set, frozenset, tuple)
+        seen: set[int] = set()
+        stack = [tm]
+        while stack:
+            obj = stack.pop()
+            if id(obj) in seen:
+                continue
+            seen.add(id(obj))
+            stack.extend(
+                ref
+                for ref in gc.get_referents(obj)
+                if isinstance(ref, containers)
+                or type(ref).__module__.startswith("repro.")
+            )
+        return len(seen)
+
+    @staticmethod
+    def _run(reads_per_txn: int):
+        tm = TransactionManager(_database())
+        for index in range(300):
+            txn = tm.define(tm.root, _spec("x >= 0 & y >= 0"), {"z"})
+            tm.validate(txn)
+            for _ in range(reads_per_txn):
+                tm.read(txn, "x")
+                tm.read(txn, "y")
+            tm.write(txn, "z", index % 1000)
+            assert tm.commit(txn).outcome is Outcome.OK
+        return tm
+
+    def test_retained_state_is_independent_of_step_count(self):
+        few = self._run(reads_per_txn=1)
+        many = self._run(reads_per_txn=6)  # +3000 steps
+        assert self._retained(many) == self._retained(few)

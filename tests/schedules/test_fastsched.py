@@ -3,8 +3,10 @@
 Every structure :mod:`repro.schedules.fastsched` computes must equal
 what the direct transcription of the definitions computes — on the
 paper's examples, on seeded random workloads, and on hypothesis-
-generated schedules.  The object implementations stay callable
-precisely so these tests can hold the two paths against each other.
+generated schedules.  The object implementations live in
+:mod:`repro.reference` (conflicts) and :mod:`repro.schedules.recovery`
+(the RC/ACA/ST definitions) so these tests can hold the two paths
+against each other.
 """
 
 from __future__ import annotations
@@ -14,9 +16,10 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.classes.conflict import (
-    conflict_graph,
+from repro.classes.conflict import conflict_graph
+from repro.reference import (
     conflict_graph_reference,
+    conflict_pairs_reference,
 )
 from repro.schedules import (
     CommittedSchedule,
@@ -84,13 +87,13 @@ class TestConflictStructures:
         for schedule in _schedules():
             fast = FastSchedule.from_schedule(schedule)
             assert fast.conflict_pairs() == list(
-                schedule.conflict_pairs_reference()
+                conflict_pairs_reference(schedule)
             ), str(schedule)
 
     def test_public_pairs_are_the_fast_pairs(self):
         schedule = Schedule.parse(_EXAMPLES[3])
         assert list(schedule.conflict_pairs()) == list(
-            schedule.conflict_pairs_reference()
+            conflict_pairs_reference(schedule)
         )
 
     def test_graph_matches_reference(self):
@@ -110,7 +113,7 @@ class TestConflictStructures:
                     numbers[i],
                     numbers[j],
                 )
-                for i, j in schedule.conflict_pairs_reference()
+                for i, j in conflict_pairs_reference(schedule)
             )
             assert fast.conflict_fingerprint() == expected
             assert schedule.conflict_fingerprint() == expected
@@ -121,7 +124,7 @@ class TestConflictStructures:
         schedule = _parse(ops)
         fast = FastSchedule.from_schedule(schedule)
         assert fast.conflict_pairs() == list(
-            schedule.conflict_pairs_reference()
+            conflict_pairs_reference(schedule)
         )
         assert fast.conflict_graph() == conflict_graph_reference(schedule)
 

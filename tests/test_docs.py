@@ -32,6 +32,8 @@ def _documented_modules(name: str) -> set[str]:
         "docs/performance.md",
         "docs/protocol.md",
         "docs/observability.md",
+        "docs/durability.md",
+        "docs/fuzzing.md",
         "docs/server.md",
         "docs/replication.md",
         "docs/simulation.md",

@@ -12,12 +12,8 @@ from repro.core import (
     Spec,
     lemma1_instance,
 )
-from repro.protocol import (
-    EventKind,
-    Outcome,
-    SatSelector,
-    TransactionManager,
-)
+from repro.obs import RecordingTracer
+from repro.protocol import Outcome, SatSelector, TransactionManager
 from repro.sat import CNFFormula
 from repro.schedules import Schedule
 from repro.storage import Database
@@ -108,7 +104,7 @@ class TestComplexityPipeline:
 
 
 class TestScheduleToProtocolConsistency:
-    """The protocol's event stream replays as a classifiable schedule."""
+    """The protocol's trace replays as a classifiable schedule."""
 
     def test_protocol_history_is_cpc(self):
         schema = Schema.of("x", "y", domain=Domain.interval(0, 1000))
@@ -117,7 +113,8 @@ class TestScheduleToProtocolConsistency:
             Predicate.parse("x >= 0 & y >= 0"),
             {"x": 1, "y": 1},
         )
-        tm = TransactionManager(db)
+        tracer = RecordingTracer()
+        tm = TransactionManager(db, tracer=tracer)
         t1 = tm.define(
             tm.root,
             Spec(Predicate.parse("x >= 0"), Predicate.true()),
@@ -136,14 +133,14 @@ class TestScheduleToProtocolConsistency:
         tm.write(t1, "x", 8)
         tm.commit(t1)
         tm.commit(t2)
-        # Reconstruct the operation schedule from the event log.
+        # Reconstruct the operation schedule from the recorded trace.
         ops = []
         rename = {t1: "1", t2: "2"}
-        for event in tm.log:
-            if event.kind is EventKind.READ:
-                ops.append(f"r{rename[event.txn]}({event.details['entity']})")
-            elif event.kind is EventKind.WRITE_END:
-                ops.append(f"w{rename[event.txn]}({event.details['entity']})")
+        for span in tracer.spans:
+            if span.kind in ("read", "write"):
+                ops.append(
+                    f"{span.kind[0]}{rename[span.txn]}({span.attrs['entity']})"
+                )
         schedule = Schedule.parse(" ".join(ops))
         membership = classify(schedule, [{"x"}, {"y"}])
         assert membership.cpc
