@@ -482,7 +482,8 @@ class ReplicaSet:
     *indeterminate* replies).  With one, ship and ack cross it, a
     partition is a dead link — the follower drops its hub registration
     and re-registers from ``applied_lsn`` on heal, which exercises the
-    hub's record catch-up and snapshot-fallback resync — and the idle
+    hub's record catch-up and snapshot-fallback resync (a pump
+    cancelled while its ship is in transit does the same) — and the idle
     link is sampled on every poll, so lag percentiles weigh time, not
     traffic.
     """
@@ -558,9 +559,19 @@ class ReplicaSet:
         if message is None:
             return False
         if net is not None:
-            await net.transit(
-                self.primary, follower.name, len(encode_message(message))
-            )
+            try:
+                await net.transit(
+                    self.primary,
+                    follower.name,
+                    len(encode_message(message)),
+                )
+            except asyncio.CancelledError:
+                # The hub cursor is already past a batch that will
+                # never arrive: drop the registration so the next step
+                # re-registers from ``applied_lsn``.
+                self.hub.unregister(follower.slot)
+                follower.slot = None
+                raise
         follower.apply(message)
         applied = follower.applier.applied_lsn
         if net is not None:

@@ -98,6 +98,22 @@ class TestBoundedStaleness:
         assert report["ok"] is True
 
 
+class TestPumpCancelledMidShip:
+    """A pump cancelled inside the ship transit has already advanced
+    its hub cursor; it must drop the registration so the epoch-end
+    ``catch_up`` re-registers from ``applied_lsn``."""
+
+    def test_catch_up_does_not_hit_a_ship_gap(self):
+        scenario = get_scenario("follower_lag_divergence")
+        report = run_scenario(scenario.with_overrides(seed=3))
+        assert report["ok"] is True
+
+    def test_catch_up_leaves_every_follower_at_the_tip(self):
+        report = run_scenario(get_scenario("abort_cascade"))
+        replicas = report["epochs"][0]["replicas"]
+        assert len({r["applied_lsn"] for r in replicas}) == 1, replicas
+
+
 class TestPercentile:
     def test_nearest_rank(self):
         values = [1.0, 2.0, 3.0, 4.0]
