@@ -1,18 +1,13 @@
 """The WAL-backed Section-5 transaction manager.
 
-:class:`DurableTransactionManager` subclasses the in-memory
-:class:`~repro.protocol.scheduler.TransactionManager` and appends one
-logical WAL record per successful state transition — after the
-in-memory transition for most operations, but *before* the version is
-created for writes (the record carries the exact sequence stamp the
-store is about to issue, which replay asserts; this is the
-write-ahead discipline at the logical level).
-
-Aborts are logged with the full cascade (every transaction aborted and
-every version expunged), and re-evaluation or cascade re-assignments
-are logged as REASSIGN diffs, so replay never has to re-run selection
-or Figure-4 logic — redo is pure state transcription and therefore
-deterministic.
+:class:`DurableTransactionManager` is the in-memory
+:class:`~repro.protocol.scheduler.TransactionManager` with a
+write-ahead log attached as the sink of its step records, plus the
+directory plumbing around it: open/recover, checkpoints, flushes and
+the durable 2PC promise.  The manager itself emits one logical record
+per state transition (writes ahead of the version they create, aborts
+with their full cascade, re-assignments as they are decided), so
+replay never re-runs selection or Figure-4 logic.
 
 Use :meth:`DurableTransactionManager.open` to bind a WAL directory:
 it recovers (with verification — refusing to serve on a mismatch) when
@@ -24,41 +19,21 @@ plus WAL suffix.
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Any, Iterable
+from typing import Any
 
 from ..core.transactions import Spec
 from ..errors import RecoveryError
 from ..obs.metrics import MetricsRegistry
 from ..obs.trace import Tracer
-from ..protocol.scheduler import (
-    Outcome,
-    StepResult,
-    TransactionManager,
-    TxnPhase,
-)
+from ..protocol.scheduler import TransactionManager, step
 from ..protocol.validation import VersionSelector
 from ..storage.database import Database
-from ..storage.version_store import Version
 from .crashpoints import CrashPoints
-from .records import (
-    OP_ABORT,
-    OP_COMMIT,
-    OP_DEFINE,
-    OP_PREPARE,
-    OP_READ,
-    OP_REASSIGN,
-    OP_UNDO_COMMIT,
-    OP_VALIDATE,
-    OP_WRITE,
-)
+from .records import OP_PREPARE
 from .recovery import RecoveryResult, recover
 from .snapshot import CheckpointStore
 from .state import LogicalState
 from .wal import WriteAheadLog, cleanup_segments, list_segments
-
-
-def _ref(version: Version) -> list[Any]:
-    return [version.value, version.author, version.sequence]
 
 
 class DurableTransactionManager(TransactionManager):
@@ -87,15 +62,11 @@ class DurableTransactionManager(TransactionManager):
             strict=strict,
             root_name=root_name,
         )
-        self._wal = wal
+        self._sink = wal
         self._checkpoints = checkpoints
         self.checkpoint_every = checkpoint_every
-        self._records_since_checkpoint = 0
-        self._commit_lsns: dict[str, int] = {}
-        #: Live 2PC promises (txn -> PREPARE data): carried into every
-        #: checkpoint so an in-doubt branch survives WAL rotation.
-        self._prepared: dict[str, dict[str, Any]] = {}
-        self._depth = 0
+        #: The WAL position of the newest checkpoint.
+        self._checkpoint_lsn = 0
 
     # -- opening a WAL directory -------------------------------------------
 
@@ -166,9 +137,6 @@ class DurableTransactionManager(TransactionManager):
                 checkpoint_every=checkpoint_every,
             )
             assert isinstance(manager, cls)
-            for name, txn_state in recovery.state.txns.items():
-                if txn_state.commit_lsn is not None:
-                    manager._commit_lsns[name] = txn_state.commit_lsn
         else:
             if database_factory is None:
                 raise RecoveryError(
@@ -207,7 +175,7 @@ class DurableTransactionManager(TransactionManager):
 
     @property
     def wal(self) -> WriteAheadLog | None:
-        return self._wal
+        return self._sink
 
     @property
     def checkpoints(self) -> CheckpointStore | None:
@@ -215,208 +183,55 @@ class DurableTransactionManager(TransactionManager):
 
     def commit_lsn_of(self, txn: str) -> int | None:
         """The WAL LSN of ``txn``'s commit record, if it committed."""
-        return self._commit_lsns.get(txn)
-
-    def _append(self, op: str, txn: str, data: dict[str, Any]) -> None:
-        if self._wal is None:
-            return
-        record = self._wal.append(op, txn, data)
-        if op == OP_COMMIT:
-            self._commit_lsns[txn] = record.lsn
-        self._records_since_checkpoint += 1
+        record = self._records.get(txn)
+        return record.commit_lsn if record is not None else None
 
     def maybe_flush(self) -> int:
         """Group-commit tick: fsync if the flush deadline passed."""
-        if self._wal is None or self._wal.closed:
+        if self._sink is None or self._sink.closed:
             return 0
-        return self._wal.maybe_flush()
+        return self._sink.maybe_flush()
 
     def flush(self) -> int:
-        if self._wal is None or self._wal.closed:
+        if self._sink is None or self._sink.closed:
             return 0
-        return self._wal.flush()
+        return self._sink.flush()
 
     def checkpoint(self) -> "Path | None":
         """Write a checkpoint of the current state and rotate the WAL."""
-        if self._wal is None or self._checkpoints is None:
+        if self._sink is None or self._checkpoints is None:
             return None
-        self._wal.flush()
+        self._sink.flush()
         state = LogicalState.from_manager(self)
-        for name, lsn in self._commit_lsns.items():
-            if name in state.txns:
-                state.txns[name].commit_lsn = lsn
-        for name in list(self._prepared):
-            txn_state = state.txns.get(name)
-            if txn_state is None or txn_state.terminated:
-                del self._prepared[name]  # decision already durable
-                continue
-            txn_state.prepared = dict(self._prepared[name])
-        last_lsn = self._wal.last_lsn
+        last_lsn = self._sink.last_lsn
         path = self._checkpoints.write(state.to_dict(), last_lsn)
-        self._wal.rotate()
+        self._sink.rotate()
         oldest = self._checkpoints.oldest_retained_lsn()
         if oldest is not None:
-            cleanup_segments(self._wal.directory, oldest)
-        self._records_since_checkpoint = 0
+            cleanup_segments(self._sink.directory, oldest)
+        self._checkpoint_lsn = last_lsn
         return path
 
-    def _maybe_checkpoint(self) -> None:
+    def _after_step(self) -> None:
+        wal = self._sink
         if (
-            self._depth == 0
-            and self.checkpoint_every > 0
-            and self._records_since_checkpoint >= self.checkpoint_every
+            wal is not None
+            and 0 < self.checkpoint_every
+            <= wal.last_lsn - self._checkpoint_lsn
         ):
             self.checkpoint()
 
     def close(self, checkpoint: bool = True) -> None:
         """Flush (and by default checkpoint) before shutting down."""
-        if self._wal is None or self._wal.closed:
+        if self._sink is None or self._sink.closed:
             return
         if checkpoint:
             self.checkpoint()
-        self._wal.close()
+        self._sink.close()
 
-    # -- logged protocol operations ----------------------------------------
+    # -- the durable 2PC promise -------------------------------------------
 
-    def define(
-        self,
-        parent: str,
-        spec: Spec,
-        update_set: Iterable[str],
-        predecessors: Iterable[str] = (),
-        successors: Iterable[str] = (),
-        undo_committed_successors: bool = False,
-    ) -> str:
-        preds = list(predecessors)
-        succs = list(successors)
-        updates = sorted(frozenset(update_set))
-        self._depth += 1
-        try:
-            name = super().define(
-                parent,
-                spec,
-                updates,
-                preds,
-                succs,
-                undo_committed_successors,
-            )
-            self._append(
-                OP_DEFINE,
-                name,
-                {
-                    "parent": parent,
-                    "update_set": updates,
-                    "predecessors": preds,
-                    "successors": succs,
-                    "input_constraint": str(spec.input_constraint),
-                    "output_condition": str(spec.output_condition),
-                },
-            )
-        finally:
-            self._depth -= 1
-        self._maybe_checkpoint()
-        return name
-
-    def validate(self, txn: str) -> StepResult:
-        self._depth += 1
-        try:
-            result = super().validate(txn)
-            if result.outcome is Outcome.OK:
-                assigned = self.record(txn).assigned
-                self._append(
-                    OP_VALIDATE,
-                    txn,
-                    {
-                        "assigned": {
-                            item: _ref(version)
-                            for item, version in sorted(
-                                assigned.items()
-                            )
-                        }
-                    },
-                )
-        finally:
-            self._depth -= 1
-        self._maybe_checkpoint()
-        return result
-
-    def read(self, txn: str, entity: str) -> StepResult:
-        self._depth += 1
-        try:
-            result = super().read(txn, entity)
-            if result.outcome is Outcome.OK:
-                version = self.record(txn).assigned[entity]
-                self._append(
-                    OP_READ,
-                    txn,
-                    {"entity": entity, "version": _ref(version)},
-                )
-        finally:
-            self._depth -= 1
-        self._maybe_checkpoint()
-        return result
-
-    def end_write(self, txn: str, entity: str, value: int) -> StepResult:
-        self._depth += 1
-        try:
-            record = self.record(txn)
-            if entity in record.in_flight_writes:
-                # Validate eagerly so a rejected value is never logged,
-                # then log the record *before* the store issues the
-                # stamp it predicts — write-ahead, and any Figure-4
-                # abort/reassign records land after their cause.
-                self._db.schema[entity].validate(value)
-                self._append(
-                    OP_WRITE,
-                    txn,
-                    {
-                        "entity": entity,
-                        "value": value,
-                        "sequence": self._db.store.sequence_watermark,
-                    },
-                )
-            result = super().end_write(txn, entity, value)
-        finally:
-            self._depth -= 1
-        self._maybe_checkpoint()
-        return result
-
-    def _reassign(self, record, entity, new_version) -> bool:
-        ok = super()._reassign(record, entity, new_version)
-        if ok:
-            self._append(
-                OP_REASSIGN,
-                record.name,
-                {
-                    "assigned": {
-                        item: _ref(version)
-                        for item, version in sorted(
-                            record.assigned.items()
-                        )
-                    }
-                },
-            )
-        return ok
-
-    def commit(self, txn: str) -> StepResult:
-        self._depth += 1
-        try:
-            result = super().commit(txn)
-            if result.outcome is Outcome.OK:
-                record = self.record(txn)
-                released = dict(record.merged_child_writes)
-                released.update(
-                    {
-                        item: version.value
-                        for item, version in record.writes.items()
-                    }
-                )
-                self._append(OP_COMMIT, txn, {"released": released})
-        finally:
-            self._depth -= 1
-        self._maybe_checkpoint()
-        return result
-
+    @step
     def prepare(self, txn: str, data: dict[str, Any]) -> int | None:
         """Log a durable 2PC phase-1 promise for ``txn``.
 
@@ -428,92 +243,9 @@ class DurableTransactionManager(TransactionManager):
         record's LSN (``None`` without a WAL).
         """
         record = self.record(txn)  # raises ProtocolError on unknown
-        if record.terminated:
+        if record.terminated or self._sink is None:
             return None
-        if self._wal is None:
-            return None
-        self._append(OP_PREPARE, txn, dict(data))
-        self._prepared[txn] = dict(data)
-        lsn = self._wal.last_lsn
+        record.prepared = dict(data)
+        lsn = self._emit(OP_PREPARE, txn, record.prepared)
         self.flush()
-        self._maybe_checkpoint()
         return lsn
-
-    def undo_relative_commit(self, txn: str) -> StepResult:
-        self._depth += 1
-        try:
-            result = super().undo_relative_commit(txn)
-            if result.outcome is Outcome.OK:
-                self._append(OP_UNDO_COMMIT, txn, {})
-                self._commit_lsns.pop(txn, None)
-        finally:
-            self._depth -= 1
-        self._maybe_checkpoint()
-        return result
-
-    def abort(self, txn: str, reason: str = "requested") -> list[str]:
-        self._depth += 1
-        try:
-            if self.record(txn).phase is TxnPhase.ABORTED:
-                return super().abort(txn, reason)
-            before = list(self._db.store)
-            assigned_before = {
-                record.name: {
-                    item: version.sequence
-                    for item, version in record.assigned.items()
-                }
-                for record in self.iter_records()
-                if not record.terminated
-            }
-            names = super().abort(txn, reason)
-            if names:
-                dead = set(names)
-                expunged = [
-                    [version.entity, version.sequence]
-                    for version in before
-                    if version.author in dead
-                ]
-                self._append(
-                    OP_ABORT,
-                    txn,
-                    {
-                        "aborted": names,
-                        "reason": reason,
-                        "expunged": expunged,
-                    },
-                )
-                self._log_reassignments(assigned_before, dead)
-        finally:
-            self._depth -= 1
-        self._maybe_checkpoint()
-        return names
-
-    def _log_reassignments(
-        self,
-        assigned_before: dict[str, dict[str, int]],
-        dead: set[str],
-    ) -> None:
-        """Log cascade re-selections so replay needs no selector."""
-        for name, stamps in assigned_before.items():
-            if name in dead:
-                continue
-            record = self._records.get(name)
-            if record is None or record.terminated:
-                continue
-            now = {
-                item: version.sequence
-                for item, version in record.assigned.items()
-            }
-            if now != stamps:
-                self._append(
-                    OP_REASSIGN,
-                    name,
-                    {
-                        "assigned": {
-                            item: _ref(version)
-                            for item, version in sorted(
-                                record.assigned.items()
-                            )
-                        }
-                    },
-                )

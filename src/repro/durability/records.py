@@ -27,22 +27,17 @@ from dataclasses import dataclass
 from typing import Any
 
 from ..errors import DurabilityError
-
-# Logical operation kinds, mirroring the manager's API.
-OP_DEFINE = "define"
-OP_VALIDATE = "validate"
-OP_REASSIGN = "reassign"
-OP_READ = "read"
-OP_WRITE = "write"
-OP_COMMIT = "commit"
-OP_UNDO_COMMIT = "undo_commit"
-OP_ABORT = "abort"
-#: Two-phase commit, phase 1: the shard promises to commit this branch
-#: if the coordinator decides commit.  ``data`` carries the global
-#: transaction id, the participant branch names keyed by shard, and the
-#: coordinator shard — enough for recovery to resolve the branch
-#: in-doubt (presumed abort) against the coordinator shard's decision.
-OP_PREPARE = "prepare"
+from ..protocol.state import (  # noqa: F401 - re-exported
+    OP_ABORT,
+    OP_COMMIT,
+    OP_DEFINE,
+    OP_PREPARE,
+    OP_READ,
+    OP_REASSIGN,
+    OP_UNDO_COMMIT,
+    OP_VALIDATE,
+    OP_WRITE,
+)
 
 ALL_OPS = frozenset(
     {

@@ -248,6 +248,12 @@ class LogicalState:
             ],
             merged_child_writes=dict(record.merged_child_writes),
             in_flight_writes=sorted(record.in_flight_writes),
+            commit_lsn=record.commit_lsn,
+            prepared=(
+                dict(record.prepared)
+                if record.prepared is not None and not record.terminated
+                else None
+            ),
         )
 
     # -- (de)serialization -------------------------------------------------
@@ -642,6 +648,7 @@ class LogicalState:
                     txn_state.writes.items()
                 )
             }
+            record.commit_lsn = txn_state.commit_lsn
             self._restore_common(record, txn_state)
             # Adoption (not a bare table insert) keeps the manager's
             # live-transaction set and fast-path caches coherent.

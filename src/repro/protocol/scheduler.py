@@ -33,8 +33,9 @@ long-duration transactions.
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass, field, replace
-from typing import Iterable, Iterator
+from typing import Any, Iterable, Iterator
 
 from ..core.naming import TxnName
 from ..core.orders import PartialOrder
@@ -52,6 +53,18 @@ from ..storage.version_store import Version
 from .fastpath import ParentIndex
 from .locks import LockMode, LockOutcome, LockTable
 from .reeval import ReevalDecision, figure4_decision
+from .state import (
+    OP_ABORT,
+    OP_COMMIT,
+    OP_DEFINE,
+    OP_READ,
+    OP_REASSIGN,
+    OP_UNDO_COMMIT,
+    OP_VALIDATE,
+    OP_WRITE,
+    encode,
+    version_ref,
+)
 from .validation import (
     BacktrackingSelector,
     DSet,
@@ -119,6 +132,12 @@ class TxnRecord:
     in_flight_writes: set[str] = field(default_factory=set)
     child_counter: int = 0
     did_data_access: bool = False
+    #: The LSN of the COMMIT record (None without a log, or once the
+    #: commit is undone).
+    commit_lsn: int | None = None
+    #: 2PC phase-1 promise: ``{"gid", "participants", "coordinator"}``
+    #: from the PREPARE record, until the decision lands.
+    prepared: dict[str, Any] | None = None
 
     @property
     def input_set(self) -> frozenset[str]:
@@ -128,9 +147,53 @@ class TxnRecord:
     def terminated(self) -> bool:
         return self.phase in (TxnPhase.COMMITTED, TxnPhase.ABORTED)
 
+    def released(self) -> dict[str, int]:
+        """What committing releases to the parent: the merged child
+        releases, overlaid with the transaction's own final values."""
+        released = dict(self.merged_child_writes)
+        released.update(
+            {item: version.value for item, version in self.writes.items()}
+        )
+        return released
+
+
+def _stamps(record: TxnRecord) -> dict[str, int]:
+    return {
+        item: version.sequence for item, version in record.assigned.items()
+    }
+
+
+def step(method):
+    """Mark a public manager call as one protocol step.
+
+    Steps nest (a failed validation aborts; a write re-evaluates and
+    aborts); :meth:`TransactionManager._after_step` runs once the
+    outermost one has returned normally.
+    """
+
+    @functools.wraps(method)
+    def stepped(self, *args, **kwargs):
+        self._depth += 1
+        try:
+            result = method(self, *args, **kwargs)
+        finally:
+            self._depth -= 1
+        if not self._depth:
+            self._after_step()
+        return result
+
+    return stepped
+
 
 class TransactionManager:
     """The Section-5 protocol over a multi-version database."""
+
+    #: Where step records go besides the state: anything with the
+    #: write-ahead log's ``append(op, txn, data)``.
+    _sink: Any = None
+    _depth = 0
+    #: The innermost running abort's ``(expunged, moved)`` tally.
+    _cascade: "tuple[list[list[Any]], dict[str, dict[str, int]]] | None" = None
 
     def __init__(
         self,
@@ -232,6 +295,18 @@ class TransactionManager:
         if isinstance(selector, TracedSelector):
             selector.txn_hint = txn
         return selector.select(d_sets, constraint, pinned)
+
+    # -- step records --------------------------------------------------------
+
+    def _emit(self, op: str, txn: str, data: dict[str, Any]) -> int | None:
+        """Hand one step record to the sink; returns its LSN."""
+        sink = self._sink
+        if sink is None:
+            return None
+        return sink.append(op, txn, encode(op, data)).lsn
+
+    def _after_step(self) -> None:
+        """Hook: the outermost step has returned."""
 
     # -- accessors -----------------------------------------------------------
 
@@ -352,6 +427,7 @@ class TransactionManager:
 
     # -- phase 1: definition -----------------------------------------------------
 
+    @step
     def define(
         self,
         parent: str,
@@ -446,10 +522,22 @@ class TransactionManager:
                 predecessors=sorted(preds),
                 successors=sorted(succs),
             )
+        self._emit(
+            OP_DEFINE,
+            name,
+            {
+                "parent": parent,
+                "update_set": updates,
+                "predecessors": preds,
+                "successors": succs,
+                "spec": spec,
+            },
+        )
         return name
 
     # -- phase 2: validation ----------------------------------------------------
 
+    @step
     def validate(self, txn: str) -> StepResult:
         """Acquire ``R_v`` locks and assign versions (§5.1 part 1+2).
 
@@ -533,6 +621,7 @@ class TransactionManager:
                     for item, version in sorted(assignment.items())
                 },
             )
+        self._emit(OP_VALIDATE, txn, {"assigned": assignment})
         return StepResult(Outcome.OK)
 
     def _compute_d_sets(self, record: TxnRecord) -> dict[str, DSet]:
@@ -596,6 +685,7 @@ class TransactionManager:
 
     # -- phase 3: execution --------------------------------------------------------
 
+    @step
     def read(self, txn: str, entity: str) -> StepResult:
         """A read request: upgrade ``R_v`` to ``R`` and serve the
         assigned version (§5.1, execution phase).
@@ -635,6 +725,9 @@ class TransactionManager:
                 version=str(version),
                 value=version.value,
             )
+        self._emit(
+            OP_READ, txn, {"entity": entity, "version": version_ref(version)}
+        )
         return StepResult(Outcome.OK, value=version.value)
 
     def begin_write(self, txn: str, entity: str) -> StepResult:
@@ -663,6 +756,7 @@ class TransactionManager:
             )
         return StepResult(Outcome.OK)
 
+    @step
     def end_write(self, txn: str, entity: str, value: int) -> StepResult:
         """Complete a write: new version, release ``W``, re-evaluate.
 
@@ -673,6 +767,19 @@ class TransactionManager:
         record = self.record(txn)
         if entity not in record.in_flight_writes:
             raise ProtocolError(f"{txn} has no write in flight on {entity}")
+        # Write-ahead: a rejected value is never recorded, and the
+        # record carries the stamp the store is about to issue, so any
+        # Figure-4 abort/reassign records land after their cause.
+        self._db.schema[entity].validate(value)
+        self._emit(
+            OP_WRITE,
+            txn,
+            {
+                "entity": entity,
+                "value": value,
+                "sequence": self._db.store.sequence_watermark,
+            },
+        )
         version = self._db.write(entity, value, txn)
         self._version_epoch += 1
         record.writes[entity] = version
@@ -801,6 +908,7 @@ class TransactionManager:
                 entity=entity,
                 version=str(new_version),
             )
+        self._emit(OP_REASSIGN, record.name, {"assigned": assignment})
         return True
 
     def _strict_visible(self, txn: str, version: Version) -> bool:
@@ -963,6 +1071,7 @@ class TransactionManager:
                     author = author_record.parent
         return None
 
+    @step
     def commit(self, txn: str) -> StepResult:
         """Commit (relative to the parent): release versions upward.
 
@@ -979,30 +1088,29 @@ class TransactionManager:
                 tracer.end(span, outcome="failed", reason=reason)
             return StepResult(Outcome.FAILED, reason=reason)
         record = self.record(txn)
+        # Release this transaction's world (its writes and its
+        # children's merged writes) into the parent's world view.
+        released = record.released()
         record.phase = TxnPhase.COMMITTED
+        record.prepared = None
         self._active.pop(txn, None)
         if record.parent is not None:
             parent_record = self.record(record.parent)
-            # Release this transaction's world (its writes and its
-            # children's merged writes) into the parent's world view.
-            released = dict(record.merged_child_writes)
-            released.update(
-                {
-                    item: version.value
-                    for item, version in record.writes.items()
-                }
-            )
             parent_record.release_log.append((txn, released))
             parent_record.merged_child_writes.update(released)
         unblocked = self._locks.release_all(txn)
         if span is not None:
             tracer.end(span, outcome="committed")
+        record.commit_lsn = self._emit(
+            OP_COMMIT, txn, {"released": released}
+        )
         result = StepResult(Outcome.OK)
         result.unblocked.extend(
             sorted({request.txn for request in unblocked})
         )
         return result
 
+    @step
     def undo_relative_commit(self, txn: str) -> StepResult:
         """Undo a commit that is still only relative to the parent.
 
@@ -1043,6 +1151,7 @@ class TransactionManager:
             rebuilt.update(released)
         parent_record.merged_child_writes = rebuilt
         record.phase = TxnPhase.VALIDATED
+        record.commit_lsn = None
         self._active[txn] = None
         # Re-acquire read-side locks so Figure-4 re-evaluation sees the
         # transaction again: a predecessor placed after the undo that
@@ -1057,8 +1166,10 @@ class TransactionManager:
                 self._locks.request(txn, item, LockMode.R)
         if self._tracer.enabled:
             self._tracer.event("undo-commit", txn)
+        self._emit(OP_UNDO_COMMIT, txn, {})
         return StepResult(Outcome.OK)
 
+    @step
     def abort(self, txn: str, reason: str = "requested") -> list[str]:
         """Abort a transaction (and its active subtree), cascading.
 
@@ -1067,6 +1178,11 @@ class TransactionManager:
         re-assigned (if it has not read the item) or aborted in
         cascade.  Returns all transaction names aborted, most-derived
         first.
+
+        Every abort in the cascade is a step of its own with its own
+        ABORT record; an enclosing abort's record then repeats the
+        names and expunged versions of the ones it caused, followed by
+        one REASSIGN per survivor whose assignment moved while it ran.
         """
         record = self.record(txn)
         if record.phase is TxnPhase.ABORTED:
@@ -1077,6 +1193,42 @@ class TransactionManager:
                 raise ProtocolError(
                     f"{txn} is committed beyond its parent; too late to abort"
                 )
+        enclosing = self._cascade
+        expunged: list[list[Any]] = []
+        moved: dict[str, dict[str, int]] = {}
+        self._cascade = (expunged, moved)
+        try:
+            aborted = self._abort_cascade(record, reason, expunged, moved)
+        finally:
+            self._cascade = enclosing
+        rank = {name: i for i, name in enumerate(self._db.schema.names)}
+        expunged.sort(key=lambda ref: (rank[ref[0]], ref[1]))
+        self._emit(
+            OP_ABORT,
+            txn,
+            {"aborted": aborted, "reason": reason, "expunged": expunged},
+        )
+        order = list(self._records).index if moved else None
+        for name in sorted(moved, key=order):
+            survivor = self._records[name]
+            if not survivor.terminated and _stamps(survivor) != moved[name]:
+                self._emit(
+                    OP_REASSIGN, name, {"assigned": survivor.assigned}
+                )
+        if enclosing is not None:
+            enclosing[0].extend(expunged)
+            for name, stamps in moved.items():
+                enclosing[1].setdefault(name, stamps)
+        return aborted
+
+    def _abort_cascade(
+        self,
+        record: TxnRecord,
+        reason: str,
+        expunged: list[list[Any]],
+        moved: dict[str, dict[str, int]],
+    ) -> list[str]:
+        txn = record.name
         aborted: list[str] = []
         for child in list(record.children):
             if not self.record(child).terminated:
@@ -1094,6 +1246,7 @@ class TransactionManager:
         removed = self._db.store.expunge_author(txn)
         if removed:
             self._version_epoch += 1
+        expunged.extend([v.entity, v.sequence] for v in removed)
         self._locks.release_all(txn)
         if self._tracer.enabled:
             self._tracer.event(
@@ -1149,6 +1302,7 @@ class TransactionManager:
                             )
                         )
                     else:
+                        moved.setdefault(other.name, _stamps(other))
                         other.assigned = assignment
         return aborted
 

@@ -1,0 +1,330 @@
+#!/usr/bin/env python3
+"""The repo's behaviour digests, from one command.
+
+``repro fuzz`` and ``repro sim`` are byte-deterministic and so are the
+WAL and checkpoint encodings, so a refactor is checked by hash, parent
+versus change with the same interpreter:
+
+``fuzz``         seeds 1-250, each ``execute_plan(generate_plan(s))``
+                 report with oracle verdicts reduced to ``{name: ok}``
+``scenarios``    the six shipped ``repro sim`` scenarios, ``details``
+                 dropped from the per-epoch oracle verdicts
+``wal``          segment names + bytes left by the fixed in-process
+                 script below
+``checkpoints``  checkpoint names + bytes left by the same script
+
+    PYTHONPATH=src python tools/digests.py                      # print
+    PYTHONPATH=src python tools/digests.py --check tools/digests.json
+    PYTHONPATH=src python tools/digests.py --write tools/digests.json
+
+``--check`` exits non-zero on any mismatch.  The script uses only the
+public manager surface, so it runs unchanged against an older checkout
+(``PYTHONPATH=/path/to/parent/src``).
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import random
+import sys
+import tempfile
+from pathlib import Path
+
+FUZZ_SEEDS = range(1, 251)
+
+
+def _sha(chunks) -> str:
+    digest = hashlib.sha256()
+    for chunk in chunks:
+        digest.update(chunk)
+    return digest.hexdigest()
+
+
+def fuzz_digest() -> str:
+    from repro.fuzz.plan import generate_plan
+    from repro.fuzz.runner import execute_plan
+
+    def reports():
+        for seed in FUZZ_SEEDS:
+            report = dict(execute_plan(generate_plan(seed)).report)
+            report["oracles"] = {
+                name: verdict["ok"]
+                for name, verdict in report["oracles"].items()
+            }
+            yield json.dumps(report, sort_keys=True).encode()
+
+    return _sha(reports())
+
+
+def scenario_digest() -> str:
+    from repro.des import SCENARIOS, get_scenario, run_scenario
+
+    def reports():
+        for name in sorted(SCENARIOS):
+            report = run_scenario(get_scenario(name))
+            for epoch in report["epochs"]:
+                for verdict in epoch["oracles"].values():
+                    verdict.pop("details", None)
+            yield json.dumps(report, sort_keys=True).encode()
+
+    return _sha(reports())
+
+
+# ---------------------------------------------------------------------------
+# The fixed in-process script
+# ---------------------------------------------------------------------------
+
+
+def _database():
+    from repro.core.entities import Domain, Entity, Schema
+    from repro.core.predicates import Predicate
+    from repro.storage.database import Database
+
+    names = ("u", "v", "w", "x", "y", "z")
+    schema = Schema([Entity(name, Domain(0, 1000)) for name in names])
+    constraint = Predicate.parse(" & ".join(f"{n} >= 0" for n in names))
+    return Database(schema, constraint, {name: 5 for name in names})
+
+
+def _spec(input_text: str = "true", output_text: str = "true"):
+    from repro.core.predicates import Predicate
+    from repro.core.transactions import Spec
+
+    return Spec(Predicate.parse(input_text), Predicate.parse(output_text))
+
+
+def _shapes(tm) -> None:
+    """One session per record kind the WAL carries a derived fact for."""
+    root = tm.root
+    # Figure-4 re-evaluation abort of a stale reader.
+    pred = tm.define(root, _spec(), ["x"])
+    succ = tm.define(root, _spec("x >= 0"), [], predecessors=[pred])
+    tm.validate(pred)
+    tm.validate(succ)
+    tm.read(succ, "x")
+    tm.write(pred, "x", 42)
+    tm.commit(pred)
+    # Re-assignment of a validated, not-yet-reading successor.
+    writer = tm.define(root, _spec(), ["y"])
+    waiter = tm.define(root, _spec("y >= 0"), ["z"], predecessors=[writer])
+    tm.validate(writer)
+    tm.validate(waiter)
+    tm.write(writer, "y", 77)
+    tm.read(waiter, "y")
+    tm.write(waiter, "z", 9)
+    # Abort cascade through a reads-from edge.
+    tm.abort(writer)
+    # Relative commit undone by a later predecessor, then re-committed.
+    late = tm.define(root, _spec("u >= 0"), ["v"])
+    tm.validate(late)
+    tm.read(late, "u")
+    tm.write(late, "v", 99)
+    tm.commit(late)
+    early = tm.define(
+        root,
+        _spec(),
+        ["u"],
+        successors=[late],
+        undo_committed_successors=True,
+    )
+    tm.validate(early)
+    tm.write(early, "u", 6)
+    tm.commit(early)
+    if tm.phase(late).value == "validated":
+        tm.commit(late)
+    # A nested parent with two live children, aborted as a subtree,
+    # and one whose children commit relative to it.
+    doomed = tm.define(root, _spec(), ["w"])
+    tm.validate(doomed)
+    for value in (1, 2):
+        child = tm.define(doomed, _spec("w >= 0"), ["w"])
+        tm.validate(child)
+        tm.write(child, "w", value)
+    tm.abort(doomed)
+    nest = tm.define(root, _spec(), ["w"])
+    tm.validate(nest)
+    first = tm.define(nest, _spec("w >= 0"), ["w"])
+    tm.validate(first)
+    tm.read(first, "w")
+    tm.write(first, "w", 11)
+    tm.commit(first)
+    second = tm.define(nest, _spec("w >= 0"), ["w"], predecessors=[first])
+    tm.validate(second)
+    tm.write(second, "w", 12)
+    tm.commit(second)
+    tm.commit(nest)
+    # A 2PC promise that hears its decision.
+    branch = tm.define(root, _spec("z >= 0"), ["z"])
+    tm.validate(branch)
+    tm.write(branch, "z", 13)
+    tm.prepare(
+        branch,
+        {"gid": "g1", "participants": {"0": branch}, "coordinator": 0},
+    )
+    tm.commit(branch)
+
+
+def _random_sessions(tm, rng: random.Random, rounds: int) -> None:
+    """Seeded sessions over the root.
+
+    Even rounds run each transaction to its last write as soon as it
+    validates (the test-suite generator's shape); odd rounds validate
+    all ten first, ordered after one committed writer of everything,
+    and then interleave their shuffled accesses — which is what makes
+    Figure-4 re-assignments and cascade re-selections common.
+    """
+    from repro.protocol.scheduler import Outcome, TxnPhase
+
+    entities = tuple(tm.database.schema.names)
+    for round_index in range(rounds):
+        live: list[str] = []
+        pending: list[tuple[str, str, str]] = []
+        barrier: list[str] = []
+        if round_index % 2:
+            # Everyone in the round follows one committed writer of
+            # every entity, so assigned versions have an *ordered*
+            # author and a later predecessor's write supersedes them.
+            barrier.append(tm.define(tm.root, _spec(), entities))
+            tm.validate(barrier[0])
+            for entity in entities:
+                tm.write(barrier[0], entity, rng.randint(0, 1000))
+            tm.commit(barrier[0])
+        for __ in range(10):
+            reads = rng.sample(entities, rng.randint(1, 3))
+            writes = sorted(rng.sample(entities, rng.randint(0, 2)))
+            predecessors = [
+                p
+                for p in ([rng.choice(live)] if live else [])
+                if rng.random() < (0.7 if round_index % 2 else 0.4)
+                and tm.phase(p) is not TxnPhase.ABORTED
+            ]
+            txn = tm.define(
+                tm.root,
+                _spec(" & ".join(f"{e} >= 0" for e in reads)),
+                writes,
+                predecessors=barrier + predecessors,
+            )
+            if tm.validate(txn).outcome is not Outcome.OK:
+                continue
+            live.append(txn)
+            accesses = [(txn, "read", e) for e in reads]
+            accesses += [(txn, "write", e) for e in writes]
+            if round_index % 2:
+                rng.shuffle(accesses)
+                pending.extend(accesses)
+                continue
+            for access in accesses:
+                _access(tm, rng, *access)
+            if rng.random() < 0.5 and tm.phase(txn) is TxnPhase.VALIDATED:
+                tm.commit(txn)
+        queues = {txn: [a for a in pending if a[0] == txn] for txn in live}
+        while any(queues.values()):
+            txn = rng.choice([t for t, queue in queues.items() if queue])
+            _access(tm, rng, *queues[txn].pop(0))
+        for txn in live:
+            if tm.phase(txn) is TxnPhase.VALIDATED:
+                if rng.random() < 0.15:
+                    tm.abort(txn)
+                elif tm.commit(txn).outcome is not Outcome.OK:
+                    tm.abort(txn)
+
+
+def _access(tm, rng: random.Random, txn: str, kind: str, entity: str) -> None:
+    if tm.phase(txn).value != "validated":
+        return
+    if kind == "read":
+        tm.read(txn, entity)
+    else:
+        tm.write(txn, entity, rng.randint(0, 1000))
+
+
+def run_fixed_script(wal_dir: Path) -> None:
+    """Drive one durable manager through the fixed script, then
+    abandon it, re-open the directory and run a second, shorter leg —
+    so the bytes also cover recovery's re-anchoring checkpoint."""
+    from repro.durability import DurableTransactionManager
+
+    rng = random.Random(11)
+    tm, _ = DurableTransactionManager.open(
+        wal_dir,
+        _database,
+        segment_bytes=16384,
+        checkpoint_every=400,
+        retain=1000,
+    )
+    _shapes(tm)
+    _random_sessions(tm, rng, rounds=30)
+    in_flight = tm.define(tm.root, _spec("x >= 0"), ["x"])
+    tm.validate(in_flight)
+    tm.write(in_flight, "x", 1)
+    tm.flush()
+    tm.wal.close()  # abandoned: no closing checkpoint
+    tm, recovery = DurableTransactionManager.open(
+        wal_dir,
+        segment_bytes=16384,
+        checkpoint_every=400,
+        retain=1000,
+    )
+    assert recovery is not None and recovery.verified
+    _random_sessions(tm, rng, rounds=5)
+    tm.close()
+
+
+def disk_digests() -> tuple[str, str]:
+    from repro.durability.snapshot import CheckpointStore
+    from repro.durability.wal import list_segments
+
+    with tempfile.TemporaryDirectory(prefix="repro-digests-") as tmp:
+        wal_dir = Path(tmp) / "wal"
+        run_fixed_script(wal_dir)
+
+        def files(paths):
+            for path in paths:
+                yield path.name.encode()
+                yield path.read_bytes()
+
+        return (
+            _sha(files(list_segments(wal_dir))),
+            _sha(files(CheckpointStore(wal_dir, retain=1000).checkpoints())),
+        )
+
+
+def compute() -> dict[str, str]:
+    wal, checkpoints = disk_digests()
+    return {
+        "fuzz": fuzz_digest(),
+        "scenarios": scenario_digest(),
+        "wal": wal,
+        "checkpoints": checkpoints,
+    }
+
+
+def main(argv: "list[str] | None" = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--check", metavar="JSON")
+    parser.add_argument("--write", metavar="JSON")
+    args = parser.parse_args(argv)
+    digests = compute()
+    for name, value in digests.items():
+        print(f"{name:12s}{value}")
+    if args.write:
+        Path(args.write).write_text(
+            json.dumps(digests, indent=2) + "\n", encoding="utf-8"
+        )
+    if args.check:
+        expected = json.loads(Path(args.check).read_text(encoding="utf-8"))
+        bad = [
+            f"{name}: expected {expected.get(name)} got {value}"
+            for name, value in digests.items()
+            if expected.get(name) != value
+        ]
+        for line in bad:
+            print("MISMATCH " + line, file=sys.stderr)
+        return 1 if bad else 0
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
