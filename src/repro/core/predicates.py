@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from ..errors import (
@@ -168,11 +169,12 @@ class Predicate:
     at all, and the class hierarchy code treats that case specially.
     """
 
-    __slots__ = ("_clauses", "_hash")
+    __slots__ = ("_clauses", "_hash", "_text")
 
     def __init__(self, clauses: Iterable[Clause]) -> None:
         self._clauses: tuple[Clause, ...] = tuple(clauses)
         self._hash: int | None = None
+        self._text: str | None = None
 
     # -- constructors ---------------------------------------------------
 
@@ -248,9 +250,14 @@ class Predicate:
         return len(self._clauses)
 
     def __str__(self) -> str:
-        if not self._clauses:
-            return "true"
-        return " & ".join(str(clause) for clause in self._clauses)
+        # Rendered once: every WAL DEFINE and every checkpoint spells
+        # the same immutable predicate out again.
+        if self._text is None:
+            self._text = (
+                " & ".join(str(clause) for clause in self._clauses)
+                or "true"
+            )
+        return self._text
 
     def __repr__(self) -> str:
         return f"Predicate({self})"
@@ -511,3 +518,16 @@ def parse(text: str) -> Predicate:
     True
     """
     return _Parser(text).parse()
+
+
+@lru_cache(maxsize=4096)
+def parse_cached(text: str) -> Predicate:
+    """:func:`parse` through a parse-once cache.
+
+    Clients, load generators and the WAL alike spell a small vocabulary
+    of constraint texts over and over (every restart re-defines with
+    the same constraints, every replayed DEFINE carries two);
+    :class:`Predicate` is immutable, so sharing the parsed object across
+    transactions, sessions and replicas is safe.
+    """
+    return parse(text)

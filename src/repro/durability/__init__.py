@@ -15,9 +15,11 @@ Layout
 ``crashpoints`` Fault-injection hooks (``CrashPoint``) used by tests.
 ``wal``         The append-only segmented log with group commit.
 ``snapshot``    Atomic checkpoint files with retention.
-``state``       The logical replay state (redo, undo, materialize).
-``recovery``    The recovery pass plus independent verification.
-``manager``     :class:`DurableTransactionManager` — WAL-backed §5.
+``recovery``    The recovery pass (checkpoint + redo + undo over
+                :class:`repro.protocol.state.ProtocolState`) plus
+                independent verification.
+``manager``     :class:`DurableTransactionManager` — the §5 manager with
+                the WAL as its record sink.
 ``harness``     Crash-simulation harness driving the crash points.
 ``history``     WAL records → flat schedules for RC/ACA/ST checks.
 ``shard_recovery``  In-doubt 2PC resolution over per-shard WALs.

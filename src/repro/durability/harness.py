@@ -155,7 +155,7 @@ def simulate_crash(
     except Exception as caught:  # noqa: BLE001 - reported, not hidden
         error = caught
 
-    pre_crash_committed = _live_committed(manager)
+    pre_crash_committed = sorted(manager.state.committed_names())
     pre_crash_view = dict(manager.view(manager.root))
     durable_lengths = (
         manager.wal.durable_lengths() if manager.wal is not None else {}
@@ -181,15 +181,4 @@ def simulate_crash(
         recovery=recovery,
         workload_result=workload_result,
         error=error,
-    )
-
-
-def _live_committed(manager: DurableTransactionManager) -> list[str]:
-    """Names the dying manager held as committed, at crash time."""
-    from ..protocol.scheduler import TxnPhase
-
-    return sorted(
-        record.name
-        for record in manager.iter_records()
-        if record.phase is TxnPhase.COMMITTED
     )

@@ -23,7 +23,14 @@ from typing import Iterable
 
 from ..schedules.operations import Operation, OpType
 from ..schedules.recovery import CommittedSchedule
-from .records import OP_COMMIT, OP_READ, OP_WRITE, WalRecord
+from .records import (
+    OP_ABORT,
+    OP_COMMIT,
+    OP_READ,
+    OP_UNDO_COMMIT,
+    OP_WRITE,
+    WalRecord,
+)
 
 
 def _final_committed(records: "list[WalRecord]") -> list[str]:
@@ -33,10 +40,10 @@ def _final_committed(records: "list[WalRecord]") -> list[str]:
         if record.op == OP_COMMIT:
             if record.txn not in order:
                 order.append(record.txn)
-        elif record.op == "undo_commit":
+        elif record.op == OP_UNDO_COMMIT:
             if record.txn in order:
                 order.remove(record.txn)
-        elif record.op == "abort":
+        elif record.op == OP_ABORT:
             for name in record.data["aborted"]:
                 if name in order:
                     order.remove(name)

@@ -27,46 +27,20 @@ from ..obs.metrics import MetricsRegistry
 from ..obs.trace import Tracer
 from ..protocol.scheduler import TransactionManager, step
 from ..protocol.validation import VersionSelector
-from ..storage.database import Database
 from .crashpoints import CrashPoints
 from .records import OP_PREPARE
-from .recovery import RecoveryResult, recover
+from .recovery import RecoveryResult, recover_with
 from .snapshot import CheckpointStore
-from .state import LogicalState
 from .wal import WriteAheadLog, cleanup_segments, list_segments
 
 
 class DurableTransactionManager(TransactionManager):
     """A :class:`TransactionManager` that survives crashes."""
 
-    def __init__(
-        self,
-        database: Database,
-        *,
-        wal: WriteAheadLog | None = None,
-        checkpoints: CheckpointStore | None = None,
-        checkpoint_every: int = 0,
-        selector: VersionSelector | None = None,
-        root_spec: Spec | None = None,
-        tracer: Tracer | None = None,
-        registry: MetricsRegistry | None = None,
-        strict: bool = False,
-        root_name: str | None = None,
-    ) -> None:
-        super().__init__(
-            database,
-            selector=selector,
-            root_spec=root_spec,
-            tracer=tracer,
-            registry=registry,
-            strict=strict,
-            root_name=root_name,
-        )
-        self._sink = wal
-        self._checkpoints = checkpoints
-        self.checkpoint_every = checkpoint_every
-        #: The WAL position of the newest checkpoint.
-        self._checkpoint_lsn = 0
+    _checkpoints: CheckpointStore | None = None
+    checkpoint_every = 0
+    #: The WAL position of the newest checkpoint.
+    _checkpoint_lsn = 0
 
     # -- opening a WAL directory -------------------------------------------
 
@@ -107,64 +81,47 @@ class DurableTransactionManager(TransactionManager):
         has_history = bool(checkpoints.checkpoints()) or bool(
             list_segments(wal_dir)
         )
+        options = dict(
+            selector=selector, tracer=tracer, registry=registry, strict=strict
+        )
         recovery: RecoveryResult | None = None
         if has_history:
-            recovery = recover(
-                wal_dir, verify=verify, strict=strict, registry=registry
+            recovery = recover_with(
+                lambda state: cls(state, **options),
+                wal_dir,
+                verify=verify,
+                registry=registry,
             )
             if verify and not recovery.verified:
                 raise RecoveryError(
                     "refusing to serve: recovered state failed "
                     "verification: " + "; ".join(recovery.violations)
                 )
-            wal = WriteAheadLog(
-                wal_dir,
-                next_lsn=recovery.last_lsn + 1,
-                flush_interval=flush_interval,
-                segment_bytes=segment_bytes,
-                registry=registry,
-                tracer=tracer,
-                crash_points=crash_points,
-            )
-            manager = recovery.state.materialize(
-                selector=selector,
-                tracer=tracer,
-                registry=registry,
-                strict=strict,
-                manager_class=cls,
-                wal=wal,
-                checkpoints=checkpoints,
-                checkpoint_every=checkpoint_every,
-            )
+            manager = recovery.manager
             assert isinstance(manager, cls)
+        elif database_factory is None:
+            raise RecoveryError(
+                f"{wal_dir} has no history and no database factory "
+                "was provided"
+            )
         else:
-            if database_factory is None:
-                raise RecoveryError(
-                    f"{wal_dir} has no history and no database factory "
-                    "was provided"
-                )
-            database = database_factory()
-            wal = WriteAheadLog(
-                wal_dir,
-                next_lsn=1,
-                flush_interval=flush_interval,
-                segment_bytes=segment_bytes,
-                registry=registry,
-                tracer=tracer,
-                crash_points=crash_points,
-            )
             manager = cls(
-                database,
-                wal=wal,
-                checkpoints=checkpoints,
-                checkpoint_every=checkpoint_every,
-                selector=selector,
+                database_factory(),
                 root_spec=root_spec,
-                tracer=tracer,
-                registry=registry,
-                strict=strict,
                 root_name=root_name,
+                **options,
             )
+        manager._sink = WriteAheadLog(
+            wal_dir,
+            next_lsn=recovery.last_lsn + 1 if recovery is not None else 1,
+            flush_interval=flush_interval,
+            segment_bytes=segment_bytes,
+            registry=registry,
+            tracer=tracer,
+            crash_points=crash_points,
+        )
+        manager._checkpoints = checkpoints
+        manager.checkpoint_every = checkpoint_every
         # Re-anchor the directory: a checkpoint of the current state
         # (post-recovery, or the fresh initial state) so it is always
         # recoverable from checkpoint + WAL suffix.
@@ -202,9 +159,8 @@ class DurableTransactionManager(TransactionManager):
         if self._sink is None or self._checkpoints is None:
             return None
         self._sink.flush()
-        state = LogicalState.from_manager(self)
         last_lsn = self._sink.last_lsn
-        path = self._checkpoints.write(state.to_dict(), last_lsn)
+        path = self._checkpoints.write(self._state.dump(), last_lsn)
         self._sink.rotate()
         oldest = self._checkpoints.oldest_retained_lsn()
         if oldest is not None:
@@ -245,7 +201,6 @@ class DurableTransactionManager(TransactionManager):
         record = self.record(txn)  # raises ProtocolError on unknown
         if record.terminated or self._sink is None:
             return None
-        record.prepared = dict(data)
-        lsn = self._emit(OP_PREPARE, txn, record.prepared)
+        self._fire(OP_PREPARE, txn, dict(data))
         self.flush()
-        return lsn
+        return self._sink.last_lsn

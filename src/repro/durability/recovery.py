@@ -6,7 +6,7 @@ back — the recovered state must itself be a correct execution prefix.
 Two independent checks run after replay:
 
 1. **Committed-prefix equality** — a separate fold over the raw WAL
-   records (deliberately *not* sharing :meth:`LogicalState.apply`'s
+   records (deliberately *not* sharing :meth:`ProtocolState.apply`'s
    code path) recomputes which transactions are finally committed and
    what the root's world view must be; both must match the recovered
    manager exactly: no committed write lost, no uncommitted write
@@ -14,7 +14,7 @@ Two independent checks run after replay:
 2. **Correctness of the prefix** — the recovered database must satisfy
    the consistency predicate, and the Section-5 verification
    predicates (``verify_parent_based``, ``verify_correctness``) must
-   hold over the resurrected records.
+   hold over the recovered records.
 
 A non-empty violation list means the caller must refuse to serve.
 """
@@ -24,11 +24,12 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any
+from typing import Any, Callable
 
 from ..errors import RecoveryError
 from ..obs.metrics import MetricsRegistry
-from ..protocol.scheduler import TransactionManager, TxnPhase
+from ..protocol.scheduler import TransactionManager
+from ..protocol.state import ProtocolState, TxnPhase, UndoReport
 from .records import (
     OP_ABORT,
     OP_COMMIT,
@@ -38,7 +39,6 @@ from .records import (
     WalRecord,
 )
 from .snapshot import CheckpointStore
-from .state import LogicalState, UndoReport
 from .wal import ScanResult, scan_wal, truncate_torn_tail
 
 
@@ -47,7 +47,7 @@ class RecoveryResult:
     """Everything the recovery pass produced and measured."""
 
     manager: TransactionManager
-    state: LogicalState
+    state: ProtocolState
     checkpoint_lsn: int
     last_lsn: int
     records_replayed: int
@@ -78,6 +78,41 @@ class RecoveryResult:
         }
 
 
+@dataclass
+class Redo:
+    """A WAL directory's newest checkpoint with its log suffix applied."""
+
+    state: ProtocolState
+    scan: ScanResult
+    checkpoint_lsn: int
+    last_lsn: int
+    torn_tail_truncated: bool
+
+    @property
+    def records_replayed(self) -> int:
+        return self.last_lsn - self.checkpoint_lsn
+
+
+def redo(wal_dir: Path) -> Redo:
+    """Load the newest checkpoint and apply the WAL suffix — no undo.
+
+    The torn tail is truncated here, so a record appended afterwards
+    lands on a clean log.
+    """
+    loaded = CheckpointStore(wal_dir).load_newest()
+    if loaded is None:
+        raise RecoveryError(
+            f"no usable checkpoint in {wal_dir} "
+            "(corrupt, or not a WAL directory)"
+        )
+    checkpoint_state, checkpoint_lsn = loaded
+    scan = scan_wal(wal_dir)
+    torn = truncate_torn_tail(scan)
+    state = ProtocolState.load(checkpoint_state)
+    last_lsn = state.redo(scan.records, checkpoint_lsn)
+    return Redo(state, scan, checkpoint_lsn, last_lsn, torn)
+
+
 def recover(
     wal_dir: "Path | str",
     *,
@@ -94,56 +129,50 @@ def recover(
     failures do *not* raise — they are reported in ``violations`` so
     the caller can refuse to serve with full diagnostics.
     """
+    return recover_with(
+        lambda state: TransactionManager(
+            state, strict=strict, registry=registry
+        ),
+        wal_dir,
+        verify=verify,
+        registry=registry,
+    )
+
+
+def recover_with(
+    wrap: Callable[[ProtocolState], TransactionManager],
+    wal_dir: "Path | str",
+    *,
+    verify: bool,
+    registry: MetricsRegistry | None,
+) -> RecoveryResult:
+    """:func:`recover`, with the caller choosing the manager that is
+    put over the recovered state (it is wrapped exactly once)."""
     started = time.perf_counter()
     wal_dir = Path(wal_dir)
     if not wal_dir.is_dir():
         raise RecoveryError(f"no WAL directory at {wal_dir}")
-    checkpoints = CheckpointStore(wal_dir)
-    loaded = checkpoints.load_newest()
-    if loaded is None:
-        raise RecoveryError(
-            f"no usable checkpoint in {wal_dir} "
-            "(corrupt, or not a WAL directory)"
-        )
-    checkpoint_state, checkpoint_lsn = loaded
-    scan = scan_wal(wal_dir)
-    torn = truncate_torn_tail(scan)
-
-    state = LogicalState.from_dict(checkpoint_state)
-    replayed = 0
-    expected = checkpoint_lsn + 1
-    for record in scan.records:
-        if record.lsn <= checkpoint_lsn:
-            continue
-        if record.lsn != expected:
-            raise RecoveryError(
-                f"WAL gap: expected lsn {expected}, found {record.lsn} "
-                f"(checkpoint at {checkpoint_lsn})"
-            )
-        state.apply(record)
-        expected += 1
-        replayed += 1
-    last_lsn = max(checkpoint_lsn, scan.last_lsn)
-
+    done = redo(wal_dir)
+    state = done.state
     undo = state.undo_in_flight()
-    manager = state.materialize(strict=strict, registry=registry)
-
     result = RecoveryResult(
-        manager=manager,
+        manager=wrap(state),
         state=state,
-        checkpoint_lsn=checkpoint_lsn,
-        last_lsn=last_lsn,
-        records_replayed=replayed,
-        torn_tail_truncated=torn,
+        checkpoint_lsn=done.checkpoint_lsn,
+        last_lsn=done.last_lsn,
+        records_replayed=done.records_replayed,
+        torn_tail_truncated=done.torn_tail_truncated,
         undo=undo,
         committed=state.committed_names(),
     )
     if verify:
-        result.violations = verify_recovery(scan, result)
+        result.violations = verify_recovery(done.scan, result)
     result.recovery_ms = (time.perf_counter() - started) * 1000.0
     if registry is not None:
         registry.gauge("recovery.time_ms").set(result.recovery_ms)
-        registry.gauge("recovery.records_replayed").set(replayed)
+        registry.gauge("recovery.records_replayed").set(
+            result.records_replayed
+        )
         registry.counter("recovery.runs").inc()
         if not result.verified:
             registry.counter("recovery.verification_failures").inc()
@@ -172,7 +201,7 @@ def _fold_committed(
     """A minimal second opinion on who committed what.
 
     Scans raw COMMIT/UNDO_COMMIT/ABORT records (ignoring everything
-    :meth:`LogicalState.apply` tracks beyond them) and removes the
+    :meth:`ProtocolState.apply` tracks beyond them) and removes the
     transactions recovery's undo pass declared dead.  Returns the
     final commit order, each survivor's released values, and each
     survivor's parent.
@@ -220,7 +249,7 @@ def _check_committed_prefix(
     replay_floor = records[0].lsn if records else None
     fold_set = set(fold_order)
     for name in list(recovered):
-        txn = state.txns[name]
+        txn = state.records[name]
         if name in fold_set:
             continue
         if (
@@ -272,8 +301,11 @@ def _check_committed_prefix(
         author = version.author
         if author is None:
             continue
-        author_state = state.txns.get(author)
-        if author_state is None or author_state.phase != "committed":
+        author_state = state.records.get(author)
+        if (
+            author_state is None
+            or author_state.phase is not TxnPhase.COMMITTED
+        ):
             violations.append(
                 f"uncommitted write {entity}#{sequence} by {author} "
                 "visible after recovery"
@@ -281,16 +313,16 @@ def _check_committed_prefix(
 
     # Root-view equality: fold the surviving root-level releases in
     # commit order and compare with the recovered manager's world.
-    fold_view = dict(state.initial)
+    fold_view = manager.database.initial_state.as_dict()
     for name in result.committed:
-        parent = fold_parents.get(name) or state.txns[name].parent
+        parent = fold_parents.get(name) or state.records[name].parent
         if parent != state.root:
             continue
         values = fold_released.get(name)
         if values is None:
             # Commit predates the scanned window; trust the
             # checkpointed release log entry instead.
-            for child, released in state.txns[state.root].release_log:
+            for child, released in state.records[state.root].release_log:
                 if child == name:
                     values = dict(released)
                     break

@@ -35,11 +35,10 @@ from typing import Any
 
 from ..errors import RecoveryError
 from ..obs.metrics import MetricsRegistry
+from ..protocol.state import ProtocolState, TxnPhase, TxnRecord
 from .records import OP_COMMIT
-from .snapshot import CheckpointStore
-from .state import LogicalState, TxnState
-from .recovery import RecoveryResult, recover
-from .wal import WriteAheadLog, scan_wal, truncate_torn_tail
+from .recovery import RecoveryResult, recover, redo
+from .wal import WriteAheadLog
 
 _SHARD_DIR = re.compile(r"^shard(\d+)$")
 
@@ -72,59 +71,13 @@ def is_sharded_layout(base_dir: "Path | str") -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _replay_shard(wal_dir: Path) -> tuple[LogicalState, int]:
-    """Checkpoint + WAL-suffix redo for one shard, **without** undo.
-
-    Prepared branches must be judged against what the log *records*,
-    not against what undo would roll back — undo is exactly the step
-    that presumed-abort resolution decides to run or pre-empt.  The
-    torn tail is truncated here so a decision record appended later
-    lands on a clean log.
-    """
-    loaded = CheckpointStore(wal_dir).load_newest()
-    if loaded is None:
-        raise RecoveryError(
-            f"no usable checkpoint in {wal_dir} "
-            "(corrupt, or not a WAL directory)"
-        )
-    checkpoint_state, checkpoint_lsn = loaded
-    scan = scan_wal(wal_dir)
-    truncate_torn_tail(scan)
-    state = LogicalState.from_dict(checkpoint_state)
-    expected = checkpoint_lsn + 1
-    for record in scan.records:
-        if record.lsn <= checkpoint_lsn:
-            continue
-        if record.lsn != expected:
-            raise RecoveryError(
-                f"WAL gap in {wal_dir}: expected lsn {expected}, "
-                f"found {record.lsn}"
-            )
-        state.apply(record)
-        expected += 1
-    return state, max(checkpoint_lsn, scan.last_lsn)
-
-
-def _in_doubt(state: LogicalState) -> list[TxnState]:
+def _in_doubt(state: ProtocolState) -> list[TxnRecord]:
     """Branches that promised to commit but never heard the decision."""
     return [
-        txn
-        for txn in state.txns.values()
-        if txn.prepared is not None and not txn.terminated
+        record
+        for record in state.records.values()
+        if record.prepared is not None and not record.terminated
     ]
-
-
-def _released_values(txn: TxnState) -> dict[str, int]:
-    """What committing ``txn`` releases to its parent.
-
-    Mirrors the live manager's commit: the merged child releases,
-    overlaid with the branch's own final write values.
-    """
-    released = dict(txn.merged_child_writes)
-    released.update(
-        {entity: value for entity, (value, _seq) in txn.writes.items()}
-    )
-    return released
 
 
 def resolve_in_doubt(
@@ -145,15 +98,16 @@ def resolve_in_doubt(
     shards = list_shard_dirs(base_dir)
     if not shards:
         return []
-    replayed: dict[int, tuple[LogicalState, int]] = {
-        index: _replay_shard(path) for index, path in shards
-    }
+    # Redo only: prepared branches must be judged against what the log
+    # *records*, not against what undo would roll back — undo is
+    # exactly the step presumed-abort resolution runs or pre-empts.
+    replayed = {index: redo(path) for index, path in shards}
     resolutions: list[dict[str, Any]] = []
     # Commit decisions grouped per shard so each WAL is appended to
     # once, in lsn order.
-    decided: dict[int, list[TxnState]] = {}
-    for index, (state, _last_lsn) in replayed.items():
-        for txn in _in_doubt(state):
+    decided: dict[int, list[TxnRecord]] = {}
+    for index, shard in replayed.items():
+        for txn in _in_doubt(shard.state):
             promise = txn.prepared or {}
             coordinator = promise.get("coordinator")
             participants = promise.get("participants", {})
@@ -161,10 +115,13 @@ def resolve_in_doubt(
             coordinator_entry = replayed.get(coordinator)
             if coordinator_entry is not None:
                 coordinator_branch = participants.get(str(coordinator))
-                peer = coordinator_entry[0].txns.get(
+                peer = coordinator_entry.state.records.get(
                     coordinator_branch or ""
                 )
-                if peer is not None and peer.phase == "committed":
+                if (
+                    peer is not None
+                    and peer.phase is TxnPhase.COMMITTED
+                ):
                     decision = "commit"
             if decision == "commit":
                 decided.setdefault(index, []).append(txn)
@@ -178,16 +135,16 @@ def resolve_in_doubt(
                 }
             )
     for index, branches in decided.items():
-        _state, last_lsn = replayed[index]
         wal = WriteAheadLog(
-            shard_wal_dir(base_dir, index), next_lsn=last_lsn + 1
+            shard_wal_dir(base_dir, index),
+            next_lsn=replayed[index].last_lsn + 1,
         )
         try:
             for txn in branches:
                 wal.append(
                     OP_COMMIT,
                     txn.name,
-                    {"released": _released_values(txn)},
+                    {"released": txn.released()},
                 )
             wal.flush()
         finally:

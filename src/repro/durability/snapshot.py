@@ -2,7 +2,7 @@
 
 A checkpoint is one JSON file ``checkpoint-{last_lsn:012d}.json``
 holding the full logical state of the manager (see
-:mod:`repro.durability.state`) as of WAL position ``last_lsn``,
+:meth:`repro.protocol.state.ProtocolState.dump`) as of WAL position ``last_lsn``,
 protected by a SHA-256 over the canonical payload.  Publication is the
 classic atomic dance: write to a temp file, fsync it, ``os.replace``
 into place, fsync the directory — a crash at any point leaves either

@@ -9,13 +9,8 @@ from .locks import (
     lock_compatibility_matrix,
 )
 from .reeval import ReevalDecision, figure4_decision
-from .scheduler import (
-    Outcome,
-    StepResult,
-    TransactionManager,
-    TxnPhase,
-    TxnRecord,
-)
+from .scheduler import Outcome, StepResult, TransactionManager
+from .state import ProtocolState, TxnPhase, TxnRecord
 from .validation import (
     BacktrackingSelector,
     DSet,
@@ -34,6 +29,7 @@ __all__ = [
     "LockRequest",
     "LockTable",
     "Outcome",
+    "ProtocolState",
     "ReevalDecision",
     "SatSelector",
     "StepResult",

@@ -183,6 +183,15 @@ class LockTable:
             return ()
         return tuple(entry.queue)
 
+    def writing(self, txn: str) -> list[str]:
+        """Entities ``txn`` holds ``W`` on — its writes in flight (a
+        ``W`` lock lives from ``begin_write`` to ``end_write``)."""
+        return [
+            entity
+            for entity, modes in self._held.get(txn, {}).items()
+            if LockMode.W in modes
+        ]
+
     def locks_of(self, txn: str) -> list[tuple[str, LockMode]]:
         """Every lock a transaction currently holds.
 

@@ -21,6 +21,13 @@ phases of Section 5.1 — definition, validation, execution, termination
   the output condition satisfied on the transaction's world view;
   aborts expunge the transaction's versions and cascade to readers.
 
+Every public call is **decide → record → apply**: the checks, locks,
+D-sets, selection and Figure 4 read the state and touch only volatile
+things (lock table, caches, spans); the outcome is one record, appended
+to the write-ahead log when one is attached; and the record is fired
+through :meth:`repro.protocol.state.ProtocolState.apply`, the only code
+that changes a transaction record or the version store.
+
 The manager is synchronous and single-threaded: blocking is represented
 by ``BLOCKED`` outcomes plus lock-queue drainage on write completion,
 which the discrete-event simulator (:mod:`repro.sim`) turns into
@@ -62,6 +69,9 @@ from .state import (
     OP_UNDO_COMMIT,
     OP_VALIDATE,
     OP_WRITE,
+    ProtocolState,
+    TxnPhase,
+    TxnRecord,
     encode,
     version_ref,
 )
@@ -71,13 +81,6 @@ from .validation import (
     TracedSelector,
     VersionSelector,
 )
-
-
-class TxnPhase(enum.Enum):
-    DEFINED = "defined"
-    VALIDATED = "validated"
-    COMMITTED = "committed"
-    ABORTED = "aborted"
 
 
 class Outcome(enum.Enum):
@@ -108,61 +111,6 @@ class StepResult:
     reason: str | None = None
 
 
-@dataclass(slots=True)
-class TxnRecord:
-    """Bookkeeping for one transaction in the tree."""
-
-    name: str
-    parent: str | None
-    spec: Spec
-    update_set: frozenset[str]
-    phase: TxnPhase = TxnPhase.DEFINED
-    #: Why the transaction aborted (None while live/committed); the
-    #: server reports it for every cascade victim.
-    abort_reason: str | None = None
-    children: list[str] = field(default_factory=list)
-    order_pairs: set[tuple[str, str]] = field(default_factory=set)
-    assigned: dict[str, Version] = field(default_factory=dict)
-    read_items: set[str] = field(default_factory=set)
-    writes: dict[str, Version] = field(default_factory=dict)
-    merged_child_writes: dict[str, int] = field(default_factory=dict)
-    release_log: list[tuple[str, dict[str, int]]] = field(
-        default_factory=list
-    )
-    in_flight_writes: set[str] = field(default_factory=set)
-    child_counter: int = 0
-    did_data_access: bool = False
-    #: The LSN of the COMMIT record (None without a log, or once the
-    #: commit is undone).
-    commit_lsn: int | None = None
-    #: 2PC phase-1 promise: ``{"gid", "participants", "coordinator"}``
-    #: from the PREPARE record, until the decision lands.
-    prepared: dict[str, Any] | None = None
-
-    @property
-    def input_set(self) -> frozenset[str]:
-        return self.spec.input_constraint.entities()
-
-    @property
-    def terminated(self) -> bool:
-        return self.phase in (TxnPhase.COMMITTED, TxnPhase.ABORTED)
-
-    def released(self) -> dict[str, int]:
-        """What committing releases to the parent: the merged child
-        releases, overlaid with the transaction's own final values."""
-        released = dict(self.merged_child_writes)
-        released.update(
-            {item: version.value for item, version in self.writes.items()}
-        )
-        return released
-
-
-def _stamps(record: TxnRecord) -> dict[str, int]:
-    return {
-        item: version.sequence for item, version in record.assigned.items()
-    }
-
-
 def step(method):
     """Mark a public manager call as one protocol step.
 
@@ -178,6 +126,8 @@ def step(method):
             result = method(self, *args, **kwargs)
         finally:
             self._depth -= 1
+            if not self._depth:
+                self._cascade = None  # nothing of it outlives the step
         if not self._depth:
             self._after_step()
         return result
@@ -193,11 +143,11 @@ class TransactionManager:
     _sink: Any = None
     _depth = 0
     #: The innermost running abort's ``(expunged, moved)`` tally.
-    _cascade: "tuple[list[list[Any]], dict[str, dict[str, int]]] | None" = None
+    _cascade: "tuple[list, dict] | None" = None
 
     def __init__(
         self,
-        database: Database,
+        database: "Database | ProtocolState",
         selector: VersionSelector | None = None,
         root_spec: Spec | None = None,
         tracer: Tracer | None = None,
@@ -205,7 +155,19 @@ class TransactionManager:
         strict: bool = False,
         root_name: str | None = None,
     ) -> None:
-        self._db = database
+        """``database`` may instead be an existing :class:`ProtocolState`
+        (recovery hands over the one it rebuilt): the manager serves it
+        as found — root, names and child counters continue, so no name
+        is ever reused — and ``root_spec``/``root_name`` are its own."""
+        state = (
+            database
+            if isinstance(database, ProtocolState)
+            else ProtocolState.fresh(database, root_spec, root_name)
+        )
+        self._state = state
+        self._db = state.database
+        self._records = state.records
+        self._active = state.active
         self._strict = strict
         self._selector: VersionSelector = (
             selector if selector is not None else BacktrackingSelector()
@@ -216,48 +178,12 @@ class TransactionManager:
         self._write_spans: dict[tuple[str, str], object] = {}
         if tracer is not None or registry is not None:
             self._wrap_selector()
-        self._records: dict[str, TxnRecord] = {}
-        #: Non-terminated transaction names in definition order —
-        #: the abort cascade's scan set (the full record table keeps
-        #: every transaction ever defined and only grows).
-        self._active: dict[str, None] = {}
-        # Epoch counters invalidating the fast-path caches: structure
-        # (children/order/aborted set) changes on define and abort;
-        # the version population changes on write and expunge.
-        self._struct_epoch = 0
-        self._version_epoch = 0
+        # Fast-path caches, keyed on the state's epoch counters.
         self._parent_indexes: dict[str, tuple[int, ParentIndex]] = {}
         self._order_cache: dict[str, tuple[int, int, PartialOrder[str]]] = {}
         self._authors_cache: dict[
             str, tuple[int, dict[str | None, list[Version]]]
         ] = {}
-
-        # A custom root label namespaces every transaction name the
-        # manager generates (names are {parent}.{counter} paths) — the
-        # shard router relies on this to keep per-shard managers from
-        # ever colliding on a name.
-        self._root_name = (
-            str(TxnName.root(root_name))
-            if root_name is not None
-            else str(TxnName.root())
-        )
-        root_name = self._root_name
-        spec = (
-            root_spec
-            if root_spec is not None
-            else Spec.invariant(database.constraint)
-        )
-        root = TxnRecord(
-            name=root_name,
-            parent=None,
-            spec=spec,
-            update_set=frozenset(database.schema.names),
-            phase=TxnPhase.VALIDATED,
-        )
-        for entity in database.schema.names:
-            root.assigned[entity] = database.store.initial(entity)
-        self._records[root_name] = root
-        self._active[root_name] = None
 
     # -- observability -------------------------------------------------------
 
@@ -275,14 +201,10 @@ class TransactionManager:
         self._wrap_selector()
 
     def _wrap_selector(self) -> None:
-        if isinstance(self._selector, TracedSelector):
-            self._selector = TracedSelector(
-                self._selector.inner, self._registry, self._tracer
-            )
-        else:
-            self._selector = TracedSelector(
-                self._selector, self._registry, self._tracer
-            )
+        inner = self._selector
+        if isinstance(inner, TracedSelector):
+            inner = inner.inner
+        self._selector = TracedSelector(inner, self._registry, self._tracer)
 
     def _select(
         self,
@@ -298,12 +220,15 @@ class TransactionManager:
 
     # -- step records --------------------------------------------------------
 
-    def _emit(self, op: str, txn: str, data: dict[str, Any]) -> int | None:
-        """Hand one step record to the sink; returns its LSN."""
+    def _fire(self, op: str, txn: str, data: dict[str, Any]) -> None:
+        """Record one decided step, then apply it."""
         sink = self._sink
-        if sink is None:
-            return None
-        return sink.append(op, txn, encode(op, data)).lsn
+        lsn = (
+            sink.append(op, txn, encode(op, data)).lsn
+            if sink is not None
+            else None
+        )
+        self._state.apply(op, txn, data, lsn)
 
     def _after_step(self) -> None:
         """Hook: the outermost step has returned."""
@@ -312,7 +237,12 @@ class TransactionManager:
 
     @property
     def root(self) -> str:
-        return self._root_name
+        return self._state.root
+
+    @property
+    def state(self) -> ProtocolState:
+        """The protocol state this manager decides over."""
+        return self._state
 
     @property
     def database(self) -> Database:
@@ -376,7 +306,8 @@ class TransactionManager:
         one conflict-structure pass per batch.
         """
         cached = self._parent_indexes.get(parent)
-        if cached is not None and cached[0] == self._struct_epoch:
+        epoch = self._state.struct_epoch
+        if cached is not None and cached[0] == epoch:
             return cached[1]
         parent_record = self.record(parent)
         records = self._records
@@ -393,7 +324,7 @@ class TransactionManager:
                 if records[child].phase is TxnPhase.ABORTED
             ],
         )
-        self._parent_indexes[parent] = (self._struct_epoch, index)
+        self._parent_indexes[parent] = (epoch, index)
         return index
 
     def _versions_by_author(
@@ -401,26 +332,14 @@ class TransactionManager:
     ) -> dict[str | None, list[Version]]:
         """All versions of ``item`` grouped by author, creation order."""
         cached = self._authors_cache.get(item)
-        if cached is not None and cached[0] == self._version_epoch:
+        epoch = self._state.version_epoch
+        if cached is not None and cached[0] == epoch:
             return cached[1]
         by_author: dict[str | None, list[Version]] = {}
         for version in self._db.store.versions(item):
             by_author.setdefault(version.author, []).append(version)
-        self._authors_cache[item] = (self._version_epoch, by_author)
+        self._authors_cache[item] = (epoch, by_author)
         return by_author
-
-    def _adopt_record(self, record: TxnRecord) -> None:
-        """Install an externally rebuilt record (recovery only).
-
-        Keeps the live-transaction set and fast-path caches coherent
-        when the durability layer resurrects records it persisted.
-        """
-        self._records[record.name] = record
-        if record.terminated:
-            self._active.pop(record.name, None)
-        else:
-            self._active[record.name] = None
-        self._struct_epoch += 1
 
     def assigned_versions(self, txn: str) -> dict[str, Version]:
         return dict(self.record(txn).assigned)
@@ -452,7 +371,7 @@ class TransactionManager:
         parent_record = self.record(parent)
         if parent_record.terminated:
             raise ProtocolError(f"parent {parent} has terminated")
-        if parent_record.did_data_access:
+        if parent_record.did_data_access or self._locks.writing(parent):
             raise ProtocolError(
                 f"{parent} performs data accesses and so cannot nest "
                 "subtransactions (a transaction does one or the other)"
@@ -502,17 +421,6 @@ class TransactionManager:
                 f"cyclic: {error}"
             ) from error
 
-        parent_record.child_counter += 1
-        parent_record.children.append(name)
-        parent_record.order_pairs = pairs
-        self._records[name] = TxnRecord(
-            name=name,
-            parent=parent,
-            spec=spec,
-            update_set=updates,
-        )
-        self._active[name] = None
-        self._struct_epoch += 1
         if self._tracer.enabled:
             self._tracer.event(
                 "define",
@@ -522,7 +430,7 @@ class TransactionManager:
                 predecessors=sorted(preds),
                 successors=sorted(succs),
             )
-        self._emit(
+        self._fire(
             OP_DEFINE,
             name,
             {
@@ -610,8 +518,6 @@ class TransactionManager:
                 reason="input constraint unsatisfiable",
                 aborted=[name for name in cascade if name != txn],
             )
-        record.assigned = assignment
-        record.phase = TxnPhase.VALIDATED
         if span is not None:
             tracer.end(
                 span,
@@ -621,7 +527,7 @@ class TransactionManager:
                     for item, version in sorted(assignment.items())
                 },
             )
-        self._emit(OP_VALIDATE, txn, {"assigned": assignment})
+        self._fire(OP_VALIDATE, txn, {"assigned": assignment})
         return StepResult(Outcome.OK)
 
     def _compute_d_sets(self, record: TxnRecord) -> dict[str, DSet]:
@@ -715,8 +621,6 @@ class TransactionManager:
             raise LockProtocolError(
                 f"{txn}: no version assigned for {entity}"
             )
-        record.read_items.add(entity)
-        record.did_data_access = True
         if self._tracer.enabled:
             self._tracer.event(
                 "read",
@@ -725,7 +629,7 @@ class TransactionManager:
                 version=str(version),
                 value=version.value,
             )
-        self._emit(
+        self._fire(
             OP_READ, txn, {"entity": entity, "version": version_ref(version)}
         )
         return StepResult(Outcome.OK, value=version.value)
@@ -748,8 +652,6 @@ class TransactionManager:
                 return StepResult(Outcome.BLOCKED, blocked_on=entity)
         outcome = self._locks.request(txn, entity, LockMode.W)
         assert outcome is LockOutcome.GRANTED, "writes never block"
-        record.in_flight_writes.add(entity)
-        record.did_data_access = True
         if self._tracer.enabled:
             self._write_spans[(txn, entity)] = self._tracer.start(
                 "write", txn, entity=entity
@@ -765,13 +667,13 @@ class TransactionManager:
         for every reader the lock release unblocks.
         """
         record = self.record(txn)
-        if entity not in record.in_flight_writes:
+        if not self._locks.holds(txn, entity, LockMode.W):
             raise ProtocolError(f"{txn} has no write in flight on {entity}")
         # Write-ahead: a rejected value is never recorded, and the
         # record carries the stamp the store is about to issue, so any
         # Figure-4 abort/reassign records land after their cause.
         self._db.schema[entity].validate(value)
-        self._emit(
+        self._fire(
             OP_WRITE,
             txn,
             {
@@ -780,10 +682,7 @@ class TransactionManager:
                 "sequence": self._db.store.sequence_watermark,
             },
         )
-        version = self._db.write(entity, value, txn)
-        self._version_epoch += 1
-        record.writes[entity] = version
-        record.in_flight_writes.discard(entity)
+        version = record.writes[entity]
         write_span = self._write_spans.pop((txn, entity), None)
         if write_span is not None:
             self._tracer.end(
@@ -852,34 +751,23 @@ class TransactionManager:
                     decision=decision.value,
                 )
             if decision is ReevalDecision.ABORT:
-                cascade = self.abort(
-                    holder,
-                    reason=(
-                        f"partial-order invalidation: read {entity} "
-                        f"before predecessor {writer} wrote it"
-                    ),
+                reason = (
+                    f"partial-order invalidation: read {entity} "
+                    f"before predecessor {writer} wrote it"
                 )
-                result.aborted.extend(
-                    name
-                    for name in cascade
-                    if name not in result.aborted
-                )
+            elif self._reassign(holder_record, entity, version):
+                result.reassigned.append(holder)
+                continue
             else:
-                if self._reassign(holder_record, entity, version):
-                    result.reassigned.append(holder)
-                else:
-                    cascade = self.abort(
-                        holder,
-                        reason=(
-                            "re-assignment failed: input constraint "
-                            f"unsatisfiable with new {entity} version"
-                        ),
-                    )
-                    result.aborted.extend(
-                        name
-                        for name in cascade
-                        if name not in result.aborted
-                    )
+                reason = (
+                    "re-assignment failed: input constraint "
+                    f"unsatisfiable with new {entity} version"
+                )
+            result.aborted.extend(
+                name
+                for name in self.abort(holder, reason=reason)
+                if name not in result.aborted
+            )
 
     def _reassign(
         self, record: TxnRecord, entity: str, new_version: Version
@@ -900,7 +788,6 @@ class TransactionManager:
         )
         if assignment is None:
             return False
-        record.assigned = assignment
         if self._tracer.enabled:
             self._tracer.event(
                 "reassign",
@@ -908,7 +795,7 @@ class TransactionManager:
                 entity=entity,
                 version=str(new_version),
             )
-        self._emit(OP_REASSIGN, record.name, {"assigned": assignment})
+        self._fire(OP_REASSIGN, record.name, {"assigned": assignment})
         return True
 
     def _strict_visible(self, txn: str, version: Version) -> bool:
@@ -975,7 +862,7 @@ class TransactionManager:
         record = self.record(txn)
         if record.terminated:
             return False, f"already {record.phase.value}"
-        if record.in_flight_writes:
+        if self._locks.writing(txn):
             return False, "write in flight"
         if record.parent is not None:
             index = self._parent_index(record.parent)
@@ -1087,23 +974,14 @@ class TransactionManager:
             if span is not None:
                 tracer.end(span, outcome="failed", reason=reason)
             return StepResult(Outcome.FAILED, reason=reason)
-        record = self.record(txn)
-        # Release this transaction's world (its writes and its
-        # children's merged writes) into the parent's world view.
-        released = record.released()
-        record.phase = TxnPhase.COMMITTED
-        record.prepared = None
-        self._active.pop(txn, None)
-        if record.parent is not None:
-            parent_record = self.record(record.parent)
-            parent_record.release_log.append((txn, released))
-            parent_record.merged_child_writes.update(released)
-        unblocked = self._locks.release_all(txn)
         if span is not None:
             tracer.end(span, outcome="committed")
-        record.commit_lsn = self._emit(
-            OP_COMMIT, txn, {"released": released}
+        # The record releases this transaction's world (its writes and
+        # its children's merged writes) into the parent's world view.
+        self._fire(
+            OP_COMMIT, txn, {"released": self.record(txn).released()}
         )
+        unblocked = self._locks.release_all(txn)
         result = StepResult(Outcome.OK)
         result.unblocked.extend(
             sorted({request.txn for request in unblocked})
@@ -1142,17 +1020,9 @@ class TransactionManager:
                     "no longer relative"
                 ),
             )
-        parent_record.release_log = [
-            entry for entry in parent_record.release_log
-            if entry[0] != txn
-        ]
-        rebuilt: dict[str, int] = {}
-        for __, released in parent_record.release_log:
-            rebuilt.update(released)
-        parent_record.merged_child_writes = rebuilt
-        record.phase = TxnPhase.VALIDATED
-        record.commit_lsn = None
-        self._active[txn] = None
+        if self._tracer.enabled:
+            self._tracer.event("undo-commit", txn)
+        self._fire(OP_UNDO_COMMIT, txn, {})
         # Re-acquire read-side locks so Figure-4 re-evaluation sees the
         # transaction again: a predecessor placed after the undo that
         # writes an item this transaction already *read* must be able
@@ -1164,9 +1034,6 @@ class TransactionManager:
                 txn, item, LockMode.R
             ):
                 self._locks.request(txn, item, LockMode.R)
-        if self._tracer.enabled:
-            self._tracer.event("undo-commit", txn)
-        self._emit(OP_UNDO_COMMIT, txn, {})
         return StepResult(Outcome.OK)
 
     @step
@@ -1179,10 +1046,14 @@ class TransactionManager:
         cascade.  Returns all transaction names aborted, most-derived
         first.
 
-        Every abort in the cascade is a step of its own with its own
-        ABORT record; an enclosing abort's record then repeats the
-        names and expunged versions of the ones it caused, followed by
-        one REASSIGN per survivor whose assignment moved while it ran.
+        A cascade's later decisions read its earlier effects, so each
+        effect — this transaction's own death, a survivor's
+        re-selection — is applied as it is decided, and every abort it
+        causes is a full step with its own records.  What this step
+        *records* comes last and sums the cascade up: one ABORT naming
+        everything that died and was expunged while it ran, then one
+        REASSIGN per survivor whose assignment moved.  Applying them
+        again changes nothing (the log format predates this structure).
         """
         record = self.record(txn)
         if record.phase is TxnPhase.ABORTED:
@@ -1193,67 +1064,40 @@ class TransactionManager:
                 raise ProtocolError(
                     f"{txn} is committed beyond its parent; too late to abort"
                 )
+        apply = self._state.apply
         enclosing = self._cascade
+        # What this abort and the ones it causes expunge, and each
+        # re-selected survivor's assignment stamps from before.
         expunged: list[list[Any]] = []
         moved: dict[str, dict[str, int]] = {}
         self._cascade = (expunged, moved)
-        try:
-            aborted = self._abort_cascade(record, reason, expunged, moved)
-        finally:
-            self._cascade = enclosing
-        rank = {name: i for i, name in enumerate(self._db.schema.names)}
-        expunged.sort(key=lambda ref: (rank[ref[0]], ref[1]))
-        self._emit(
-            OP_ABORT,
-            txn,
-            {"aborted": aborted, "reason": reason, "expunged": expunged},
-        )
-        order = list(self._records).index if moved else None
-        for name in sorted(moved, key=order):
-            survivor = self._records[name]
-            if not survivor.terminated and _stamps(survivor) != moved[name]:
-                self._emit(
-                    OP_REASSIGN, name, {"assigned": survivor.assigned}
-                )
-        if enclosing is not None:
-            enclosing[0].extend(expunged)
-            for name, stamps in moved.items():
-                enclosing[1].setdefault(name, stamps)
-        return aborted
-
-    def _abort_cascade(
-        self,
-        record: TxnRecord,
-        reason: str,
-        expunged: list[list[Any]],
-        moved: dict[str, dict[str, int]],
-    ) -> list[str]:
-        txn = record.name
         aborted: list[str] = []
         for child in list(record.children):
             if not self.record(child).terminated:
                 aborted.extend(self.abort(child, reason=f"parent {txn} aborted"))
         if self._tracer.enabled:
-            for entity in record.in_flight_writes:
+            for entity in self._locks.writing(txn):
                 write_span = self._write_spans.pop((txn, entity), None)
                 if write_span is not None:
                     self._tracer.end(write_span, outcome="aborted")
-        record.phase = TxnPhase.ABORTED
-        record.abort_reason = reason
-        record.in_flight_writes.clear()
-        self._active.pop(txn, None)
-        self._struct_epoch += 1
-        removed = self._db.store.expunge_author(txn)
-        if removed:
-            self._version_epoch += 1
-        expunged.extend([v.entity, v.sequence] for v in removed)
+        store = self._db.store
+        own = [
+            [entity, version.sequence]
+            for entity in record.writes
+            for version in store.versions(entity)
+            if version.author == txn
+        ]
+        apply(
+            OP_ABORT, txn, {"aborted": [txn], "reason": reason, "expunged": own}
+        )
+        expunged.extend(own)
         self._locks.release_all(txn)
         if self._tracer.enabled:
             self._tracer.event(
                 "abort",
                 txn,
                 reason=reason,
-                expunged=len(removed),
+                expunged=len(own),
             )
         aborted.append(txn)
 
@@ -1261,49 +1105,68 @@ class TransactionManager:
         # live transactions can hold a stale assignment — the record
         # table keeps every transaction ever defined, so scanning it
         # here was quadratic over a server's lifetime.
-        dead = {(version.entity, version.sequence) for version in removed}
-        if dead:
-            for other_name in list(self._active):
-                other = self._records[other_name]
-                if other.terminated or other.name == txn:
-                    continue
-                stale_items = [
-                    item
-                    for item, version in other.assigned.items()
-                    if (version.entity, version.sequence) in dead
-                ]
-                if not stale_items:
-                    continue
-                if any(item in other.read_items for item in stale_items):
+        dead = {(entity, sequence) for entity, sequence in own}
+        for other_name in list(self._active) if dead else ():
+            other = self._records[other_name]
+            if other.terminated or other.name == txn:
+                continue
+            stale_items = [
+                item
+                for item, version in other.assigned.items()
+                if (version.entity, version.sequence) in dead
+            ]
+            if not stale_items:
+                continue
+            if any(item in other.read_items for item in stale_items):
+                aborted.extend(
+                    self.abort(
+                        other.name,
+                        reason=f"read a version aborted with {txn}",
+                    )
+                )
+                continue
+            # Re-select without the dead versions.
+            if other.parent is not None and other.phase is TxnPhase.VALIDATED:
+                d_sets = self._compute_d_sets(other)
+                pinned = {
+                    item: other.assigned[item]
+                    for item in other.read_items
+                    if item in other.assigned
+                }
+                assignment = self._select(
+                    other.name, d_sets, other.spec.input_constraint, pinned
+                )
+                if assignment is None:
                     aborted.extend(
                         self.abort(
                             other.name,
-                            reason=f"read a version aborted with {txn}",
+                            reason="no valid versions after cascade",
                         )
                     )
-                    continue
-                # Re-select without the dead versions.
-                if other.parent is not None and other.phase is TxnPhase.VALIDATED:
-                    d_sets = self._compute_d_sets(other)
-                    pinned = {
-                        item: other.assigned[item]
-                        for item in other.read_items
-                        if item in other.assigned
-                    }
-                    assignment = self._select(
-                        other.name, d_sets, other.spec.input_constraint,
-                        pinned,
-                    )
-                    if assignment is None:
-                        aborted.extend(
-                            self.abort(
-                                other.name,
-                                reason="no valid versions after cascade",
-                            )
-                        )
-                    else:
-                        moved.setdefault(other.name, _stamps(other))
-                        other.assigned = assignment
+                else:
+                    moved.setdefault(other.name, other.stamps())
+                    apply(OP_REASSIGN, other.name, {"assigned": assignment})
+        self._cascade = enclosing
+
+        # Entity-major, creation order within an entity.
+        rank = {name: i for i, name in enumerate(self._db.schema.names)}
+        expunged.sort(key=lambda ref: (rank[ref[0]], ref[1]))
+        self._fire(
+            OP_ABORT,
+            txn,
+            {"aborted": aborted, "reason": reason, "expunged": expunged},
+        )
+        records = self._records
+        for name in sorted(moved, key=lambda name: records[name].ordinal):
+            survivor = records[name]
+            if not survivor.terminated and survivor.stamps() != moved[name]:
+                self._fire(
+                    OP_REASSIGN, name, {"assigned": survivor.assigned}
+                )
+        if enclosing is not None:
+            enclosing[0].extend(expunged)
+            for name, stamps in moved.items():
+                enclosing[1].setdefault(name, stamps)
         return aborted
 
     # -- verification (Lemma 4 / Theorem 2) -----------------------------------------

@@ -1,17 +1,42 @@
-"""The records a manager step produces, and their WAL encoding.
+"""The protocol state and its one transition function.
 
-A step's record is ``(op, txn, data)`` with ``data`` holding live
-values (a :class:`Spec`, :class:`Version` objects); :func:`encode`
-turns it into the JSON payload the write-ahead log stores.
+Section 5.1's manager is a transition system over ``(T, P, I, O)``:
+the transaction records (:class:`TxnRecord` — tree, partial order,
+specifications, assignments, reads, writes, relative-commit releases),
+the multi-version store, and the database header.
+:class:`ProtocolState` is that state and :meth:`ProtocolState.apply`
+its **only** mutator: one handler per record kind, fired by the live
+manager once it has decided a step, by ``recover()``, by in-doubt 2PC
+resolution and by a follower replaying the primary's log — the same
+code, so they cannot drift.
+
+A step's record is ``(op, txn, data)`` with ``data`` holding live values
+(a :class:`Spec`, :class:`Version` objects); :func:`encode` /
+:func:`decode` convert to and from the JSON payload the write-ahead log
+stores, and :meth:`ProtocolState.dump` / :meth:`ProtocolState.load` are
+the checkpoint payload.  Recovery is ``load`` the newest checkpoint,
+``apply`` the WAL suffix, then :meth:`ProtocolState.undo_in_flight`
+aborts whatever the crash caught mid-execution, cascading through the
+*recorded* reads-from relation (the phenomenon the RC/ACA/ST hierarchy
+of :mod:`repro.schedules.recovery` classifies).
 """
 
 from __future__ import annotations
 
-from typing import Any
+import enum
+from dataclasses import dataclass, field
+from typing import Any, Iterable
 
-from ..storage.version_store import Version
+from ..core.entities import Domain, Entity, Schema
+from ..core.naming import TxnName
+from ..core.predicates import parse_cached
+from ..core.states import UniqueState
+from ..core.transactions import Spec
+from ..errors import RecoveryError
+from ..storage.database import Database
+from ..storage.version_store import Version, VersionStore
 
-# Logical operation kinds, mirroring the manager's API.
+# Record kinds, mirroring the manager's API.
 OP_DEFINE = "define"
 OP_VALIDATE = "validate"
 OP_REASSIGN = "reassign"
@@ -28,8 +53,109 @@ OP_ABORT = "abort"
 OP_PREPARE = "prepare"
 
 
+class TxnPhase(enum.Enum):
+    DEFINED = "defined"
+    VALIDATED = "validated"
+    COMMITTED = "committed"
+    ABORTED = "aborted"
+
+
+@dataclass(slots=True)
+class TxnRecord:
+    """Bookkeeping for one transaction in the tree."""
+
+    name: str
+    parent: str | None
+    spec: Spec
+    update_set: frozenset[str]
+    phase: TxnPhase = TxnPhase.DEFINED
+    #: Why the transaction aborted (None while live/committed); the
+    #: server reports it for every cascade victim.
+    abort_reason: str | None = None
+    children: list[str] = field(default_factory=list)
+    order_pairs: set[tuple[str, str]] = field(default_factory=set)
+    assigned: dict[str, Version] = field(default_factory=dict)
+    read_items: set[str] = field(default_factory=set)
+    writes: dict[str, Version] = field(default_factory=dict)
+    merged_child_writes: dict[str, int] = field(default_factory=dict)
+    release_log: list[tuple[str, dict[str, int]]] = field(
+        default_factory=list
+    )
+    child_counter: int = 0
+    did_data_access: bool = False
+    #: The LSN of the COMMIT record (None without a log, or once the
+    #: commit is undone).
+    commit_lsn: int | None = None
+    #: 2PC phase-1 promise: ``{"gid", "participants", "coordinator"}``
+    #: from the PREPARE record, until the decision lands.
+    prepared: dict[str, Any] | None = None
+    #: Position in definition order (the record table's order).
+    ordinal: int = 0
+
+    @property
+    def input_set(self) -> frozenset[str]:
+        return self.spec.input_constraint.entities()
+
+    @property
+    def terminated(self) -> bool:
+        return self.phase in (TxnPhase.COMMITTED, TxnPhase.ABORTED)
+
+    def released(self) -> dict[str, int]:
+        """What committing releases to the parent: the merged child
+        releases, overlaid with the transaction's own final values."""
+        released = dict(self.merged_child_writes)
+        released.update(
+            {item: version.value for item, version in self.writes.items()}
+        )
+        return released
+
+    def stamps(self) -> dict[str, int]:
+        """The assignment as ``item -> sequence stamp``."""
+        return {
+            item: version.sequence
+            for item, version in self.assigned.items()
+        }
+
+
+@dataclass
+class UndoReport:
+    """What :meth:`ProtocolState.undo_in_flight` had to roll back."""
+
+    aborted_in_flight: list[str] = field(default_factory=list)
+    cascaded_aborts: list[str] = field(default_factory=list)
+    cascaded_commits: list[str] = field(default_factory=list)
+    expunged_versions: int = 0
+
+    @property
+    def all_dead(self) -> list[str]:
+        return (
+            self.aborted_in_flight
+            + self.cascaded_aborts
+            + self.cascaded_commits
+        )
+
+
+# ---------------------------------------------------------------------------
+# JSON forms: WAL payloads and the checkpoint
+# ---------------------------------------------------------------------------
+
+
 def version_ref(version: Version) -> list[Any]:
     return [version.value, version.author, version.sequence]
+
+
+def _refs(assigned: dict[str, Version]) -> dict[str, list[Any]]:
+    return {item: version_ref(version) for item, version in assigned.items()}
+
+
+def _versions(refs: dict[str, list[Any]]) -> dict[str, Version]:
+    return {item: Version(item, *ref) for item, ref in refs.items()}
+
+
+def _spec(input_text: str, output_text: str) -> Spec:
+    # Replay and followers never evaluate most of these predicates:
+    # the cached parser keeps a DEFINE at two dictionary hits.
+    return Spec(parse_cached(input_text), parse_cached(output_text))
 
 
 def encode(op: str, data: dict[str, Any]) -> dict[str, Any]:
@@ -45,10 +171,491 @@ def encode(op: str, data: dict[str, Any]) -> dict[str, Any]:
             "output_condition": str(spec.output_condition),
         }
     if op == OP_VALIDATE or op == OP_REASSIGN:
-        return {
-            "assigned": {
-                item: version_ref(version)
-                for item, version in sorted(data["assigned"].items())
-            }
-        }
+        return {"assigned": _refs(data["assigned"])}
     return data
+
+
+def decode(op: str, data: dict[str, Any]) -> dict[str, Any]:
+    """Inverse of :func:`encode`: a WAL payload as ``apply`` takes it."""
+    if op == OP_DEFINE:
+        return {
+            "parent": data["parent"],
+            "update_set": frozenset(data["update_set"]),
+            "predecessors": data["predecessors"],
+            "successors": data["successors"],
+            "spec": _spec(
+                data["input_constraint"], data["output_condition"]
+            ),
+        }
+    if op == OP_VALIDATE or op == OP_REASSIGN:
+        return {"assigned": _versions(data["assigned"])}
+    return data
+
+
+def _domain_to_dict(domain: Domain) -> dict[str, Any]:
+    if domain.values is not None:
+        return {"values": sorted(domain.values)}
+    return {"low": domain.low, "high": domain.high}
+
+
+def _domain_from_dict(payload: dict[str, Any]) -> Domain:
+    if "values" in payload:
+        return Domain(values=frozenset(payload["values"]))
+    return Domain(low=payload["low"], high=payload["high"])
+
+
+def _dump_record(record: TxnRecord) -> dict[str, Any]:
+    assigned = _refs(record.assigned)
+    payload = {
+        "name": record.name,
+        "parent": record.parent,
+        "phase": record.phase.value,
+        "update_set": sorted(record.update_set),
+        "input_constraint": str(record.spec.input_constraint),
+        "output_condition": str(record.spec.output_condition),
+        "children": list(record.children),
+        "order_pairs": sorted([a, b] for a, b in record.order_pairs),
+        "child_counter": record.child_counter,
+        "did_data_access": record.did_data_access,
+        "assigned": assigned,
+        "read_items": sorted(record.read_items),
+        # The recorded reads-from relation: reads are pinned, so a read
+        # item's assigned version is the version that was read.
+        "read_versions": {
+            item: assigned[item]
+            for item in sorted(record.read_items)
+            if item in assigned
+        },
+        "writes": {
+            entity: [version.value, version.sequence]
+            for entity, version in record.writes.items()
+        },
+        "release_log": [
+            [child, dict(released)]
+            for child, released in record.release_log
+        ],
+        "merged_child_writes": dict(record.merged_child_writes),
+        # A begun write is volatile (its W lock); the key stays for
+        # readers of the old format.
+        "in_flight_writes": [],
+        "commit_lsn": record.commit_lsn,
+    }
+    if record.prepared is not None:
+        payload["prepared"] = dict(record.prepared)
+    return payload
+
+
+def _load_record(ordinal: int, payload: dict[str, Any]) -> TxnRecord:
+    name = payload["name"]
+    return TxnRecord(
+        name=name,
+        parent=payload["parent"],
+        spec=_spec(payload["input_constraint"], payload["output_condition"]),
+        update_set=frozenset(payload["update_set"]),
+        phase=TxnPhase(payload["phase"]),
+        children=list(payload["children"]),
+        order_pairs={(a, b) for a, b in payload["order_pairs"]},
+        assigned=_versions(payload["assigned"]),
+        read_items=set(payload["read_items"]),
+        writes={
+            entity: Version(entity, value, name, sequence)
+            for entity, (value, sequence) in payload["writes"].items()
+        },
+        merged_child_writes=dict(payload["merged_child_writes"]),
+        release_log=[
+            (child, dict(released))
+            for child, released in payload["release_log"]
+        ],
+        child_counter=payload["child_counter"],
+        did_data_access=payload["did_data_access"],
+        commit_lsn=payload.get("commit_lsn"),
+        prepared=payload.get("prepared"),
+        ordinal=ordinal,
+    )
+
+
+# ---------------------------------------------------------------------------
+# The state
+# ---------------------------------------------------------------------------
+
+
+class ProtocolState:
+    """Records + versions + header, mutated only by :meth:`apply`."""
+
+    def __init__(
+        self, database: Database, root: str, records: dict[str, TxnRecord]
+    ) -> None:
+        self.database = database
+        self.root = root
+        self.records = records
+        #: Index kept by ``apply``: non-terminated names in definition
+        #: order — the abort cascade's scan set (``records`` keeps every
+        #: transaction ever defined and only grows).
+        self.active: dict[str, None] = {
+            name: None
+            for name, record in records.items()
+            if not record.terminated
+        }
+        #: Bumped on define/abort (children, order, aborted set) and on
+        #: write/expunge (version population): the manager's fast-path
+        #: caches key on them.
+        self.struct_epoch = 0
+        self.version_epoch = 0
+
+    @classmethod
+    def fresh(
+        cls,
+        database: Database,
+        root_spec: Spec | None = None,
+        root_name: str | None = None,
+    ) -> "ProtocolState":
+        """The initial state: a validated root over ``t_0``'s versions.
+
+        A custom root label namespaces every transaction name (names
+        are ``{parent}.{counter}`` paths) — the shard router relies on
+        this to keep per-shard managers from ever colliding on a name.
+        """
+        label = () if root_name is None else (root_name,)
+        name = str(TxnName.root(*label))
+        root = TxnRecord(
+            name=name,
+            parent=None,
+            spec=(
+                root_spec
+                if root_spec is not None
+                else Spec.invariant(database.constraint)
+            ),
+            update_set=frozenset(database.schema.names),
+            phase=TxnPhase.VALIDATED,
+            assigned={
+                entity: database.store.initial(entity)
+                for entity in database.schema.names
+            },
+        )
+        return cls(database, name, {name: root})
+
+    # -- the checkpoint payload --------------------------------------------
+
+    def dump(self) -> dict[str, Any]:
+        database = self.database
+        schema = database.schema
+        return {
+            "schema": {
+                name: _domain_to_dict(schema[name].domain)
+                for name in schema.names
+            },
+            "constraint": str(database.constraint),
+            "initial": database.initial_state.as_dict(),
+            "store": database.store.snapshot(),
+            "txns": {
+                name: _dump_record(record)
+                for name, record in self.records.items()
+            },
+            "root": self.root,
+        }
+
+    @classmethod
+    def load(cls, payload: dict[str, Any]) -> "ProtocolState":
+        try:
+            schema = Schema(
+                Entity(name, _domain_from_dict(spec))
+                for name, spec in payload["schema"].items()
+            )
+            database = Database.from_parts(
+                schema,
+                parse_cached(payload["constraint"]),
+                UniqueState(schema, dict(payload["initial"])),
+                VersionStore.from_snapshot(schema, payload["store"]),
+            )
+            records = {
+                name: _load_record(ordinal, txn)
+                for ordinal, (name, txn) in enumerate(
+                    payload["txns"].items()
+                )
+            }
+            return cls(database, payload["root"], records)
+        except (KeyError, TypeError) as error:
+            raise RecoveryError(
+                f"malformed checkpoint state: {error}"
+            ) from None
+
+    # -- the transition function -------------------------------------------
+
+    def apply(
+        self, op: str, txn: str, data: dict[str, Any], lsn: int | None = None
+    ) -> None:
+        """Fire one record.  ``lsn`` is its WAL position, if logged."""
+        _HANDLERS[op](self, txn, data, lsn)
+
+    def apply_record(self, record: Any) -> None:
+        """Fire one WAL record as read back from disk or the wire."""
+        op = record.op
+        self.apply(op, record.txn, decode(op, record.data), record.lsn)
+
+    def redo(self, records: Iterable[Any], after: int) -> int:
+        """Fire the records past LSN ``after``, which must be
+        contiguous; returns the last LSN applied."""
+        for record in records:
+            if record.lsn <= after:
+                continue
+            if record.lsn != after + 1:
+                raise RecoveryError(
+                    f"WAL gap: expected lsn {after + 1}, "
+                    f"found {record.lsn}"
+                )
+            self.apply_record(record)
+            after = record.lsn
+        return after
+
+    def _record(self, name: str) -> TxnRecord:
+        try:
+            return self.records[name]
+        except KeyError:
+            raise RecoveryError(
+                f"record references unknown transaction {name!r}"
+            ) from None
+
+    def _apply_define(self, name, data, lsn) -> None:
+        parent = self._record(data["parent"])
+        if name in self.records:
+            raise RecoveryError(f"duplicate DEFINE for {name}")
+        parent.children.append(name)
+        suffix = int(name.rsplit(".", 1)[1])
+        parent.child_counter = max(parent.child_counter, suffix + 1)
+        parent.order_pairs.update(
+            (pred, name) for pred in data["predecessors"]
+        )
+        parent.order_pairs.update(
+            (name, succ) for succ in data["successors"]
+        )
+        self.records[name] = TxnRecord(
+            name=name,
+            parent=parent.name,
+            spec=data["spec"],
+            update_set=data["update_set"],
+            ordinal=len(self.records),
+        )
+        self.active[name] = None
+        self.struct_epoch += 1
+
+    def _apply_validate(self, txn, data, lsn) -> None:
+        record = self._record(txn)
+        record.assigned = data["assigned"]
+        record.phase = TxnPhase.VALIDATED
+
+    def _apply_reassign(self, txn, data, lsn) -> None:
+        self._record(txn).assigned = data["assigned"]
+
+    def _apply_read(self, txn, data, lsn) -> None:
+        record = self._record(txn)
+        record.read_items.add(data["entity"])
+        record.did_data_access = True
+
+    def _apply_write(self, txn, data, lsn) -> None:
+        record = self._record(txn)
+        store = self.database.store
+        if data["sequence"] != store.sequence_watermark:
+            raise RecoveryError(
+                f"WRITE lsn={lsn} expects sequence {data['sequence']} "
+                f"but the store is at {store.sequence_watermark} — "
+                "non-deterministic replay"
+            )
+        entity = data["entity"]
+        record.writes[entity] = store.write(entity, data["value"], txn)
+        record.did_data_access = True
+        self.version_epoch += 1
+
+    def _apply_prepare(self, txn, data, lsn) -> None:
+        """A 2PC phase-1 promise.  The branch's phase is untouched — a
+        prepared branch that never hears the decision is in doubt, and
+        :meth:`undo_in_flight` aborts it (presumed abort) unless the
+        sharded recovery pass resolved it to commit first."""
+        self._record(txn).prepared = dict(data)
+
+    def _apply_commit(self, txn, data, lsn) -> None:
+        record = self._record(txn)
+        record.phase = TxnPhase.COMMITTED
+        record.commit_lsn = lsn
+        record.prepared = None
+        self.active.pop(txn, None)
+        if record.parent is not None:
+            # Release this transaction's world (its writes and its
+            # children's merged writes) into the parent's world view.
+            parent = self._record(record.parent)
+            released = data["released"]
+            parent.release_log.append((txn, released))
+            parent.merged_child_writes.update(released)
+
+    def _apply_undo_commit(self, txn, data, lsn) -> None:
+        record = self._record(txn)
+        record.phase = TxnPhase.VALIDATED
+        record.commit_lsn = None
+        self.active[txn] = None
+        if record.parent is not None:
+            self._withdraw(self._record(record.parent), {txn})
+
+    def _withdraw(self, parent: TxnRecord, children: set[str]) -> None:
+        """Take ``children``'s releases back out of ``parent``'s world."""
+        parent.release_log = [
+            entry
+            for entry in parent.release_log
+            if entry[0] not in children
+        ]
+        rebuilt: dict[str, int] = {}
+        for __, released in parent.release_log:
+            rebuilt.update(released)
+        parent.merged_child_writes = rebuilt
+
+    def _apply_abort(self, txn, data, lsn) -> None:
+        """Idempotent per name and per version: an enclosing abort's
+        record repeats what the aborts it caused already recorded."""
+        died = False
+        for name in data["aborted"]:
+            record = self._record(name)
+            if record.phase is TxnPhase.ABORTED:
+                continue
+            record.phase = TxnPhase.ABORTED
+            record.abort_reason = data["reason"]
+            record.prepared = None
+            self.active.pop(name, None)
+            died = True
+        if died:
+            self.struct_epoch += 1
+        if self.database.store.expunge(data["expunged"]):
+            self.version_epoch += 1
+
+    # -- undo (recovery only) ----------------------------------------------
+
+    def undo_in_flight(self) -> UndoReport:
+        """Abort everything the crash caught mid-execution, cascading.
+
+        Death spreads three ways and runs to fixpoint:
+
+        * downward — a dead transaction's whole subtree dies (its
+          children's commits were only relative to it);
+        * upward — a dead transaction that had *committed* into a
+          committed parent taints the parent's merged world, so the
+          parent dies too (the cascading-rollback phenomenon);
+        * sideways — any survivor whose *recorded reads-from* edge
+          points at an expunged version dies (RC enforcement: nobody
+          may have read state that no longer exists).
+
+        The dead set is decided first; the undo itself is one ABORT
+        record, applied but never logged (replay re-derives it).
+        """
+        records = self.records
+        store = self.database.store
+        was_committed = {
+            name
+            for name, record in records.items()
+            if record.phase is TxnPhase.COMMITTED
+        }
+        in_flight = {
+            name
+            for name, record in records.items()
+            if name != self.root and not record.terminated
+        }
+        dead: set[str] = set()
+        dead_refs: set[tuple[str, int]] = set()
+        frontier = list(in_flight)
+        while frontier:
+            next_frontier: list[str] = []
+            for name in frontier:
+                if name in dead:
+                    continue
+                dead.add(name)
+                record = records[name]
+                next_frontier.extend(record.children)
+                if (
+                    name in was_committed
+                    and record.parent is not None
+                    and record.parent != self.root
+                    and record.parent in was_committed
+                ):
+                    next_frontier.append(record.parent)
+            frontier = [n for n in next_frontier if n not in dead]
+            if frontier:
+                continue
+            # Sideways: reads-from edges into versions that die with
+            # the current dead set.
+            dead_refs = {
+                (version.entity, version.sequence)
+                for version in store
+                if version.author in dead
+            }
+            for name, record in records.items():
+                if (
+                    name in dead
+                    or name == self.root
+                    or record.phase is TxnPhase.ABORTED
+                ):
+                    continue
+                for item in record.read_items:
+                    version = record.assigned.get(item)
+                    if (
+                        version is not None
+                        and (item, version.sequence) in dead_refs
+                    ):
+                        frontier.append(name)
+                        break
+
+        self.apply(
+            OP_ABORT,
+            self.root,
+            {
+                "aborted": sorted(dead),
+                "reason": "in flight at the crash",
+                "expunged": dead_refs,
+            },
+        )
+        report = UndoReport(expunged_versions=len(dead_refs))
+        for name in sorted(dead):
+            if name in was_committed:
+                report.cascaded_commits.append(name)
+            elif name in in_flight:
+                report.aborted_in_flight.append(name)
+            else:
+                report.cascaded_aborts.append(name)
+
+        # Every surviving parent's world view is what its finally
+        # committed children released.
+        for record in records.values():
+            gone = {
+                child
+                for child, __ in record.release_log
+                if records[child].phase is not TxnPhase.COMMITTED
+            }
+            if gone:
+                self._withdraw(record, gone)
+        return report
+
+    # -- views -------------------------------------------------------------
+
+    def committed_names(self) -> list[str]:
+        """Surviving committed transactions, in commit order."""
+        committed = [
+            record
+            for record in self.records.values()
+            if record.phase is TxnPhase.COMMITTED
+        ]
+        committed.sort(key=lambda record: record.commit_lsn or 0)
+        return [record.name for record in committed]
+
+    def root_view(self) -> dict[str, int]:
+        """The root's world view: initial values + merged releases."""
+        view = self.database.initial_state.as_dict()
+        view.update(self.records[self.root].merged_child_writes)
+        return view
+
+
+_HANDLERS = {
+    OP_DEFINE: ProtocolState._apply_define,
+    OP_VALIDATE: ProtocolState._apply_validate,
+    OP_REASSIGN: ProtocolState._apply_reassign,
+    OP_READ: ProtocolState._apply_read,
+    OP_WRITE: ProtocolState._apply_write,
+    OP_COMMIT: ProtocolState._apply_commit,
+    OP_UNDO_COMMIT: ProtocolState._apply_undo_commit,
+    OP_ABORT: ProtocolState._apply_abort,
+    OP_PREPARE: ProtocolState._apply_prepare,
+}

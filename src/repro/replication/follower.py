@@ -3,9 +3,10 @@
 A follower owns its WAL directory exclusively: shipped records are
 appended **verbatim** (the canonical record encoding is deterministic,
 so the follower's log is byte-identical to the primary's for the
-shipped range) and replayed incrementally through the same
-:class:`~repro.durability.state.LogicalState` redo the recovery path
-uses.  The follower therefore *is* a primary crash image at LSN
+shipped range) and fired, one by one, through the same
+:meth:`~repro.protocol.state.ProtocolState.apply` the primary and the
+recovery path use — a follower holds the protocol state and never a
+manager.  It therefore *is* a primary crash image at LSN
 ``applied_lsn`` at all times — which is exactly why promotion can run
 the stock ``recover --verify`` gate over the follower directory and
 why bounded-stale follower reads are formally correct: the view served
@@ -27,15 +28,16 @@ from pathlib import Path
 from typing import Any, Callable
 
 from ..durability.snapshot import CheckpointStore
-from ..durability.state import LogicalState
 from ..durability.wal import (
     WriteAheadLog,
     list_segments,
     scan_wal,
     truncate_torn_tail,
 )
+from ..errors import RecoveryError
 from ..obs.metrics import MetricsRegistry
 from ..obs.trace import NULL_TRACER, Tracer
+from ..protocol.state import ProtocolState
 from .messages import (
     KIND_RECORDS,
     KIND_SNAPSHOT,
@@ -77,7 +79,7 @@ class FollowerApplier:
         self._tracer = tracer if tracer is not None else NULL_TRACER
         self._clock = clock
         self._wall = wall_clock if wall_clock is not None else time.time
-        self.state: LogicalState | None = None
+        self.state: ProtocolState | None = None
         self.wal: WriteAheadLog | None = None
         self.applied_lsn = 0
         self.primary_durable_lsn = 0
@@ -104,18 +106,11 @@ class FollowerApplier:
         scan = scan_wal(self._dir)
         truncate_torn_tail(scan)
         state_dict, checkpoint_lsn = loaded
-        state = LogicalState.from_dict(state_dict)
-        applied = checkpoint_lsn
-        for record in scan.records:
-            if record.lsn <= checkpoint_lsn:
-                continue
-            if record.lsn != applied + 1:
-                raise ReplicationError(
-                    f"follower log gap: checkpoint {checkpoint_lsn}, "
-                    f"next record {record.lsn}"
-                )
-            state.apply(record)
-            applied = record.lsn
+        state = ProtocolState.load(state_dict)
+        try:
+            applied = state.redo(scan.records, checkpoint_lsn)
+        except RecoveryError as error:
+            raise ReplicationError(f"follower log: {error}") from None
         self.state = state
         self.applied_lsn = applied
         self.primary_durable_lsn = max(
@@ -154,7 +149,7 @@ class FollowerApplier:
         started = self._clock()
         self._wipe()
         self._checkpoints.write(state_dict, last_lsn)
-        self.state = LogicalState.from_dict(state_dict)
+        self.state = ProtocolState.load(state_dict)
         self.applied_lsn = last_lsn
         self.primary_durable_lsn = max(
             self.primary_durable_lsn, last_lsn
@@ -194,7 +189,7 @@ class FollowerApplier:
                     f"ship gap: applied {self.applied_lsn}, "
                     f"received {record.lsn}"
                 )
-            self.state.apply(record)
+            self.state.apply_record(record)
             written = self.wal.append(record.op, record.txn, record.data)
             assert written.lsn == record.lsn
             self.applied_lsn = record.lsn

@@ -39,7 +39,7 @@ import zlib
 from dataclasses import dataclass
 from typing import Any
 
-from ..core.predicates import Clause, Predicate
+from ..core.predicates import Clause, Predicate, parse_cached
 from ..errors import ReproError
 from ..obs.metrics import MetricsRegistry
 from .errors import (
@@ -50,7 +50,7 @@ from .errors import (
     UnknownTransaction,
 )
 from .protocol import Request, error_response, ok_response
-from .session import CommandDispatcher, SessionState, _parse_predicate_cached
+from .session import CommandDispatcher, SessionState
 
 
 #: Phase-2 commit retry budget for shards answering ``BUSY``.
@@ -524,7 +524,7 @@ class ShardRouter:
                 f"parameter {role!r} must be a non-empty string"
             )
         try:
-            return _parse_predicate_cached(text)
+            return parse_cached(text)
         except ReproError as error:
             raise InvalidArgument(
                 f"unparseable {role} predicate {text!r}: {error}"

@@ -35,10 +35,9 @@ from __future__ import annotations
 
 import asyncio
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import Any, Callable
 
-from ..core.predicates import Predicate
+from ..core.predicates import Predicate, parse_cached
 from ..core.transactions import Spec
 from ..errors import (
     PredicateParseError,
@@ -126,18 +125,6 @@ class Command:
 
 
 _REQUIRED = object()
-
-
-@lru_cache(maxsize=4096)
-def _parse_predicate_cached(text: str) -> Predicate:
-    """Parse-once cache for constraint texts.
-
-    Load generators and real clients alike send a small vocabulary of
-    predicate strings over and over (every restart re-defines with the
-    same constraints); :class:`Predicate` is immutable, so sharing the
-    parsed object across transactions and sessions is safe.
-    """
-    return Predicate.parse(text)
 
 
 class CommandDispatcher:
@@ -705,7 +692,7 @@ class CommandDispatcher:
     @staticmethod
     def _parse_predicate(text: str, role: str) -> Predicate:
         try:
-            return _parse_predicate_cached(text)
+            return parse_cached(text)
         except PredicateParseError as error:
             raise InvalidArgument(
                 f"unparseable {role} predicate {text!r}: {error}"
@@ -821,7 +808,7 @@ class CommandDispatcher:
                 command, name, self._lock_waiters, step.blocked_on
             )
         if step.outcome is Outcome.FAILED:
-            self._apply_side_effects(step)
+            self._handle_side_effects(step)
             # A failed validation aborts the transaction inside the
             # scheduler but reports only the *other* cascade victims,
             # so close its lifetime span here (the cascade loop in
@@ -833,7 +820,7 @@ class CommandDispatcher:
                 reason=step.reason,
                 aborted=step.aborted,
             )
-        self._apply_side_effects(step)
+        self._handle_side_effects(step)
         assigned = {
             item: str(version)
             for item, version in sorted(
@@ -852,7 +839,7 @@ class CommandDispatcher:
             return self._park(
                 command, name, self._lock_waiters, step.blocked_on
             )
-        self._apply_side_effects(step)
+        self._handle_side_effects(step)
         return ok_response(command.request_id, value=step.value)
 
     def _op_begin_write(self, command: Command) -> dict[str, Any] | object:
@@ -864,7 +851,7 @@ class CommandDispatcher:
             return self._park(
                 command, name, self._lock_waiters, step.blocked_on
             )
-        self._apply_side_effects(step)
+        self._handle_side_effects(step)
         return ok_response(command.request_id)
 
     def _op_end_write(self, command: Command) -> dict[str, Any]:
@@ -872,7 +859,7 @@ class CommandDispatcher:
         entity = self._str_param(command.params, "entity")
         value = self._int_param(command.params, "value")
         step = self._tm.end_write(name, entity, value)
-        self._apply_side_effects(step)
+        self._handle_side_effects(step)
         return ok_response(
             command.request_id,
             aborted=step.aborted,
@@ -891,7 +878,7 @@ class CommandDispatcher:
                 command, name, self._lock_waiters, begin.blocked_on
             )
         step = self._tm.end_write(name, entity, value)
-        self._apply_side_effects(step)
+        self._handle_side_effects(step)
         return ok_response(
             command.request_id,
             aborted=step.aborted,
@@ -923,7 +910,7 @@ class CommandDispatcher:
         step = self._tm.commit(name)
         self._count("server.txns.committed")
         self._end_txn_span(name, outcome="committed")
-        self._apply_side_effects(step)
+        self._handle_side_effects(step)
         if getattr(self._tm, "strict", False):
             # A commit makes the committer's versions strict-visible;
             # the manager has no lock-queue grant to report for that,
@@ -1289,7 +1276,7 @@ class CommandDispatcher:
             ),
         )
 
-    def _apply_side_effects(self, step: StepResult) -> None:
+    def _handle_side_effects(self, step: StepResult) -> None:
         """Propagate one step's aborted/unblocked lists to parked
         commands and owning sessions (runs inside the dispatcher
         iteration — the single-threaded invariant holds)."""

@@ -210,7 +210,7 @@ class SimulationEngine:
         # The abort may have cascaded to other transactions (readers of
         # our versions) and released waiters — propagate, or their
         # engine instances stay parked forever.
-        self._apply_side_effects(result)
+        self._handle_side_effects(result)
 
     # -- event dispatch ---------------------------------------------------------------
 
@@ -293,7 +293,7 @@ class SimulationEngine:
             self._park(instance, result.blocked_on)
         else:
             self._restart(instance, result.reason)
-        self._apply_side_effects(result)
+        self._handle_side_effects(result)
 
     def _do_read(self, instance: _Instance, step: Read) -> None:
         result = self._scheduler.read(instance.engine_id, step.entity)
@@ -309,7 +309,7 @@ class SimulationEngine:
             self._park(instance, result.blocked_on)
         else:
             self._restart(instance, result.reason)
-        self._apply_side_effects(result)
+        self._handle_side_effects(result)
 
     def _do_write(self, instance: _Instance, step: Write) -> None:
         value = step.resolve(instance.values_read)
@@ -327,7 +327,7 @@ class SimulationEngine:
                 self._park(instance, result.blocked_on)
             else:
                 self._restart(instance, result.reason)
-            self._apply_side_effects(result)
+            self._handle_side_effects(result)
             return
         result = self._scheduler.write(
             instance.engine_id, step.entity, value
@@ -341,7 +341,7 @@ class SimulationEngine:
             self._park(instance, result.blocked_on)
         else:
             self._restart(instance, result.reason)
-        self._apply_side_effects(result)
+        self._handle_side_effects(result)
 
     def _finish_write(self, instance: _Instance) -> None:
         assert instance.write_in_flight is not None
@@ -360,7 +360,7 @@ class SimulationEngine:
                 )
         elif result.status is AccessStatus.ABORTED:
             self._restart(instance, result.reason)
-        self._apply_side_effects(result)
+        self._handle_side_effects(result)
 
     # -- unordered groups (≺SR) --------------------------------------------------
 
@@ -399,7 +399,7 @@ class SimulationEngine:
                     self._group_member_done(
                         instance, delay=self._read_duration
                     )
-                    self._apply_side_effects(result)
+                    self._handle_side_effects(result)
                     return
             else:
                 assert isinstance(access, Write)
@@ -417,7 +417,7 @@ class SimulationEngine:
                                 instance.engine_id, instance.epoch
                             ),
                         )
-                        self._apply_side_effects(result)
+                        self._handle_side_effects(result)
                         return
                 else:
                     result = self._scheduler.write(
@@ -428,13 +428,13 @@ class SimulationEngine:
                         self._group_member_done(
                             instance, delay=access.duration
                         )
-                        self._apply_side_effects(result)
+                        self._handle_side_effects(result)
                         return
             if result.status is AccessStatus.ABORTED:
                 self._restart(instance, result.reason)
-                self._apply_side_effects(result)
+                self._handle_side_effects(result)
                 return
-            self._apply_side_effects(result)  # blocked: try the next
+            self._handle_side_effects(result)  # blocked: try the next
         self._park(instance)  # every remaining member is blocked
 
     def _do_commit(self, instance: _Instance) -> None:
@@ -451,7 +451,7 @@ class SimulationEngine:
             self._park(instance, result.blocked_on)
         else:
             self._restart(instance, result.reason)
-        self._apply_side_effects(result)
+        self._handle_side_effects(result)
 
     # -- parking & side effects ------------------------------------------------------
 
@@ -499,7 +499,7 @@ class SimulationEngine:
             0.0, _Advance(instance.engine_id, instance.epoch)
         )
 
-    def _apply_side_effects(self, result: AccessResult) -> None:
+    def _handle_side_effects(self, result: AccessResult) -> None:
         for victim in result.aborted:
             instance = self._instances.get(victim)
             if instance is None or instance.state in (

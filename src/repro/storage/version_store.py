@@ -158,6 +158,25 @@ class VersionStore:
             history.versions = kept
         return removed
 
+    def expunge(self, refs: Iterable[tuple[str, int]]) -> int:
+        """Remove the versions named as ``(entity, sequence)`` pairs.
+
+        Idempotent — pairs already gone are skipped — and the initial
+        versions go only if named.  Returns how many were removed.
+        """
+        dead: dict[str, set[int]] = {}
+        for entity, sequence in refs:
+            dead.setdefault(entity, set()).add(sequence)
+        removed = 0
+        for entity, sequences in dead.items():
+            history = self._history(entity)
+            kept = [
+                v for v in history.versions if v.sequence not in sequences
+            ]
+            removed += len(history.versions) - len(kept)
+            history.versions = kept
+        return removed
+
     def prune(self, entity: str, keep_last: int) -> int:
         """Drop all but the newest ``keep_last`` versions of an entity.
 

@@ -11,6 +11,8 @@ from repro.durability import DurableTransactionManager
 from repro.protocol.scheduler import Outcome
 from repro.storage.database import Database
 
+from .shadow import attach_shadow
+
 
 def make_database() -> Database:
     schema = Schema(
@@ -56,10 +58,13 @@ def wal_dir(tmp_path):
 
 @pytest.fixture
 def fresh_manager(wal_dir):
+    """A fresh durable manager with replay ≡ live checked after every
+    step (see :mod:`tests.durability.shadow`)."""
     manager, recovery = DurableTransactionManager.open(
         wal_dir, make_database
     )
     assert recovery is None
+    attach_shadow(manager, wal_dir)
     yield manager
     if manager.wal is not None and not manager.wal.closed:
         manager.close()

@@ -6,7 +6,7 @@ functions), as
     PYTHONPATH=src:tools python tests/durability/fixtures/write_parent_wal.py
 
 The directory it leaves is what an old server's disk looks like after a
-kill: two checkpoints, five WAL segments covering every record kind,
+kill: two checkpoints, seven WAL segments covering every record kind,
 one transaction in flight and one 2PC branch in doubt.  ``expected.json``
 is what that commit's ``recover(verify=True)`` and
 ``FollowerApplier.load_existing`` made of it.

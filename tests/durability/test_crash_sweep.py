@@ -6,10 +6,12 @@ lost, no uncommitted write visible — and the recovered state must
 satisfy the consistency predicate (both enforced by the recovery
 pass's own verification, asserted here via ``recovery.verified``).
 
-The one permissible loss is the transaction whose *own* commit append
+The one indeterminate transaction is the one whose *own* commit append
 was still in flight when the crash hit: its client never received an
-acknowledgment.  ``kill`` mode may lose it only to a torn record
-(``wal.mid_record``); ``powerloss`` also to an unflushed one
+acknowledgment, and — a record reaches the log before it is applied —
+the dying manager never saw it commit.  Recovery may find that commit
+in the log and keep it; it is gone only when the record was torn
+(``wal.mid_record``) or, under ``powerloss``, never flushed
 (``wal.before_flush``).
 """
 
@@ -20,10 +22,11 @@ import pytest
 from repro.durability import simulate_crash
 from repro.durability.crashpoints import CRASH_POINTS
 from repro.durability.harness import MODES
+from repro.protocol.state import TxnPhase
 
 from .conftest import make_database, run_leaf
 
-#: Crash points at which the not-yet-acknowledged commit may vanish.
+#: Crash points at which the not-yet-acknowledged commit vanishes.
 LOSS_OK = {
     "kill": {"wal.mid_record"},
     "powerloss": {"wal.mid_record", "wal.before_flush"},
@@ -57,24 +60,27 @@ def sweep_one(tmp_path, crash_point, mode, at_hit=1):
     recovered = set(out.recovery.committed)
     survivors_or_dead = recovered | set(out.recovery.undo.all_dead)
 
-    # No phantom commit: recovery never invents a commit the live
-    # manager had not performed.
-    assert recovered <= pre
-
-    # No committed write lost, except the single unacknowledged one.
-    missing = pre - survivors_or_dead
+    # No phantom commit: beyond what the live manager had performed,
+    # recovery keeps at most the one commit whose record was being
+    # appended when the crash hit — and not even that one where the
+    # record cannot have survived.
+    extra = recovered - pre
     if crash_point in LOSS_OK[mode]:
-        assert len(missing) <= 1, missing
+        assert extra == set(), extra
     else:
-        assert missing == set(), missing
+        assert len(extra) <= 1, extra
+
+    # No committed write lost.
+    missing = pre - survivors_or_dead
+    assert missing == set(), missing
 
     # No uncommitted write visible: every recovered version belongs to
     # a (still-)committed author or is an initial version.
-    txns = out.recovery.state.txns
-    for version in out.recovery.manager.database.store:
+    records = out.recovery.state.records
+    for version in out.recovery.state.database.store:
         if version.author is None:
             continue
-        assert txns[version.author].phase == "committed", version
+        assert records[version.author].phase is TxnPhase.COMMITTED, version
 
     # The recovered world view is the committed prefix's view.
     view = out.recovery.manager.view(out.recovery.manager.root)

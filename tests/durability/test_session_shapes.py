@@ -5,6 +5,9 @@ One test per protocol shape whose derived decisions the WAL must carry
 plus seeded random sessions: every session runs to termination, goes
 through the on-disk JSON records and ``recover(verify=True)``, and the
 recovered manager must hold the same records, versions and views.
+Along the way every session is shadowed: after each step, the first
+checkpoint plus every record so far, applied to a second state, must
+dump equal to the live state (:mod:`tests.durability.shadow`).
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ from repro.durability.wal import scan_wal
 from repro.protocol.scheduler import Outcome, TxnPhase
 
 from .conftest import make_database, spec
+from .shadow import attach_shadow
 
 ENTITIES = ("x", "y", "z")
 
@@ -147,6 +151,7 @@ def test_randomized_sessions_recover_identically(seed):
     with tempfile.TemporaryDirectory(prefix="repro-shapes-") as tmp:
         wal_dir = Path(tmp) / "wal"
         tm, _ = DurableTransactionManager.open(wal_dir, make_database)
+        shadow = attach_shadow(tm, wal_dir)
         live = []
         for __ in range(12):
             reads = rng.sample(ENTITIES, rng.randint(1, 2))
@@ -178,5 +183,6 @@ def test_randomized_sessions_recover_identically(seed):
             if tm.phase(txn) is TxnPhase.VALIDATED:
                 if tm.commit(txn).outcome is not Outcome.OK:
                     tm.abort(txn)
+        assert shadow.steps > 24  # at least define + validate each
         _assert_recovery_rebuilds(tm, wal_dir)
         tm.close()
