@@ -29,7 +29,7 @@ from typing import Any, Callable
 from ..errors import RecoveryError
 from ..obs.metrics import MetricsRegistry
 from ..protocol.scheduler import TransactionManager
-from ..protocol.state import ProtocolState, TxnPhase, UndoReport
+from ..protocol.state import ProtocolState, TxnPhase
 from .records import (
     OP_ABORT,
     OP_COMMIT,
@@ -40,6 +40,24 @@ from .records import (
 )
 from .snapshot import CheckpointStore
 from .wal import ScanResult, scan_wal, truncate_torn_tail
+
+
+@dataclass
+class UndoReport:
+    """What :func:`undo_in_flight` had to roll back."""
+
+    aborted_in_flight: list[str] = field(default_factory=list)
+    cascaded_aborts: list[str] = field(default_factory=list)
+    cascaded_commits: list[str] = field(default_factory=list)
+    expunged_versions: int = 0
+
+    @property
+    def all_dead(self) -> list[str]:
+        return (
+            self.aborted_in_flight
+            + self.cascaded_aborts
+            + self.cascaded_commits
+        )
 
 
 @dataclass
@@ -76,6 +94,101 @@ class RecoveryResult:
             "violations": list(self.violations),
             "recovery_ms": round(self.recovery_ms, 3),
         }
+
+
+def undo_in_flight(state: ProtocolState) -> UndoReport:
+    """Abort everything the crash caught mid-execution, cascading.
+
+    Death spreads three ways and runs to fixpoint:
+
+    * downward — a dead transaction's whole subtree dies (its
+      children's commits were only relative to it);
+    * upward — a dead transaction that had *committed* into a
+      committed parent taints the parent's merged world, so the
+      parent dies too (the cascading-rollback phenomenon);
+    * sideways — any survivor whose *recorded reads-from* edge
+      points at an expunged version dies (RC enforcement: nobody
+      may have read state that no longer exists).
+
+    The dead set is decided first; the undo itself is one ABORT
+    record fired through ``apply`` — which also takes a dead commit's
+    release back out of its parent's world — and never logged (the
+    next recovery re-derives it).
+    """
+    records = state.records
+    store = state.database.store
+    was_committed = {
+        name
+        for name, record in records.items()
+        if record.phase is TxnPhase.COMMITTED
+    }
+    in_flight = {
+        name
+        for name, record in records.items()
+        if name != state.root and not record.terminated
+    }
+    dead: set[str] = set()
+    dead_refs: set[tuple[str, int]] = set()
+    frontier = list(in_flight)
+    while frontier:
+        next_frontier: list[str] = []
+        for name in frontier:
+            if name in dead:
+                continue
+            dead.add(name)
+            record = records[name]
+            next_frontier.extend(record.children)
+            if (
+                name in was_committed
+                and record.parent is not None
+                and record.parent != state.root
+                and record.parent in was_committed
+            ):
+                next_frontier.append(record.parent)
+        frontier = [n for n in next_frontier if n not in dead]
+        if frontier:
+            continue
+        # Sideways: reads-from edges into versions that die with
+        # the current dead set.
+        dead_refs = {
+            (version.entity, version.sequence)
+            for version in store
+            if version.author in dead
+        }
+        for name, record in records.items():
+            if (
+                name in dead
+                or name == state.root
+                or record.phase is TxnPhase.ABORTED
+            ):
+                continue
+            for item in record.read_items:
+                version = record.assigned.get(item)
+                if (
+                    version is not None
+                    and (item, version.sequence) in dead_refs
+                ):
+                    frontier.append(name)
+                    break
+
+    state.apply(
+        OP_ABORT,
+        state.root,
+        {
+            "aborted": sorted(dead),
+            "reason": "in flight at the crash",
+            "expunged": dead_refs,
+        },
+    )
+    report = UndoReport(expunged_versions=len(dead_refs))
+    for name in sorted(dead):
+        if name in was_committed:
+            report.cascaded_commits.append(name)
+        elif name in in_flight:
+            report.aborted_in_flight.append(name)
+        else:
+            report.cascaded_aborts.append(name)
+    return report
 
 
 @dataclass
@@ -154,7 +267,7 @@ def recover_with(
         raise RecoveryError(f"no WAL directory at {wal_dir}")
     done = redo(wal_dir)
     state = done.state
-    undo = state.undo_in_flight()
+    undo = undo_in_flight(state)
     result = RecoveryResult(
         manager=wrap(state),
         state=state,

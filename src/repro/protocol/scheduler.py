@@ -1044,7 +1044,10 @@ class TransactionManager:
         transaction whose assignment referenced an expunged version is
         re-assigned (if it has not read the item) or aborted in
         cascade.  Returns all transaction names aborted, most-derived
-        first.
+        first.  A committed transaction can still be aborted while its
+        commit is only relative to a live, nested parent (its release
+        is withdrawn from the parent's world); once it has committed
+        under the root, or its parent has committed, it is too late.
 
         A cascade's later decisions read its earlier effects, so each
         effect — this transaction's own death, a survivor's
@@ -1059,8 +1062,14 @@ class TransactionManager:
         if record.phase is TxnPhase.ABORTED:
             return []
         if record.phase is TxnPhase.COMMITTED and record.parent is not None:
-            parent_phase = self.record(record.parent).phase
-            if parent_phase is TxnPhase.COMMITTED:
+            parent_record = self.record(record.parent)
+            if parent_record.parent is None:
+                # The durability boundary :meth:`unstable_reads_from`
+                # names: a commit directly under the root was promised.
+                raise ProtocolError(
+                    f"{txn} is committed under the root; too late to abort"
+                )
+            if parent_record.phase is TxnPhase.COMMITTED:
                 raise ProtocolError(
                     f"{txn} is committed beyond its parent; too late to abort"
                 )

@@ -15,10 +15,9 @@ A step's record is ``(op, txn, data)`` with ``data`` holding live values
 :func:`decode` convert to and from the JSON payload the write-ahead log
 stores, and :meth:`ProtocolState.dump` / :meth:`ProtocolState.load` are
 the checkpoint payload.  Recovery is ``load`` the newest checkpoint,
-``apply`` the WAL suffix, then :meth:`ProtocolState.undo_in_flight`
-aborts whatever the crash caught mid-execution, cascading through the
-*recorded* reads-from relation (the phenomenon the RC/ACA/ST hierarchy
-of :mod:`repro.schedules.recovery` classifies).
+``apply`` the WAL suffix, then decide what the crash caught
+mid-execution and ``apply`` one more (unlogged) ABORT — see
+:func:`repro.durability.recovery.undo_in_flight`.
 """
 
 from __future__ import annotations
@@ -115,24 +114,6 @@ class TxnRecord:
             item: version.sequence
             for item, version in self.assigned.items()
         }
-
-
-@dataclass
-class UndoReport:
-    """What :meth:`ProtocolState.undo_in_flight` had to roll back."""
-
-    aborted_in_flight: list[str] = field(default_factory=list)
-    cascaded_aborts: list[str] = field(default_factory=list)
-    cascaded_commits: list[str] = field(default_factory=list)
-    expunged_versions: int = 0
-
-    @property
-    def all_dead(self) -> list[str]:
-        return (
-            self.aborted_in_flight
-            + self.cascaded_aborts
-            + self.cascaded_commits
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -373,11 +354,23 @@ class ProtocolState:
                     payload["txns"].items()
                 )
             }
-            return cls(database, payload["root"], records)
+            state = cls(database, payload["root"], records)
         except (KeyError, TypeError) as error:
             raise RecoveryError(
                 f"malformed checkpoint state: {error}"
             ) from None
+        # A release is logged iff its child is committed.  Checkpoints
+        # from before ``apply`` was the only mutator could keep the
+        # release of a child aborted after its commit: drop those.
+        for record in records.values():
+            gone = {
+                child
+                for child, __ in record.release_log
+                if records[child].phase is not TxnPhase.COMMITTED
+            }
+            if gone:
+                state._withdraw(record, gone)
+        return state
 
     # -- the transition function -------------------------------------------
 
@@ -468,8 +461,8 @@ class ProtocolState:
     def _apply_prepare(self, txn, data, lsn) -> None:
         """A 2PC phase-1 promise.  The branch's phase is untouched — a
         prepared branch that never hears the decision is in doubt, and
-        :meth:`undo_in_flight` aborts it (presumed abort) unless the
-        sharded recovery pass resolved it to commit first."""
+        recovery's undo aborts it (presumed abort) unless the sharded
+        recovery pass resolved it to commit first."""
         self._record(txn).prepared = dict(data)
 
     def _apply_commit(self, txn, data, lsn) -> None:
@@ -508,126 +501,34 @@ class ProtocolState:
 
     def _apply_abort(self, txn, data, lsn) -> None:
         """Idempotent per name and per version: an enclosing abort's
-        record repeats what the aborts it caused already recorded."""
+        record repeats what the aborts it caused already recorded.
+
+        A name that had (relatively) committed takes its release back
+        out of its parent's world, exactly as an undone commit does.
+        """
         died = False
+        withdrawn: dict[str, set[str]] = {}
         for name in data["aborted"]:
             record = self._record(name)
             if record.phase is TxnPhase.ABORTED:
                 continue
+            if (
+                record.phase is TxnPhase.COMMITTED
+                and record.parent is not None
+            ):
+                withdrawn.setdefault(record.parent, set()).add(name)
             record.phase = TxnPhase.ABORTED
             record.abort_reason = data["reason"]
+            record.commit_lsn = None
             record.prepared = None
             self.active.pop(name, None)
             died = True
+        for parent, children in withdrawn.items():
+            self._withdraw(self._record(parent), children)
         if died:
             self.struct_epoch += 1
         if self.database.store.expunge(data["expunged"]):
             self.version_epoch += 1
-
-    # -- undo (recovery only) ----------------------------------------------
-
-    def undo_in_flight(self) -> UndoReport:
-        """Abort everything the crash caught mid-execution, cascading.
-
-        Death spreads three ways and runs to fixpoint:
-
-        * downward — a dead transaction's whole subtree dies (its
-          children's commits were only relative to it);
-        * upward — a dead transaction that had *committed* into a
-          committed parent taints the parent's merged world, so the
-          parent dies too (the cascading-rollback phenomenon);
-        * sideways — any survivor whose *recorded reads-from* edge
-          points at an expunged version dies (RC enforcement: nobody
-          may have read state that no longer exists).
-
-        The dead set is decided first; the undo itself is one ABORT
-        record, applied but never logged (replay re-derives it).
-        """
-        records = self.records
-        store = self.database.store
-        was_committed = {
-            name
-            for name, record in records.items()
-            if record.phase is TxnPhase.COMMITTED
-        }
-        in_flight = {
-            name
-            for name, record in records.items()
-            if name != self.root and not record.terminated
-        }
-        dead: set[str] = set()
-        dead_refs: set[tuple[str, int]] = set()
-        frontier = list(in_flight)
-        while frontier:
-            next_frontier: list[str] = []
-            for name in frontier:
-                if name in dead:
-                    continue
-                dead.add(name)
-                record = records[name]
-                next_frontier.extend(record.children)
-                if (
-                    name in was_committed
-                    and record.parent is not None
-                    and record.parent != self.root
-                    and record.parent in was_committed
-                ):
-                    next_frontier.append(record.parent)
-            frontier = [n for n in next_frontier if n not in dead]
-            if frontier:
-                continue
-            # Sideways: reads-from edges into versions that die with
-            # the current dead set.
-            dead_refs = {
-                (version.entity, version.sequence)
-                for version in store
-                if version.author in dead
-            }
-            for name, record in records.items():
-                if (
-                    name in dead
-                    or name == self.root
-                    or record.phase is TxnPhase.ABORTED
-                ):
-                    continue
-                for item in record.read_items:
-                    version = record.assigned.get(item)
-                    if (
-                        version is not None
-                        and (item, version.sequence) in dead_refs
-                    ):
-                        frontier.append(name)
-                        break
-
-        self.apply(
-            OP_ABORT,
-            self.root,
-            {
-                "aborted": sorted(dead),
-                "reason": "in flight at the crash",
-                "expunged": dead_refs,
-            },
-        )
-        report = UndoReport(expunged_versions=len(dead_refs))
-        for name in sorted(dead):
-            if name in was_committed:
-                report.cascaded_commits.append(name)
-            elif name in in_flight:
-                report.aborted_in_flight.append(name)
-            else:
-                report.cascaded_aborts.append(name)
-
-        # Every surviving parent's world view is what its finally
-        # committed children released.
-        for record in records.values():
-            gone = {
-                child
-                for child, __ in record.release_log
-                if records[child].phase is not TxnPhase.COMMITTED
-            }
-            if gone:
-                self._withdraw(record, gone)
-        return report
 
     # -- views -------------------------------------------------------------
 

@@ -10,6 +10,9 @@ Each test pins one fix from the fuzzer-driven sweep:
   can never reach the manager again;
 * a recursive abort cascade inside ``_resume_all_lock_waiters`` must
   not double-execute a parked command (the stale-snapshot race).
+
+Plus one from the state unification: an abort after an acknowledged
+commit is refused and changes nothing.
 """
 
 from __future__ import annotations
@@ -21,12 +24,17 @@ from collections import Counter
 import pytest
 
 from repro.protocol.scheduler import TransactionManager
-from repro.server import ServerConfig, TransactionServer
+from repro.server import (
+    AsyncClient,
+    RemoteProtocolError,
+    ServerConfig,
+    TransactionServer,
+)
 from repro.server.protocol import Request
 from repro.server.server import ServerThread, _Connection
 from repro.server.session import CommandDispatcher, SessionState
 
-from .conftest import run, tiny_db
+from .conftest import run, serving, tiny_db
 
 
 class CountingManager(TransactionManager):
@@ -232,5 +240,39 @@ def test_recursive_abort_cascade_resumes_each_waiter_once():
 
         await dispatcher.stop()
         await runner
+
+    run(body())
+
+
+# -- abort after an acknowledged commit has one meaning ------------------
+
+
+def test_abort_after_an_acked_commit_is_refused_and_changes_nothing():
+    """The session still owns the name after its commit was acked; an
+    abort then used to expunge the versions and leave the live root
+    view, new readers and recovery with three different answers."""
+    async def body():
+        async with serving() as server:
+            client = await AsyncClient.connect("127.0.0.1", server.port)
+            writer = await client.define(updates=["x"])
+            await client.validate(writer)
+            await client.write(writer, "x", 5)
+            assert (await client.commit(writer))["outcome"] == "committed"
+            reader = await client.define(input_constraint="x >= 0")
+            await client.validate(reader)
+            assert await client.read(reader, "x") == 5
+            assert (await client.commit(reader))["outcome"] == "committed"
+
+            with pytest.raises(RemoteProtocolError, match="under the root"):
+                await client.abort(writer)
+
+            probe = await client.define(input_constraint="x >= 0")
+            await client.validate(probe)
+            assert (await client.view(probe))["x"] == 5
+            assert await client.read(probe, "x") == 5
+            manager = server.manager
+            assert manager.view(manager.root)["x"] == 5
+            assert manager.phase(writer).value == "committed"
+            await client.close()
 
     run(body())
