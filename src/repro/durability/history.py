@@ -23,31 +23,13 @@ from typing import Iterable
 
 from ..schedules.operations import Operation, OpType
 from ..schedules.recovery import CommittedSchedule
-from .records import (
-    OP_ABORT,
-    OP_COMMIT,
-    OP_READ,
-    OP_UNDO_COMMIT,
-    OP_WRITE,
-    WalRecord,
-)
+from .records import OP_READ, OP_WRITE, WalRecord
+from .recovery import fold_committed
 
 
 def _final_committed(records: "list[WalRecord]") -> list[str]:
     """Finally-committed transaction names, in commit (LSN) order."""
-    order: list[str] = []
-    for record in records:
-        if record.op == OP_COMMIT:
-            if record.txn not in order:
-                order.append(record.txn)
-        elif record.op == OP_UNDO_COMMIT:
-            if record.txn in order:
-                order.remove(record.txn)
-        elif record.op == OP_ABORT:
-            for name in record.data["aborted"]:
-                if name in order:
-                    order.remove(name)
-    return order
+    return fold_committed(records, set())[0]
 
 
 def committed_projection(

@@ -24,7 +24,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable
+from typing import Any, Callable, NamedTuple
 
 from ..errors import RecoveryError
 from ..obs.metrics import MetricsRegistry
@@ -191,8 +191,7 @@ def undo_in_flight(state: ProtocolState) -> UndoReport:
     return report
 
 
-@dataclass
-class Redo:
+class Redo(NamedTuple):
     """A WAL directory's newest checkpoint with its log suffix applied."""
 
     state: ProtocolState
@@ -200,10 +199,6 @@ class Redo:
     checkpoint_lsn: int
     last_lsn: int
     torn_tail_truncated: bool
-
-    @property
-    def records_replayed(self) -> int:
-        return self.last_lsn - self.checkpoint_lsn
 
 
 def redo(wal_dir: Path) -> Redo:
@@ -273,7 +268,7 @@ def recover_with(
         state=state,
         checkpoint_lsn=done.checkpoint_lsn,
         last_lsn=done.last_lsn,
-        records_replayed=done.records_replayed,
+        records_replayed=done.last_lsn - done.checkpoint_lsn,
         torn_tail_truncated=done.torn_tail_truncated,
         undo=undo,
         committed=state.committed_names(),
@@ -308,7 +303,7 @@ def verify_recovery(
     return violations
 
 
-def _fold_committed(
+def fold_committed(
     records: list[WalRecord], dead: set[str]
 ) -> tuple[list[str], dict[str, dict[str, int]], dict[str, str]]:
     """A minimal second opinion on who committed what.
@@ -355,7 +350,7 @@ def _check_committed_prefix(
     # below a cleaned-up segment), so the fold is seeded from the
     # checkpoint's committed set minus anything the records or undo
     # pass later retracted.
-    fold_order, fold_released, fold_parents = _fold_committed(
+    fold_order, fold_released, fold_parents = fold_committed(
         records, dead
     )
     recovered = set(result.committed)
@@ -474,14 +469,8 @@ def _check_protocol_predicates(
     manager: TransactionManager,
 ) -> list[str]:
     violations: list[str] = []
-    seen: set[str] = set()
     for record in list(manager.iter_records()):
-        if record.name in seen:
-            continue
-        seen.add(record.name)
-        if not record.children:
-            continue
-        if record.phase is TxnPhase.ABORTED:
+        if not record.children or record.phase is TxnPhase.ABORTED:
             continue
         for violation in manager.verify_parent_based(record.name):
             violations.append(f"parent-based: {violation}")

@@ -35,7 +35,7 @@ from typing import Any
 
 from ..errors import RecoveryError
 from ..obs.metrics import MetricsRegistry
-from ..protocol.state import ProtocolState, TxnPhase, TxnRecord
+from ..protocol.state import TxnPhase, TxnRecord
 from .records import OP_COMMIT
 from .recovery import RecoveryResult, recover, redo
 from .wal import WriteAheadLog
@@ -71,15 +71,6 @@ def is_sharded_layout(base_dir: "Path | str") -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _in_doubt(state: ProtocolState) -> list[TxnRecord]:
-    """Branches that promised to commit but never heard the decision."""
-    return [
-        record
-        for record in state.records.values()
-        if record.prepared is not None and not record.terminated
-    ]
-
-
 def resolve_in_doubt(
     base_dir: "Path | str",
 ) -> list[dict[str, Any]]:
@@ -107,8 +98,11 @@ def resolve_in_doubt(
     # once, in lsn order.
     decided: dict[int, list[TxnRecord]] = {}
     for index, shard in replayed.items():
-        for txn in _in_doubt(shard.state):
-            promise = txn.prepared or {}
+        for txn in shard.state.records.values():
+            # In doubt: promised to commit, never heard the decision.
+            promise = txn.prepared
+            if promise is None or txn.terminated:
+                continue
             coordinator = promise.get("coordinator")
             participants = promise.get("participants", {})
             decision = "abort"

@@ -222,12 +222,9 @@ class TransactionManager:
 
     def _fire(self, op: str, txn: str, data: dict[str, Any]) -> None:
         """Record one decided step, then apply it."""
-        sink = self._sink
-        lsn = (
-            sink.append(op, txn, encode(op, data)).lsn
-            if sink is not None
-            else None
-        )
+        lsn = None
+        if self._sink is not None:
+            lsn = self._sink.append(op, txn, encode(op, data)).lsn
         self._state.apply(op, txn, data, lsn)
 
     def _after_step(self) -> None:
@@ -778,14 +775,7 @@ class TransactionManager:
         has not read the item; items already read stay pinned to the
         versions actually read.
         """
-        d_sets = self._compute_d_sets(record)
-        pinned: dict[str, Version] = {entity: new_version}
-        for item in record.read_items:
-            if item in record.assigned:
-                pinned[item] = record.assigned[item]
-        assignment = self._select(
-            record.name, d_sets, record.spec.input_constraint, pinned
-        )
+        assignment = self._reselect(record, {entity: new_version})
         if assignment is None:
             return False
         if self._tracer.enabled:
@@ -797,6 +787,20 @@ class TransactionManager:
             )
         self._fire(OP_REASSIGN, record.name, {"assigned": assignment})
         return True
+
+    def _reselect(
+        self, record: TxnRecord, pinned: dict[str, Version]
+    ) -> dict[str, Version] | None:
+        """Redo selection over fresh D-sets, reads staying pinned."""
+        for item in record.read_items:
+            if item in record.assigned:
+                pinned[item] = record.assigned[item]
+        return self._select(
+            record.name,
+            self._compute_d_sets(record),
+            record.spec.input_constraint,
+            pinned,
+        )
 
     def _strict_visible(self, txn: str, version: Version) -> bool:
         """Is a version safe to expose to ``txn`` under strict mode?
@@ -1136,15 +1140,7 @@ class TransactionManager:
                 continue
             # Re-select without the dead versions.
             if other.parent is not None and other.phase is TxnPhase.VALIDATED:
-                d_sets = self._compute_d_sets(other)
-                pinned = {
-                    item: other.assigned[item]
-                    for item in other.read_items
-                    if item in other.assigned
-                }
-                assignment = self._select(
-                    other.name, d_sets, other.spec.input_constraint, pinned
-                )
+                assignment = self._reselect(other, {})
                 if assignment is None:
                     aborted.extend(
                         self.abort(
@@ -1158,8 +1154,8 @@ class TransactionManager:
         self._cascade = enclosing
 
         # Entity-major, creation order within an entity.
-        rank = {name: i for i, name in enumerate(self._db.schema.names)}
-        expunged.sort(key=lambda ref: (rank[ref[0]], ref[1]))
+        rank = self._db.schema.names.index
+        expunged.sort(key=lambda ref: (rank(ref[0]), ref[1]))
         self._fire(
             OP_ABORT,
             txn,
