@@ -12,6 +12,10 @@ versus change with the same interpreter:
 ``wal``          segment names + bytes left by the fixed in-process
                  script below
 ``checkpoints``  checkpoint names + bytes left by the same script
+``wire.shardsN`` every reply and event frame's bytes, per connection in
+                 arrival order, from the fixed socket session below
+                 against an in-process durable server at ``shards=N``
+                 (N = 1, 2)
 
     PYTHONPATH=src python tools/digests.py                      # print
     PYTHONPATH=src python tools/digests.py --check tools/digests.json
@@ -25,7 +29,9 @@ public manager surface, so it runs unchanged against an older checkout
 from __future__ import annotations
 
 import argparse
+import asyncio
 import hashlib
+import itertools
 import json
 import random
 import sys
@@ -291,6 +297,198 @@ def disk_digests() -> tuple[str, str]:
         )
 
 
+# ---------------------------------------------------------------------------
+# The fixed socket session
+# ---------------------------------------------------------------------------
+
+#: Two modules whose affinity keys hash to different shards at
+#: ``shards=2`` (``m3`` -> 1, ``m4`` -> 0).
+WIRE_ENTITIES = ("m3_e0", "m3_e1", "m4_e0", "m4_e1")
+
+
+class _Wire:
+    """One raw connection: hand-written request lines out, every
+    received line kept as it arrived (replies and events alike)."""
+
+    def __init__(self, reader, writer) -> None:
+        self._reader = reader
+        self._writer = writer
+        self._ids = itertools.count(1)
+        self._replies: dict[int, dict] = {}
+        self.frames: list[bytes] = []
+
+    @classmethod
+    async def open(cls, port: int) -> "_Wire":
+        return cls(*await asyncio.open_connection("127.0.0.1", port))
+
+    def send(self, op, **params) -> int:
+        request_id = next(self._ids)
+        frame = {"id": request_id, "op": op, **params}
+        self._writer.write(json.dumps(frame).encode() + b"\n")
+        return request_id
+
+    async def reply(self, request_id: int) -> dict:
+        while request_id not in self._replies:
+            line = await self._reader.readline()
+            assert line, "server closed the connection mid-script"
+            self.frames.append(line)
+            frame = json.loads(line)
+            if "id" in frame:
+                self._replies[frame["id"]] = frame
+        return self._replies.pop(request_id)
+
+    async def call(self, op, **params) -> dict:
+        return await self.reply(self.send(op, **params))
+
+    async def txn(self, **define) -> str:
+        """Define and validate one transaction; returns its name."""
+        name = (await self.call("define", **define))["txn"]
+        await self.call("validate", txn=name)
+        return name
+
+    async def close(self) -> None:
+        self._writer.close()
+        await self._writer.wait_closed()
+
+
+async def _wire_session(a: _Wire, b: _Wire) -> None:
+    """The script: one well-formed lifecycle per server path, then one
+    single-fault malformed request per parameter kind.  Every request
+    is answered before the next is sent (but for the parked commit), so
+    each connection's frame order is fixed."""
+    e0, e1, f0, f1 = WIRE_ENTITIES
+    await a.call("hello")
+    await a.call("ping")
+    # Single-shard lifecycle, every data op.
+    t = await a.txn(updates=[e0, e1], input=f"{e0} >= 0", output=f"{e0} >= 2")
+    await a.call("read", txn=t, entity=e0)
+    await a.call("begin_write", txn=t, entity=e0)
+    await a.call("end_write", txn=t, entity=e0, value=2)
+    await a.call("write", txn=t, entity=e1, value=3)
+    await a.call("view", txn=t)
+    await a.call("commit", txn=t)
+    # A nested child committing relative to its parent.
+    parent = await a.txn(updates=[e1])
+    child = await a.txn(updates=[e1], parent=parent)
+    await a.call("write", txn=child, entity=e1, value=4)
+    await a.call("commit", txn=child)
+    await a.call("commit", txn=parent)
+    # Cross-shard lifecycle: branches on both shards, 2PC commit.
+    cross = await a.txn(
+        updates=[e0, f0], input=f"{e0} >= 0 & {f0} >= 0", output=f"{f0} >= 0"
+    )
+    await a.call("read", txn=cross, entity=f0)
+    await a.call("write", txn=cross, entity=e0, value=5)
+    await a.call("write", txn=cross, entity=f0, value=6)
+    await a.call("view", txn=cross)
+    await a.call("commit", txn=cross)
+    # ... and a cross-shard abort.
+    cross = await a.txn(updates=[e1, f1])
+    await a.call("write", txn=cross, entity=f1, value=7)
+    await a.call("abort", txn=cross, reason="changed my mind")
+    # A commit parked on its predecessor, resumed by that commit.
+    first = await a.txn(updates=[f0])
+    second = await b.txn(updates=[f1], predecessors=[first])
+    await b.call("write", txn=second, entity=f1, value=8)
+    parked = b.send("commit", txn=second)
+    await b.call("view", txn=second)  # same queue: the commit is parked
+    await a.call("write", txn=first, entity=f0, value=9)
+    await a.call("commit", txn=first)
+    await b.reply(parked)
+    # A nested cross-shard child: committed branch by branch, no 2PC.
+    parent = await a.txn(updates=[e1, f1])
+    child = await a.txn(updates=[e1, f1], parent=parent)
+    await a.call("write", txn=child, entity=e1, value=10)
+    await a.call("write", txn=child, entity=f1, value=11)
+    await a.call("commit", txn=child)
+    await a.call("commit", txn=parent)
+    # Cascade aborts: b read a's uncommitted write and hears an event,
+    # once as a single-shard reader and once as a cross-shard one.
+    for reader_input in (f"{e0} >= 40", f"{e0} >= 40 & {f0} >= 0"):
+        writer = await a.txn(updates=[e0])
+        await a.call("write", txn=writer, entity=e0, value=50)
+        reader = await b.txn(input=reader_input)
+        await b.call("read", txn=reader, entity=e0)
+        await a.call("abort", txn=writer)
+        await b.call("ping")
+    await b.call("read", txn=reader, entity=f0)  # forgotten by now
+    # Lifecycle failures, single-shard and cross-shard.
+    for also in ("", f" & {f0} >= 0"):
+        doomed = await a.call("define", input=f"{e0} >= 500{also}")
+        await a.call("validate", txn=doomed["txn"])
+        unmet = await a.txn(updates=[e0], output=f"{e0} >= 90{also}")
+        await a.call("commit", txn=unmet)
+    unmet = await a.txn(updates=[e0], output=f"{e0} >= 90")
+    await a.call("commit", txn=unmet)
+    await b.call("read", txn=unmet, entity=e0)  # not the owner
+    await a.call("read", txn="nope", entity=e0)
+    await a.call("read", txn=unmet, entity="nope")
+    await a.call("abort", txn=unmet)
+    # Replication ops (refused by a sharded front) and a direct prepare.
+    await a.call("follower_read")
+    await a.call("follower_read", entity=e0, max_lag_lsn=0)
+    await a.call("repl_status")
+    await a.call("promote")
+    live = await a.txn()
+    await a.call(
+        "prepare", txn=live, gid="g", participants={"0": live}, coordinator=0
+    )
+    await a.call("commit", txn=live)
+    # One malformed request per parameter kind, on a live owned txn.
+    live = await a.txn(updates=[e0])
+    await a.call("bogus")
+    await a.call("validate")
+    await a.call("read", txn=5, entity=e0)
+    await a.call("read", txn=live)
+    await a.call("read", txn=live, entity="")
+    await a.call("write", txn=live, entity=e0, value="7")
+    await a.call("write", txn=live, entity=e0, value=True)
+    await a.call("abort", txn=live, reason=5)
+    await a.call("define", parent=5)
+    await a.call("define", input=5)
+    await a.call("define", output=f"{e0} >=")
+    await a.call("define", updates=e0)
+    await a.call("define", updates=[e0, 5])
+    await a.call("follower_read", entity=5)
+    await a.call("follower_read", max_lag_lsn="1")
+    await a.call("prepare", txn=live, gid="g", participants=[], coordinator=0)
+    await a.call("prepare", txn=live, gid="g", participants={}, coordinator="0")
+    # Last: a sharded front once accepted this and defined a
+    # transaction, which would rename everything after it.
+    await a.call("define", predecessors="ab")
+
+
+async def _wire_frames(shards: int, wal_dir: Path) -> list[bytes]:
+    from repro.core.entities import Domain, Schema
+    from repro.core.predicates import Predicate
+    from repro.server import ServerConfig, TransactionServer
+    from repro.storage.database import Database
+
+    schema = Schema.of(*WIRE_ENTITIES, domain=Domain.interval(0, 100))
+    constraint = Predicate.parse(
+        " & ".join(f"{name} >= 0" for name in WIRE_ENTITIES)
+    )
+    server = TransactionServer(
+        Database(schema, constraint, {name: 1 for name in WIRE_ENTITIES}),
+        ServerConfig(port=0, shards=shards, wal_dir=str(wal_dir)),
+    )
+    await server.start()
+    try:
+        a = await _Wire.open(server.port)
+        b = await _Wire.open(server.port)
+        await _wire_session(a, b)
+        await a.close()
+        await b.close()
+    finally:
+        await server.shutdown()
+    return a.frames + b.frames
+
+
+def wire_frames(shards: int) -> list[bytes]:
+    with tempfile.TemporaryDirectory(prefix="repro-digests-") as tmp:
+        return asyncio.run(_wire_frames(shards, Path(tmp) / "wal"))
+
+
 def compute() -> dict[str, str]:
     wal, checkpoints = disk_digests()
     return {
@@ -298,6 +496,8 @@ def compute() -> dict[str, str]:
         "scenarios": scenario_digest(),
         "wal": wal,
         "checkpoints": checkpoints,
+        "wire.shards1": _sha(wire_frames(1)),
+        "wire.shards2": _sha(wire_frames(2)),
     }
 
 
@@ -308,7 +508,7 @@ def main(argv: "list[str] | None" = None) -> int:
     args = parser.parse_args(argv)
     digests = compute()
     for name, value in digests.items():
-        print(f"{name:12s}{value}")
+        print(f"{name:14s}{value}")
     if args.write:
         Path(args.write).write_text(
             json.dumps(digests, indent=2) + "\n", encoding="utf-8"
