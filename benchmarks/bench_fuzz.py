@@ -55,15 +55,10 @@ def _bench_corpus() -> dict:
     }
 
 
-def _ack_without_commit(self, command):
-    name = self._owned_txn(command)
-    ok, reason = self._tm.can_commit(name)
-    if not ok and "predecessor" in reason:
-        return self._park(command, name, self._commit_waiters, None)
-    if not ok:
-        return ok_response(
-            command.request_id, outcome="failed", reason=reason
-        )
+def _ack_without_commit(self, command, txn):
+    gated = self._commit_gate(command, txn)
+    if gated is not None:
+        return gated
     self._count("server.txns.committed")
     return ok_response(command.request_id, outcome="committed")
 

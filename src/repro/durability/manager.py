@@ -3,8 +3,9 @@
 :class:`DurableTransactionManager` is the in-memory
 :class:`~repro.protocol.scheduler.TransactionManager` with a
 write-ahead log attached as the sink of its step records, plus the
-directory plumbing around it: open/recover, checkpoints, flushes and
-the durable 2PC promise.  The manager itself emits one logical record
+directory plumbing around it: open/recover, checkpoints and the closing
+flush (flushing and the durable 2PC promise need only the sink, so the
+base class has them).  The manager itself emits one logical record
 per state transition (writes ahead of the version they create, aborts
 with their full cascade, re-assignments as they are decided), so
 replay never re-runs selection or Figure-4 logic.
@@ -25,10 +26,9 @@ from ..core.transactions import Spec
 from ..errors import RecoveryError
 from ..obs.metrics import MetricsRegistry
 from ..obs.trace import Tracer
-from ..protocol.scheduler import TransactionManager, step
+from ..protocol.scheduler import TransactionManager
 from ..protocol.validation import VersionSelector
 from .crashpoints import CrashPoints
-from .records import OP_PREPARE
 from .recovery import RecoveryResult, recover_with
 from .snapshot import CheckpointStore
 from .wal import WriteAheadLog, cleanup_segments, list_segments
@@ -131,28 +131,8 @@ class DurableTransactionManager(TransactionManager):
     # -- durability plumbing -----------------------------------------------
 
     @property
-    def wal(self) -> WriteAheadLog | None:
-        return self._sink
-
-    @property
     def checkpoints(self) -> CheckpointStore | None:
         return self._checkpoints
-
-    def commit_lsn_of(self, txn: str) -> int | None:
-        """The WAL LSN of ``txn``'s commit record, if it committed."""
-        record = self._records.get(txn)
-        return record.commit_lsn if record is not None else None
-
-    def maybe_flush(self) -> int:
-        """Group-commit tick: fsync if the flush deadline passed."""
-        if self._sink is None or self._sink.closed:
-            return 0
-        return self._sink.maybe_flush()
-
-    def flush(self) -> int:
-        if self._sink is None or self._sink.closed:
-            return 0
-        return self._sink.flush()
 
     def checkpoint(self) -> "Path | None":
         """Write a checkpoint of the current state and rotate the WAL."""
@@ -184,23 +164,3 @@ class DurableTransactionManager(TransactionManager):
         if checkpoint:
             self.checkpoint()
         self._sink.close()
-
-    # -- the durable 2PC promise -------------------------------------------
-
-    @step
-    def prepare(self, txn: str, data: dict[str, Any]) -> int | None:
-        """Log a durable 2PC phase-1 promise for ``txn``.
-
-        ``data`` must carry ``gid``, ``participants`` (branch names
-        keyed by shard id as strings), and ``coordinator`` (the shard
-        whose branch's commit record is the decision).  The record is
-        fsynced before returning — phase 2 must never start on a
-        promise that only exists in the OS page cache.  Returns the
-        record's LSN (``None`` without a WAL).
-        """
-        record = self.record(txn)  # raises ProtocolError on unknown
-        if record.terminated or self._sink is None:
-            return None
-        self._fire(OP_PREPARE, txn, dict(data))
-        self.flush()
-        return self._sink.last_lsn

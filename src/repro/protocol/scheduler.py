@@ -64,6 +64,7 @@ from .state import (
     OP_ABORT,
     OP_COMMIT,
     OP_DEFINE,
+    OP_PREPARE,
     OP_READ,
     OP_REASSIGN,
     OP_UNDO_COMMIT,
@@ -229,6 +230,33 @@ class TransactionManager:
 
     def _after_step(self) -> None:
         """Hook: the outermost step has returned."""
+
+    # -- the sink, as callers see it -------------------------------------------
+
+    @property
+    def wal(self) -> Any:
+        """The write-ahead log step records go to (``None``: in memory)."""
+        return self._sink
+
+    def commit_lsn_of(self, txn: str) -> int | None:
+        """The WAL LSN of ``txn``'s commit record, if it committed."""
+        record = self._records.get(txn)
+        return record.commit_lsn if record is not None else None
+
+    def maybe_flush(self) -> int:
+        """Group-commit tick: fsync if the flush deadline passed."""
+        if self._sink is None or self._sink.closed:
+            return 0
+        return self._sink.maybe_flush()
+
+    def flush(self) -> int:
+        if self._sink is None or self._sink.closed:
+            return 0
+        return self._sink.flush()
+
+    def close(self, checkpoint: bool = True) -> None:
+        """Shut down; in memory there is nothing to flush or checkpoint
+        (the WAL-backed manager overrides this)."""
 
     # -- accessors -----------------------------------------------------------
 
@@ -860,6 +888,24 @@ class TransactionManager:
         for item, version in record.writes.items():
             base[item] = version.value
         return base
+
+    @step
+    def prepare(self, txn: str, data: dict[str, Any]) -> int | None:
+        """Log a durable 2PC phase-1 promise for ``txn``.
+
+        ``data`` must carry ``gid``, ``participants`` (branch names
+        keyed by shard id as strings), and ``coordinator`` (the shard
+        whose branch's commit record is the decision).  The record is
+        fsynced before returning — phase 2 must never start on a
+        promise that only exists in the OS page cache.  Returns the
+        record's LSN (``None`` without a WAL).
+        """
+        record = self.record(txn)  # raises ProtocolError on unknown
+        if record.terminated or self._sink is None:
+            return None
+        self._fire(OP_PREPARE, txn, dict(data))
+        self.flush()
+        return self._sink.last_lsn
 
     def can_commit(self, txn: str) -> tuple[bool, str]:
         """Check the three commit rules; returns (ok, reason)."""

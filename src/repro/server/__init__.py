@@ -50,7 +50,7 @@ from .loadgen import (
     run_loadgen,
 )
 from .metrics_http import MetricsHTTPServer
-from .protocol import MAX_FRAME_BYTES, OPERATIONS
+from .protocol import MAX_FRAME_BYTES
 from .router import ShardRouter, affinity_key, shard_of
 from .server import ServerConfig, ServerThread, TransactionServer
 from .session import CommandDispatcher, SessionState
@@ -68,7 +68,6 @@ __all__ = [
     "MAX_FRAME_BYTES",
     "MetricsHTTPServer",
     "NotOwner",
-    "OPERATIONS",
     "RemoteAborted",
     "RemoteProtocolError",
     "RequestTimeout",

@@ -41,26 +41,9 @@ from .protocol import (
 )
 
 
-def _token_from_reply(response: dict[str, Any], current: int) -> int:
-    """Advance a session token from a committed reply's ``commit_lsn``."""
-    lsn = response.get("commit_lsn")
-    if isinstance(lsn, int) and not isinstance(lsn, bool):
-        return max(current, lsn)
-    return current
-
-
-def _token_from_error(error: ServerError, current: int) -> int:
-    """Advance the token from an *indeterminate* commit failure.
-
-    A replication-ack timeout means the commit is durable locally; the
-    session has still observed its own write, so the token advances.
-    """
-    details = getattr(error, "details", None) or {}
-    if details.get("indeterminate"):
-        lsn = details.get("commit_lsn")
-        if isinstance(lsn, int) and not isinstance(lsn, bool):
-            return max(current, lsn)
-    return current
+def _commit_lsn(fields: dict[str, Any]) -> int:
+    lsn = fields.get("commit_lsn")
+    return lsn if isinstance(lsn, int) and not isinstance(lsn, bool) else 0
 
 
 def _raise_for_response(response: dict[str, Any]) -> dict[str, Any]:
@@ -74,27 +57,154 @@ def _raise_for_response(response: dict[str, Any]) -> dict[str, Any]:
     )
 
 
-def _define_params(
-    updates: Iterable[str],
-    input_constraint: str,
-    output_condition: str,
-    parent: str | None,
-    predecessors: Iterable[str],
-) -> dict[str, Any]:
-    params: dict[str, Any] = {
-        "updates": list(updates),
-        "input": input_constraint,
-        "output": output_condition,
-    }
-    if parent is not None:
-        params["parent"] = parent
-    predecessors = list(predecessors)
-    if predecessors:
-        params["predecessors"] = predecessors
-    return params
+def _given(**params: Any) -> dict[str, Any]:
+    """The parameters that were actually passed (not ``None``)."""
+    return {key: value for key, value in params.items() if value is not None}
 
 
-class AsyncClient:
+class _Surface:
+    """One method per row of :data:`repro.server.protocol.OPS`.
+
+    Each builds the request's parameters and says how to decode the
+    reply; the transport's ``_invoke(op, params, decode=None,
+    on_error=None)`` sends it and returns ``decode(reply)`` — from
+    :class:`Client` directly, from :class:`AsyncClient` as an awaitable
+    — after handing a :class:`ServerError` to ``on_error`` first.
+    """
+
+    _session_lsn = 0
+
+    @property
+    def session_lsn(self) -> int:
+        """Read-your-writes token: highest acknowledged commit LSN."""
+        return self._session_lsn
+
+    def hello(self) -> Any:
+        return self._invoke("hello", {})
+
+    def ping(self) -> Any:
+        return self._invoke("ping", {}, lambda reply: bool(reply.get("pong")))
+
+    def stats(self) -> Any:
+        return self._invoke("stats", {})
+
+    def define(
+        self,
+        updates: Iterable[str] = (),
+        input_constraint: str = "true",
+        output_condition: str = "true",
+        parent: str | None = None,
+        predecessors: Iterable[str] = (),
+    ) -> Any:
+        params = _given(
+            updates=list(updates),
+            input=input_constraint,
+            output=output_condition,
+            parent=parent,
+            predecessors=list(predecessors) or None,
+        )
+        return self._invoke("define", params, lambda reply: str(reply["txn"]))
+
+    def validate(self, txn: str) -> Any:
+        return self._invoke("validate", {"txn": txn})
+
+    def read(self, txn: str, entity: str) -> Any:
+        return self._invoke(
+            "read",
+            {"txn": txn, "entity": entity},
+            lambda reply: int(reply["value"]),
+        )
+
+    def write(self, txn: str, entity: str, value: int) -> Any:
+        return self._invoke(
+            "write", {"txn": txn, "entity": entity, "value": value}
+        )
+
+    def begin_write(self, txn: str, entity: str) -> Any:
+        return self._invoke("begin_write", {"txn": txn, "entity": entity})
+
+    def end_write(self, txn: str, entity: str, value: int) -> Any:
+        return self._invoke(
+            "end_write", {"txn": txn, "entity": entity, "value": value}
+        )
+
+    def commit(self, txn: str) -> Any:
+        return self._invoke(
+            "commit", {"txn": txn}, self._committed, self._commit_failed
+        )
+
+    def _committed(self, reply: dict[str, Any]) -> dict[str, Any]:
+        self._session_lsn = max(self._session_lsn, _commit_lsn(reply))
+        return reply
+
+    def _commit_failed(self, error: ServerError) -> None:
+        """An *indeterminate* failure (replication-ack timeout) means
+        the commit is durable locally: the session has still observed
+        its own write, so the token advances."""
+        details = getattr(error, "details", None) or {}
+        if details.get("indeterminate"):
+            self._committed(details)
+
+    def prepare(
+        self,
+        txn: str,
+        gid: str,
+        participants: dict[str, str],
+        coordinator: int,
+    ) -> Any:
+        """2PC phase 1 (what a sharded front sends its shards)."""
+        return self._invoke(
+            "prepare",
+            {
+                "txn": txn,
+                "gid": gid,
+                "participants": participants,
+                "coordinator": coordinator,
+            },
+        )
+
+    def abort(self, txn: str, reason: str | None = None) -> Any:
+        return self._invoke("abort", _given(txn=txn, reason=reason))
+
+    def view(self, txn: str) -> Any:
+        return self._invoke(
+            "view", {"txn": txn}, lambda reply: dict(reply["view"])
+        )
+
+    def follower_read(
+        self,
+        entity: str | None = None,
+        *,
+        max_lag_lsn: int | None = None,
+        min_applied_lsn: int | None = None,
+        read_your_writes: bool = True,
+    ) -> Any:
+        """A bounded-stale read off this node's replicated state.
+
+        With ``read_your_writes`` (the default) the session's commit
+        token is sent as ``min_applied_lsn`` when no explicit bound is
+        given, so the view can never predate this session's own acked
+        commits.
+        """
+        if min_applied_lsn is None and read_your_writes:
+            min_applied_lsn = self._session_lsn or None
+        return self._invoke(
+            "follower_read",
+            _given(
+                entity=entity,
+                max_lag_lsn=max_lag_lsn,
+                min_applied_lsn=min_applied_lsn,
+            ),
+        )
+
+    def repl_status(self) -> Any:
+        return self._invoke("repl_status", {})
+
+    def promote(self, listen_port: int | None = None) -> Any:
+        return self._invoke("promote", _given(listen_port=listen_port))
+
+
+class AsyncClient(_Surface):
     """One connection, pipelined requests, background frame router."""
 
     def __init__(
@@ -111,15 +221,9 @@ class AsyncClient:
             asyncio.Queue()
         )
         self._closed = False
-        self._session_lsn = 0
         self._reader_task = asyncio.create_task(
             self._read_loop(), name="repro-client-reader"
         )
-
-    @property
-    def session_lsn(self) -> int:
-        """Read-your-writes token: highest acknowledged commit LSN."""
-        return self._session_lsn
 
     @classmethod
     async def connect(
@@ -199,126 +303,17 @@ class AsyncClient:
         except (ConnectionError, OSError):
             pass
 
-    # -- convenience lifecycle wrappers --------------------------------------
-
-    async def hello(self) -> dict[str, Any]:
-        return await self.request("hello")
-
-    async def ping(self) -> bool:
-        return bool((await self.request("ping")).get("pong"))
-
-    async def stats(self) -> dict[str, Any]:
-        return await self.request("stats")
-
-    async def define(
-        self,
-        updates: Iterable[str] = (),
-        input_constraint: str = "true",
-        output_condition: str = "true",
-        parent: str | None = None,
-        predecessors: Iterable[str] = (),
-    ) -> str:
-        response = await self.request(
-            "define",
-            **_define_params(
-                updates,
-                input_constraint,
-                output_condition,
-                parent,
-                predecessors,
-            ),
-        )
-        return str(response["txn"])
-
-    async def validate(self, txn: str) -> dict[str, Any]:
-        return await self.request("validate", txn=txn)
-
-    async def read(self, txn: str, entity: str) -> int:
-        response = await self.request("read", txn=txn, entity=entity)
-        return int(response["value"])
-
-    async def write(
-        self, txn: str, entity: str, value: int
-    ) -> dict[str, Any]:
-        return await self.request(
-            "write", txn=txn, entity=entity, value=value
-        )
-
-    async def begin_write(self, txn: str, entity: str) -> dict[str, Any]:
-        return await self.request("begin_write", txn=txn, entity=entity)
-
-    async def end_write(
-        self, txn: str, entity: str, value: int
-    ) -> dict[str, Any]:
-        return await self.request(
-            "end_write", txn=txn, entity=entity, value=value
-        )
-
-    async def commit(self, txn: str) -> dict[str, Any]:
+    async def _invoke(self, op, params, decode=None, on_error=None):
         try:
-            response = await self.request("commit", txn=txn)
+            reply = await self.request(op, **params)
         except ServerError as error:
-            self._session_lsn = _token_from_error(
-                error, self._session_lsn
-            )
+            if on_error is not None:
+                on_error(error)
             raise
-        self._session_lsn = _token_from_reply(
-            response, self._session_lsn
-        )
-        return response
-
-    async def abort(
-        self, txn: str, reason: str | None = None
-    ) -> dict[str, Any]:
-        params: dict[str, Any] = {"txn": txn}
-        if reason is not None:
-            params["reason"] = reason
-        return await self.request("abort", **params)
-
-    async def view(self, txn: str) -> dict[str, int]:
-        return dict((await self.request("view", txn=txn))["view"])
-
-    # -- replication ---------------------------------------------------------
-
-    async def follower_read(
-        self,
-        entity: str | None = None,
-        *,
-        max_lag_lsn: int | None = None,
-        min_applied_lsn: int | None = None,
-        read_your_writes: bool = True,
-    ) -> dict[str, Any]:
-        """A bounded-stale read off this node's replicated state.
-
-        With ``read_your_writes`` (the default) the session's commit
-        token is sent as ``min_applied_lsn`` when no explicit bound is
-        given, so the view can never predate this session's own acked
-        commits.
-        """
-        params: dict[str, Any] = {}
-        if entity is not None:
-            params["entity"] = entity
-        if max_lag_lsn is not None:
-            params["max_lag_lsn"] = max_lag_lsn
-        if min_applied_lsn is None and read_your_writes:
-            min_applied_lsn = self._session_lsn or None
-        if min_applied_lsn is not None:
-            params["min_applied_lsn"] = min_applied_lsn
-        return await self.request("follower_read", **params)
-
-    async def repl_status(self) -> dict[str, Any]:
-        return await self.request("repl_status")
-
-    async def promote(
-        self, listen_port: int | None = None
-    ) -> dict[str, Any]:
-        params: dict[str, Any] = {}
-        if listen_port is not None:
-            params["listen_port"] = listen_port
-        return await self.request("promote", **params)
+        return reply if decode is None else decode(reply)
 
 
-class Client:
+class Client(_Surface):
     """Blocking one-request-at-a-time client.
 
     Unsolicited event frames that arrive while waiting for a response
@@ -332,12 +327,6 @@ class Client:
         self._file = sock.makefile("rwb")
         self._ids = itertools.count(1)
         self.events: list[dict[str, Any]] = []
-        self._session_lsn = 0
-
-    @property
-    def session_lsn(self) -> int:
-        """Read-your-writes token: highest acknowledged commit LSN."""
-        return self._session_lsn
 
     @classmethod
     def connect(
@@ -399,13 +388,14 @@ class Client:
     def __exit__(self, *exc_info: object) -> None:
         self.close()
 
-    # -- convenience lifecycle wrappers --------------------------------------
-
-    def hello(self) -> dict[str, Any]:
-        return self.request("hello")
-
-    def ping(self) -> bool:
-        return bool(self.request("ping").get("pong"))
+    def _invoke(self, op, params, decode=None, on_error=None):
+        try:
+            reply = self.request(op, **params)
+        except ServerError as error:
+            if on_error is not None:
+                on_error(error)
+            raise
+        return reply if decode is None else decode(reply)
 
     def poll_events(self) -> list[dict[str, Any]]:
         """Ping to flush queued notifications; return and clear them."""
@@ -413,108 +403,3 @@ class Client:
         drained = list(self.events)
         self.events.clear()
         return drained
-
-    def stats(self) -> dict[str, Any]:
-        return self.request("stats")
-
-    def define(
-        self,
-        updates: Iterable[str] = (),
-        input_constraint: str = "true",
-        output_condition: str = "true",
-        parent: str | None = None,
-        predecessors: Iterable[str] = (),
-    ) -> str:
-        response = self.request(
-            "define",
-            **_define_params(
-                updates,
-                input_constraint,
-                output_condition,
-                parent,
-                predecessors,
-            ),
-        )
-        return str(response["txn"])
-
-    def validate(self, txn: str) -> dict[str, Any]:
-        return self.request("validate", txn=txn)
-
-    def read(self, txn: str, entity: str) -> int:
-        return int(self.request("read", txn=txn, entity=entity)["value"])
-
-    def write(
-        self, txn: str, entity: str, value: int
-    ) -> dict[str, Any]:
-        return self.request("write", txn=txn, entity=entity, value=value)
-
-    def begin_write(self, txn: str, entity: str) -> dict[str, Any]:
-        return self.request("begin_write", txn=txn, entity=entity)
-
-    def end_write(
-        self, txn: str, entity: str, value: int
-    ) -> dict[str, Any]:
-        return self.request(
-            "end_write", txn=txn, entity=entity, value=value
-        )
-
-    def commit(self, txn: str) -> dict[str, Any]:
-        try:
-            response = self.request("commit", txn=txn)
-        except ServerError as error:
-            self._session_lsn = _token_from_error(
-                error, self._session_lsn
-            )
-            raise
-        self._session_lsn = _token_from_reply(
-            response, self._session_lsn
-        )
-        return response
-
-    def abort(
-        self, txn: str, reason: str | None = None
-    ) -> dict[str, Any]:
-        params: dict[str, Any] = {"txn": txn}
-        if reason is not None:
-            params["reason"] = reason
-        return self.request("abort", **params)
-
-    def view(self, txn: str) -> dict[str, int]:
-        return dict(self.request("view", txn=txn)["view"])
-
-    # -- replication ---------------------------------------------------------
-
-    def follower_read(
-        self,
-        entity: str | None = None,
-        *,
-        max_lag_lsn: int | None = None,
-        min_applied_lsn: int | None = None,
-        read_your_writes: bool = True,
-    ) -> dict[str, Any]:
-        """A bounded-stale read off this node's replicated state.
-
-        With ``read_your_writes`` (the default) the session's commit
-        token is sent as ``min_applied_lsn`` when no explicit bound is
-        given, so the view can never predate this session's own acked
-        commits.
-        """
-        params: dict[str, Any] = {}
-        if entity is not None:
-            params["entity"] = entity
-        if max_lag_lsn is not None:
-            params["max_lag_lsn"] = max_lag_lsn
-        if min_applied_lsn is None and read_your_writes:
-            min_applied_lsn = self._session_lsn or None
-        if min_applied_lsn is not None:
-            params["min_applied_lsn"] = min_applied_lsn
-        return self.request("follower_read", **params)
-
-    def repl_status(self) -> dict[str, Any]:
-        return self.request("repl_status")
-
-    def promote(self, listen_port: int | None = None) -> dict[str, Any]:
-        params: dict[str, Any] = {}
-        if listen_port is not None:
-            params["listen_port"] = listen_port
-        return self.request("promote", **params)

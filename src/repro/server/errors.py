@@ -174,21 +174,9 @@ class StaleRead(ServerError):
     code = ErrorCode.FOLLOWER_READ
 
 
+#: Each class above names its own code; the decoder reads it off them.
 _ERROR_CLASSES: dict[ErrorCode, type[ServerError]] = {
-    ErrorCode.MALFORMED: MalformedFrame,
-    ErrorCode.UNKNOWN_OP: UnknownOperation,
-    ErrorCode.BUSY: BusyError,
-    ErrorCode.TIMEOUT: RequestTimeout,
-    ErrorCode.SHUTTING_DOWN: ShuttingDown,
-    ErrorCode.CONFLICT: ConflictingRequest,
-    ErrorCode.NOT_OWNER: NotOwner,
-    ErrorCode.UNKNOWN_TXN: UnknownTransaction,
-    ErrorCode.INVALID_ARG: InvalidArgument,
-    ErrorCode.PROTOCOL: RemoteProtocolError,
-    ErrorCode.ABORTED: RemoteAborted,
-    ErrorCode.INTERNAL: ServerError,
-    ErrorCode.REDIRECT: NotPrimary,
-    ErrorCode.FOLLOWER_READ: StaleRead,
+    cls.code: cls for cls in (ServerError, *ServerError.__subclasses__())
 }
 
 

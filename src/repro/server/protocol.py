@@ -28,40 +28,37 @@ connection:
   by another session's abort or failed re-validation.
 
 The framing layer is deliberately dumb: it validates shape (dict, id,
-op types) and size only.  Everything semantic — op dispatch, parameter
-checking, ownership — lives in :mod:`repro.server.session`.
+op types) and size only.  The *surface* — which operations exist, their
+parameters, who may serve them and how a sharded front routes them — is
+the one table :data:`OPS`, read by the dispatcher
+(:mod:`repro.server.session`), the router (:mod:`repro.server.router`)
+and both clients; :func:`bind` checks a request against it.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, Callable
 
-from .errors import ErrorCode, MalformedFrame, error_payload
+from ..core.predicates import parse_cached
+from ..errors import (
+    PredicateParseError,
+    ProtocolError,
+    ReproError,
+    TransactionAborted,
+)
+from .errors import (
+    ErrorCode,
+    InvalidArgument,
+    MalformedFrame,
+    ServerError,
+    UnknownOperation,
+    error_payload,
+)
 
 MAX_FRAME_BYTES = 64 * 1024
 """Upper bound on one encoded frame, newline included."""
-
-#: The operations the server implements (documented in docs/server.md).
-OPERATIONS = (
-    "hello",
-    "ping",
-    "stats",
-    "define",
-    "validate",
-    "read",
-    "begin_write",
-    "end_write",
-    "write",
-    "commit",
-    "abort",
-    "view",
-    "follower_read",
-    "repl_status",
-    "promote",
-)
-
 
 def encode_frame(payload: dict[str, Any]) -> bytes:
     """Serialize one frame (compact JSON + newline)."""
@@ -137,6 +134,152 @@ def parse_request(frame: dict[str, Any]) -> Request:
     return Request(request_id, op, params)
 
 
+# -- the op table ------------------------------------------------------------
+
+REQUIRED = object()
+"""Default of a parameter the request must carry."""
+
+
+def _is_int(value: Any) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+#: Parameter kind -> (check, "must be ..." wording).  ``predicate`` is
+#: a ``name`` that :func:`bind` additionally parses.
+_KINDS: dict[str, tuple[Callable[[Any], bool], str]] = {
+    "name": (lambda v: isinstance(v, str) and bool(v), "a non-empty string"),
+    "text": (lambda v: isinstance(v, str), "a string"),
+    "int": (_is_int, "an integer"),
+    "names": (
+        lambda v: isinstance(v, list) and all(isinstance(i, str) for i in v),
+        "a list of strings",
+    ),
+    "map": (lambda v: isinstance(v, dict), "a shard->branch map"),
+}
+_KINDS["predicate"] = _KINDS["name"]
+
+
+@dataclass(frozen=True)
+class Param:
+    """One request parameter: wire name, kind, and what an absent one
+    binds to (``None`` also lets an explicit ``null`` through)."""
+
+    name: str
+    kind: str = "name"
+    default: Any = REQUIRED
+
+
+#: How a sharded front routes an op.  The three transaction-scoped
+#: routes all follow the ``txn`` name's root to its shard; they differ
+#: in what a *cross-shard* transaction does with the op.
+ROUTE_FRONT = "front"  # answered by the front itself
+ROUTE_FOOTPRINT = "footprint"  # define: by the declared footprint
+ROUTE_ENTITY = "entity"  # the branch on the entity's shard
+ROUTE_BRANCHES = "branches"  # fanned out over every branch
+ROUTE_ROOT = "root"  # single-shard transactions only
+ROUTE_REFUSED = "refused"  # not served by a sharded front
+
+
+@dataclass(frozen=True)
+class Op:
+    """One row of the service surface."""
+
+    params: tuple[Param, ...] = ()
+    #: Mutates (or reads uncommitted) manager state: primary only.
+    primary: bool = False
+    route: str = ROUTE_FRONT
+
+    @property
+    def txn_scoped(self) -> bool:
+        """Does the op drive one transaction its session must own?"""
+        return self.route in (ROUTE_ENTITY, ROUTE_BRANCHES, ROUTE_ROOT)
+
+
+_TXN = Param("txn")
+_ENTITY = Param("entity")
+_VALUE = Param("value", "int")
+
+OPS: dict[str, Op] = {
+    "hello": Op(),
+    "ping": Op(),
+    "stats": Op(),
+    "define": Op(
+        (
+            Param("updates", "names", ()),
+            Param("input", "predicate", "true"),
+            Param("output", "predicate", "true"),
+            Param("parent", "text", None),
+            Param("predecessors", "names", ()),
+        ),
+        primary=True,
+        route=ROUTE_FOOTPRINT,
+    ),
+    "validate": Op((_TXN,), True, ROUTE_BRANCHES),
+    "read": Op((_TXN, _ENTITY), True, ROUTE_ENTITY),
+    "begin_write": Op((_TXN, _ENTITY), True, ROUTE_ENTITY),
+    "end_write": Op((_TXN, _ENTITY, _VALUE), True, ROUTE_ENTITY),
+    "write": Op((_TXN, _ENTITY, _VALUE), True, ROUTE_ENTITY),
+    "commit": Op((_TXN,), True, ROUTE_BRANCHES),
+    "prepare": Op(
+        (
+            _TXN,
+            Param("gid"),
+            Param("participants", "map"),
+            Param("coordinator", "int"),
+        ),
+        True,
+        ROUTE_ROOT,
+    ),
+    "abort": Op((_TXN, Param("reason", "text", None)), True, ROUTE_BRANCHES),
+    "view": Op((_TXN,), True, ROUTE_BRANCHES),
+    "follower_read": Op(
+        (
+            Param("entity", "name", None),
+            Param("max_lag_lsn", "int", None),
+            Param("min_applied_lsn", "int", None),
+        ),
+        route=ROUTE_REFUSED,
+    ),
+    "repl_status": Op(route=ROUTE_REFUSED),
+    "promote": Op((Param("listen_port", "int", None),), route=ROUTE_REFUSED),
+}
+"""The service surface (documented row for row in docs/server.md)."""
+
+
+def bind(op: str, params: dict[str, Any]) -> dict[str, Any]:
+    """Check one request against :data:`OPS`; return its typed values.
+
+    Every declared parameter comes back — defaults filled in, predicate
+    texts parsed — keyed by name; undeclared keys are ignored.  Raises
+    ``UNKNOWN_OP`` for an op outside the table and ``INVALID_ARG`` for a
+    missing, mistyped or unparseable parameter.
+    """
+    spec = OPS.get(op)
+    if spec is None:
+        raise UnknownOperation(f"unknown operation {op!r}")
+    bound: dict[str, Any] = {}
+    for param in spec.params:
+        key = param.name
+        value = params.get(key, param.default)
+        if value is REQUIRED:
+            raise InvalidArgument(f"missing required parameter {key!r}")
+        check, wording = _KINDS[param.kind]
+        if value is not param.default and not check(value):
+            message = f"parameter {key!r} must be {wording}"
+            if param.kind == "int" and param.default is REQUIRED:
+                message += f", got {value!r}"
+            raise InvalidArgument(message)
+        if param.kind == "predicate":
+            try:
+                value = parse_cached(value)
+            except PredicateParseError as error:
+                raise InvalidArgument(
+                    f"unparseable {key} predicate {value!r}: {error}"
+                ) from error
+        bound[key] = value
+    return bound
+
+
 def ok_response(request_id: int, **fields: Any) -> dict[str, Any]:
     """A success response frame."""
     return {"id": request_id, "ok": True, **fields}
@@ -158,6 +301,25 @@ def error_response(
         "ok": False,
         "error": error_payload(code, message, **details),
     }
+
+
+def error_reply(request_id: int, error: Exception) -> dict[str, Any]:
+    """The failure response for whatever serving a request raised —
+    the fault barrier of the dispatcher and the router alike."""
+    if isinstance(error, ServerError):
+        return error_response(
+            request_id, error.code, str(error), **error.details
+        )
+    for kind, code in (
+        (TransactionAborted, ErrorCode.ABORTED),
+        (ProtocolError, ErrorCode.PROTOCOL),
+        (ReproError, ErrorCode.INVALID_ARG),
+    ):
+        if isinstance(error, kind):
+            return error_response(request_id, code, str(error))
+    return error_response(
+        request_id, ErrorCode.INTERNAL, f"{type(error).__name__}: {error}"
+    )
 
 
 def event_frame(event: str, **fields: Any) -> dict[str, Any]:

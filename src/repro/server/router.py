@@ -35,21 +35,30 @@ an affinity key.  The affinity hash makes that the natural layout.
 from __future__ import annotations
 
 import asyncio
+import itertools
 import zlib
 from dataclasses import dataclass
 from typing import Any
 
-from ..core.predicates import Clause, Predicate, parse_cached
-from ..errors import ReproError
+from ..core.predicates import Clause, Predicate
 from ..obs.metrics import MetricsRegistry
 from .errors import (
     ErrorCode,
     InvalidArgument,
     NotOwner,
-    ServerError,
     UnknownTransaction,
 )
-from .protocol import Request, error_response, ok_response
+from .protocol import (
+    OPS,
+    ROUTE_ENTITY,
+    ROUTE_REFUSED,
+    ROUTE_ROOT,
+    Request,
+    bind,
+    error_reply,
+    error_response,
+    ok_response,
+)
 from .session import CommandDispatcher, SessionState
 
 
@@ -208,13 +217,9 @@ class ShardRouter:
     def _txn_shard(self, name: str) -> int:
         """Shard index off a branch name's root component (``sh2.…``)."""
         head = name.split(".", 1)[0]
-        if head.startswith("sh"):
-            try:
-                index = int(head[2:])
-            except ValueError:
-                index = -1
-            if 0 <= index < len(self._dispatchers):
-                return index
+        if head.startswith("sh") and head[2:].isdecimal():
+            if int(head[2:]) < len(self._dispatchers):
+                return int(head[2:])
         raise UnknownTransaction(f"unknown transaction {name!r}")
 
     def _shadow(self, session: SessionState, shard: int) -> SessionState:
@@ -259,41 +264,27 @@ class ShardRouter:
         op: str,
         params: dict[str, Any],
         request_id: int = -1,
+        busy_retries: int = 0,
     ) -> dict[str, Any]:
-        shadow = self._shadow(session, shard)
-        outcome = self._dispatchers[shard].submit(
-            shadow, Request(request_id, op, dict(params))
-        )
-        return outcome if isinstance(outcome, dict) else await outcome
+        """One request to one shard's dispatcher.
 
-    async def _call_retry_busy(
-        self,
-        shard: int,
-        session: SessionState,
-        op: str,
-        params: dict[str, Any],
-        request_id: int = -1,
-    ) -> dict[str, Any]:
-        """Like :meth:`_call` but rides out a full shard queue.
-
-        Used for phase-2 commits: once the decision is (or is about to
-        be) durable, a transient ``BUSY`` must not strand a prepared
-        branch — it would be force-aborted at drain while its siblings
-        committed.  Retries are bounded; recovery still covers a shard
-        that stays saturated past them.
+        Phase-2 commits pass ``busy_retries`` to ride out a full shard
+        queue: once the decision is (or is about to be) durable, a
+        transient ``BUSY`` must not strand a prepared branch — it would
+        be force-aborted at drain while its siblings committed.
+        Retries are bounded; recovery still covers a shard that stays
+        saturated past them.
         """
-        reply: dict[str, Any] = {}
-        for attempt in range(_PHASE2_BUSY_RETRIES + 1):
-            reply = await self._call(shard, session, op, params, request_id)
-            code = (
-                (reply.get("error") or {}).get("code")
-                if reply.get("ok") is False
-                else None
+        shadow = self._shadow(session, shard)
+        for attempt in itertools.count():
+            outcome = self._dispatchers[shard].submit(
+                shadow, Request(request_id, op, dict(params))
             )
-            if code != "BUSY" or attempt == _PHASE2_BUSY_RETRIES:
+            reply = outcome if isinstance(outcome, dict) else await outcome
+            busy = (reply.get("error") or {}).get("code") == "BUSY"
+            if not busy or attempt >= busy_retries:
                 return reply
             await asyncio.sleep(_PHASE2_BUSY_BACKOFF * (attempt + 1))
-        return reply
 
     def _forget(self, ct: _CrossTxn) -> None:
         self._cross.pop(ct.gid, None)
@@ -302,39 +293,80 @@ class ShardRouter:
 
     def _translate(self, names: list[str]) -> list[str]:
         """Branch names → client-visible names (gids), deduplicated."""
-        seen: set[str] = set()
-        out: list[str] = []
-        for name in names:
-            visible = self._branch_gid.get(name, name)
-            if visible not in seen:
-                seen.add(visible)
-                out.append(visible)
-        return out
+        return list(
+            dict.fromkeys(self._branch_gid.get(name, name) for name in names)
+        )
 
-    async def _abort_all(
-        self, ct: _CrossTxn, reason: str
-    ) -> list[dict[str, Any]]:
+    async def _abort_all(self, ct: _CrossTxn, reason: str) -> None:
         """Best-effort abort of every branch (idempotent, errors eaten).
 
         Used for 2PC presumed-abort and sibling fan-out: a branch that
         is already terminated answers with a harmless error.
         """
         if ct.aborting:
-            return []
+            return
         ct.aborting = True
-        results = await asyncio.gather(
+        await self._fanout(ct, "abort", reason=reason)
+        self._forget(ct)
+
+    async def _fanout(
+        self,
+        ct: _CrossTxn,
+        op: str,
+        rid: int = -1,
+        *,
+        skip: int | None = None,
+        busy_retries: int = 0,
+        **extra: Any,
+    ) -> list[dict[str, Any]]:
+        """``op`` on every branch of ``ct`` at once (but shard
+        ``skip``); the replies come back in shard order."""
+        return await asyncio.gather(
             *(
                 self._call(
                     shard,
                     ct.session,
-                    "abort",
-                    {"txn": branch, "reason": reason},
+                    op,
+                    {"txn": branch, **extra},
+                    rid,
+                    busy_retries,
                 )
                 for shard, branch in sorted(ct.branches.items())
+                if shard != skip
             )
         )
-        self._forget(ct)
-        return list(results)
+
+    async def _fail_all(
+        self,
+        rid: int,
+        ct: _CrossTxn,
+        replies: list[dict[str, Any]],
+        wanted: str,
+        reason: str,
+    ) -> dict[str, Any] | None:
+        """All-or-nothing over one fan-out's ``replies``: if a branch
+        answered anything but ``outcome == wanted``, abort every branch
+        and return the client's reply for that first failure."""
+        failure = next(
+            (
+                reply
+                for reply in replies
+                if not reply.get("ok") or reply.get("outcome") != wanted
+            ),
+            None,
+        )
+        if failure is None:
+            return None
+        ct.terminated = True
+        await self._abort_all(ct, reason)
+        if failure.get("ok") is False:
+            return failure
+        return ok_response(
+            rid,
+            outcome="failed",
+            reason=failure.get("reason"),
+            aborted=[ct.gid] + self._translate(failure.get("aborted", [])),
+        )
 
     # -- the request pipeline ------------------------------------------------
 
@@ -343,76 +375,70 @@ class ShardRouter:
     ) -> dict[str, Any]:
         try:
             return await self._execute(session, request)
-        except ServerError as error:
-            return error_response(
-                request.request_id, error.code, str(error), **error.details
-            )
-        except ReproError as error:
-            return error_response(
-                request.request_id, ErrorCode.INVALID_ARG, str(error)
-            )
         except Exception as error:  # noqa: BLE001 — fault barrier
-            return error_response(
-                request.request_id,
-                ErrorCode.INTERNAL,
-                f"{type(error).__name__}: {error}",
-            )
+            return error_reply(request.request_id, error)
 
     async def _execute(
         self, session: SessionState, request: Request
     ) -> dict[str, Any]:
-        op, params, rid = request.op, request.params, request.request_id
-        if op == "ping":
-            return ok_response(rid, pong=True)
-        if op == "hello":
-            response = await self._call(0, session, "hello", {}, rid)
-            if response.get("ok"):
-                response = dict(response)
-                response["shards"] = self.shards
-            return response
-        if op == "stats":
-            return self._op_stats(rid)
-        if op in ("follower_read", "repl_status", "promote"):
+        op, rid = request.op, request.request_id
+        spec = OPS.get(op)
+        if spec is not None and spec.route == ROUTE_REFUSED:
             raise InvalidArgument(
                 f"{op!r} is not available on a sharded server "
                 "(replication and sharding are mutually exclusive)"
             )
-        if op == "define":
-            return await self._op_define(session, rid, params)
-        txn = params.get("txn")
-        if not isinstance(txn, str) or not txn:
-            raise InvalidArgument("missing required parameter 'txn'")
+        args = bind(op, request.params)
+        if not spec.txn_scoped:
+            return await getattr(self, "_op_" + op)(
+                session, request, **args
+            )
+        txn = args["txn"]
         ct = self._cross.get(txn)
         if ct is None:
             # Single-shard transaction: forward verbatim.
             return await self._call(
-                self._txn_shard(txn), session, op, params, rid
+                self._txn_shard(txn), session, op, request.params, rid
             )
         if ct.session.session_id != session.session_id:
             raise NotOwner(
                 f"transaction {txn} belongs to another session"
             )
-        if op == "validate":
-            return await self._validate_cross(session, rid, ct)
-        if op in ("read", "write", "begin_write", "end_write"):
-            return await self._entity_op_cross(session, rid, ct, op, params)
-        if op == "commit":
-            return await self._commit_cross(session, rid, ct)
-        if op == "abort":
-            return await self._abort_cross(session, rid, ct, params)
-        if op == "view":
-            return await self._view_cross(session, rid, ct)
-        raise InvalidArgument(
-            f"operation {op!r} is not supported on a cross-shard "
-            f"transaction ({txn})"
-        )
+        if spec.route == ROUTE_ROOT:
+            raise InvalidArgument(
+                f"operation {op!r} is not supported on a cross-shard "
+                f"transaction ({txn})"
+            )
+        if spec.route == ROUTE_ENTITY:
+            return await self._entity_op_cross(
+                rid, ct, op, request.params, args["entity"]
+            )
+        del args["txn"]
+        return await getattr(self, "_cross_" + op)(rid, ct, **args)
 
-    def _op_stats(self, rid: int) -> dict[str, Any]:
+    async def _op_ping(
+        self, session: SessionState, request: Request
+    ) -> dict[str, Any]:
+        return ok_response(request.request_id, pong=True)
+
+    async def _op_hello(
+        self, session: SessionState, request: Request
+    ) -> dict[str, Any]:
+        response = await self._call(
+            0, session, "hello", {}, request.request_id
+        )
+        if response.get("ok"):
+            return {**response, "shards": self.shards}
+        return response
+
+    async def _op_stats(
+        self, session: SessionState, request: Request
+    ) -> dict[str, Any]:
         snapshot = (
             self._registry.snapshot() if self._registry is not None else {}
         )
         return ok_response(
-            rid,
+            request.request_id,
             stats=snapshot,
             queue_depth=self.queue_depth,
             parked=self.parked_count,
@@ -434,34 +460,33 @@ class ShardRouter:
     def _clause_shard(self, clause: Clause) -> int:
         return self._shard_of(sorted(clause.object)[0])
 
-    async def _op_define(
-        self, session: SessionState, rid: int, params: dict[str, Any]
-    ) -> dict[str, Any]:
-        updates = params.get("updates") or []
-        if not isinstance(updates, list) or any(
-            not isinstance(item, str) for item in updates
-        ):
-            raise InvalidArgument(
-                "parameter 'updates' must be a list of strings"
-            )
-        input_pred = self._predicate(params, "input")
-        output_pred = self._predicate(params, "output")
+    @staticmethod
+    def _by_shard(items: Any, shard_of: Any) -> dict[int, list[Any]]:
+        """Group entity names, or clauses, by the shard they route to."""
+        grouped: dict[int, list[Any]] = {}
+        for item in items:
+            grouped.setdefault(shard_of(item), []).append(item)
+        return grouped
 
-        shard_updates: dict[int, list[str]] = {}
-        for entity in updates:
-            shard_updates.setdefault(self._shard_of(entity), []).append(
-                entity
-            )
-        shard_input: dict[int, list[Clause]] = {}
-        for clause in self._clauses(input_pred):
-            shard_input.setdefault(self._clause_shard(clause), []).append(
-                clause
-            )
-        shard_output: dict[int, list[Clause]] = {}
-        for clause in self._clauses(output_pred):
-            shard_output.setdefault(self._clause_shard(clause), []).append(
-                clause
-            )
+    async def _op_define(
+        self,
+        session: SessionState,
+        request: Request,
+        updates: list[str],
+        input: Predicate,
+        output: Predicate,
+        parent: str | None,
+        predecessors: list[str],
+    ) -> dict[str, Any]:
+        rid = request.request_id
+        parent = parent or None  # "" is the root, as on one shard
+        shard_updates = self._by_shard(updates, self._shard_of)
+        shard_input = self._by_shard(
+            self._clauses(input), self._clause_shard
+        )
+        shard_output = self._by_shard(
+            self._clauses(output), self._clause_shard
+        )
 
         # Predecessor edges are per-shard obligations: a predecessor's
         # shard joins the participant set so the ordering edge lives
@@ -469,11 +494,7 @@ class ShardRouter:
         # puts the transaction there).  Unroutable names are dropped,
         # mirroring the dispatcher's vanished-predecessor leniency.
         pred_by_shard: dict[int, list[str]] = {}
-        for predecessor in params.get("predecessors") or []:
-            if not isinstance(predecessor, str):
-                raise InvalidArgument(
-                    "parameter 'predecessors' must be a list of strings"
-                )
+        for predecessor in predecessors:
             pct = self._cross.get(predecessor)
             if pct is not None:
                 for shard, branch in pct.branches.items():
@@ -494,15 +515,12 @@ class ShardRouter:
         if not participants:
             participants = {0}
 
-        parent = params.get("parent")
-        if parent is not None and not isinstance(parent, str):
-            raise InvalidArgument("parameter 'parent' must be a string")
         parent_ct = self._cross.get(parent) if parent else None
 
         if len(participants) == 1:
             (shard,) = participants
             return await self._define_single(
-                session, rid, params, shard, parent_ct, pred_by_shard
+                session, request, shard, parent, parent_ct, pred_by_shard
             )
         return await self._define_cross(
             session,
@@ -516,33 +534,18 @@ class ShardRouter:
             parent_ct,
         )
 
-    @staticmethod
-    def _predicate(params: dict[str, Any], role: str) -> Predicate:
-        text = params.get(role, "true")
-        if not isinstance(text, str) or not text:
-            raise InvalidArgument(
-                f"parameter {role!r} must be a non-empty string"
-            )
-        try:
-            return parse_cached(text)
-        except ReproError as error:
-            raise InvalidArgument(
-                f"unparseable {role} predicate {text!r}: {error}"
-            ) from error
-
     async def _define_single(
         self,
         session: SessionState,
-        rid: int,
-        params: dict[str, Any],
+        request: Request,
         shard: int,
+        parent: str | None,
         parent_ct: "_CrossTxn | None",
         pred_by_shard: dict[int, list[str]],
     ) -> dict[str, Any]:
         """Single-shard fast path: forward, rewriting only names."""
-        forwarded = dict(params)
+        forwarded = dict(request.params)
         forwarded["predecessors"] = pred_by_shard.get(shard, [])
-        parent = params.get("parent")
         if parent_ct is not None:
             branch = parent_ct.branches.get(shard)
             if branch is None:
@@ -558,7 +561,9 @@ class ShardRouter:
                 f"{self._txn_shard(parent)} but the child's footprint "
                 f"routes to shard {shard}"
             )
-        return await self._call(shard, session, "define", forwarded, rid)
+        return await self._call(
+            shard, session, "define", forwarded, request.request_id
+        )
 
     async def _define_cross(
         self,
@@ -654,52 +659,30 @@ class ShardRouter:
 
     # -- cross-shard lifecycle ops -------------------------------------------
 
-    async def _validate_cross(
-        self, session: SessionState, rid: int, ct: _CrossTxn
+    async def _cross_validate(
+        self, rid: int, ct: _CrossTxn
     ) -> dict[str, Any]:
-        shards = sorted(ct.branches)
-        responses = await asyncio.gather(
-            *(
-                self._call(
-                    shard, session, "validate", {"txn": ct.branches[shard]}, rid
-                )
-                for shard in shards
-            )
+        replies = await self._fanout(ct, "validate", rid)
+        # One failed branch (aborted inside its scheduler) kills the
+        # whole transaction; the surviving branches are aborted.
+        failed = await self._fail_all(
+            rid, ct, replies, "ok", "sibling branch failed validation"
         )
+        if failed is not None:
+            return failed
         assigned: dict[str, str] = {}
-        failure: dict[str, Any] | None = None
-        for response in responses:
-            if response.get("ok") and response.get("outcome") == "ok":
-                assigned.update(response.get("assigned", {}))
-            elif failure is None:
-                failure = response
-        if failure is None:
-            return ok_response(rid, outcome="ok", assigned=assigned)
-        # One branch failed (aborted inside its scheduler) — the whole
-        # transaction is dead; abort the surviving branches.
-        ct.terminated = True
-        await self._abort_all(ct, "sibling branch failed validation")
-        if failure.get("ok") is False:
-            return failure
-        cascade = self._translate(failure.get("aborted", []))
-        return ok_response(
-            rid,
-            outcome="failed",
-            reason=failure.get("reason"),
-            aborted=self._translate([ct.gid]) + cascade,
-        )
+        for reply in replies:
+            assigned.update(reply.get("assigned", {}))
+        return ok_response(rid, outcome="ok", assigned=assigned)
 
     async def _entity_op_cross(
         self,
-        session: SessionState,
         rid: int,
         ct: _CrossTxn,
         op: str,
         params: dict[str, Any],
+        entity: str,
     ) -> dict[str, Any]:
-        entity = params.get("entity")
-        if not isinstance(entity, str) or not entity:
-            raise InvalidArgument("missing required parameter 'entity'")
         shard = self._shard_of(entity)
         branch = ct.branches.get(shard)
         if branch is None:
@@ -710,104 +693,82 @@ class ShardRouter:
             )
         forwarded = dict(params)
         forwarded["txn"] = branch
-        return await self._call(shard, session, op, forwarded, rid)
+        return await self._call(shard, ct.session, op, forwarded, rid)
 
-    async def _commit_cross(
-        self, session: SessionState, rid: int, ct: _CrossTxn
+    async def _cross_commit(
+        self, rid: int, ct: _CrossTxn
     ) -> dict[str, Any]:
         if ct.terminated:
             raise UnknownTransaction(
                 f"transaction {ct.gid} already terminated"
             )
-        if ct.parent_gid is not None:
-            return await self._commit_nested(session, rid, ct)
         shards = sorted(ct.branches)
-        participants = {
-            str(shard): branch for shard, branch in ct.branches.items()
-        }
+        if ct.parent_gid is not None:
+            # Nested: each branch commits into its parent branch, so no
+            # 2PC — durability and atomicity are the parent's problem
+            # when *it* commits.
+            replies = await self._fanout(ct, "commit", rid)
+            ct.terminated = True
+            failed = await self._fail_all(
+                rid,
+                ct,
+                replies,
+                "committed",
+                "sibling branch failed to commit",
+            )
+            if failed is not None:
+                return failed
+            self._forget(ct)
+            return ok_response(rid, outcome="committed", shards=shards)
         # Phase 1: every branch logs a durable PREPARE.  Each prepare
         # runs the full commit gate first (predecessors resolved,
         # reads-from authors terminated), parking until it can promise.
-        prepares = await asyncio.gather(
-            *(
-                self._call(
-                    shard,
-                    session,
-                    "prepare",
-                    {
-                        "txn": ct.branches[shard],
-                        "gid": ct.gid,
-                        "participants": participants,
-                        "coordinator": ct.coordinator,
-                    },
-                    rid,
-                )
-                for shard in shards
-            )
+        # A refusal is a presumed abort: no decision record is written.
+        prepares = await self._fanout(
+            ct,
+            "prepare",
+            rid,
+            gid=ct.gid,
+            participants={
+                str(shard): branch for shard, branch in ct.branches.items()
+            },
+            coordinator=ct.coordinator,
         )
-        failure = next(
-            (
-                response
-                for response in prepares
-                if not response.get("ok")
-                or response.get("outcome") != "prepared"
-            ),
-            None,
+        failed = await self._fail_all(
+            rid, ct, prepares, "prepared", "2PC prepare failed"
         )
-        if failure is not None:
-            # Presumed abort: no decision record is ever written.
-            ct.terminated = True
-            self._count("server.cross.aborted")
-            await self._abort_all(ct, "2PC prepare failed")
-            if failure.get("ok") is False:
-                return failure
-            return ok_response(
+        if failed is None:
+            # Phase 2: the coordinator branch's COMMIT record is the
+            # global decision — it must be durable before any other
+            # branch commits (recovery resolves in-doubt branches by
+            # looking *only* at the coordinator branch's terminal state).
+            decision = await self._call(
+                ct.coordinator,
+                ct.session,
+                "commit",
+                {"txn": ct.branches[ct.coordinator]},
                 rid,
-                outcome="failed",
-                reason=failure.get("reason"),
-                aborted=[ct.gid],
+                _PHASE2_BUSY_RETRIES,
             )
-        # Phase 2: the coordinator branch's COMMIT record is the global
-        # decision — it must be durable before any other branch commits
-        # (recovery resolves in-doubt branches by looking *only* at the
-        # coordinator branch's terminal state).
-        decision = await self._call_retry_busy(
-            session=session,
-            shard=ct.coordinator,
-            op="commit",
-            params={"txn": ct.branches[ct.coordinator]},
-            request_id=rid,
-        )
-        if not decision.get("ok") or decision.get("outcome") != "committed":
-            ct.terminated = True
-            self._count("server.cross.aborted")
-            await self._abort_all(ct, "2PC decision commit failed")
-            if decision.get("ok") is False:
-                return decision
-            return ok_response(
+            failed = await self._fail_all(
                 rid,
-                outcome="failed",
-                reason=decision.get("reason"),
-                aborted=[ct.gid],
+                ct,
+                [decision],
+                "committed",
+                "2PC decision commit failed",
             )
+        if failed is not None:
+            self._count("server.cross.aborted")
+            return failed
         ct.terminated = True
-        others = await asyncio.gather(
-            *(
-                self._call_retry_busy(
-                    shard,
-                    session,
-                    "commit",
-                    {"txn": ct.branches[shard]},
-                    rid,
-                )
-                for shard in shards
-                if shard != ct.coordinator
-            )
-        )
-        for response in others:
-            if not response.get("ok") or (
-                response.get("outcome") != "committed"
-            ):
+        for reply in await self._fanout(
+            ct,
+            "commit",
+            rid,
+            skip=ct.coordinator,
+            busy_retries=_PHASE2_BUSY_RETRIES,
+        ):
+            if not reply.get("ok") or reply.get("outcome") != "committed":
                 # The decision is durable; this branch resolves to
                 # committed at recovery (see resolve_in_doubt).
                 self._count("server.cross.phase2_incomplete")
@@ -820,85 +781,22 @@ class ShardRouter:
             rid, outcome="committed", shards=shards, **extra
         )
 
-    async def _commit_nested(
-        self, session: SessionState, rid: int, ct: _CrossTxn
+    async def _cross_abort(
+        self, rid: int, ct: _CrossTxn, reason: str | None
     ) -> dict[str, Any]:
-        """Nested cross commit: relative to the parent, so no 2PC.
-
-        Each branch commits into its parent branch; durability and
-        atomicity are the parent's problem when *it* commits.
-        """
-        shards = sorted(ct.branches)
-        responses = await asyncio.gather(
-            *(
-                self._call(
-                    shard,
-                    session,
-                    "commit",
-                    {"txn": ct.branches[shard]},
-                    rid,
-                )
-                for shard in shards
-            )
-        )
-        failure = next(
-            (
-                response
-                for response in responses
-                if not response.get("ok")
-                or response.get("outcome") != "committed"
-            ),
-            None,
-        )
-        ct.terminated = True
-        if failure is not None:
-            await self._abort_all(ct, "sibling branch failed to commit")
-            if failure.get("ok") is False:
-                return failure
-            return ok_response(
-                rid,
-                outcome="failed",
-                reason=failure.get("reason"),
-                aborted=[ct.gid],
-            )
-        self._forget(ct)
-        return ok_response(rid, outcome="committed", shards=shards)
-
-    async def _abort_cross(
-        self,
-        session: SessionState,
-        rid: int,
-        ct: _CrossTxn,
-        params: dict[str, Any],
-    ) -> dict[str, Any]:
-        reason = params.get("reason")
-        if reason is not None and not isinstance(reason, str):
-            raise InvalidArgument("parameter 'reason' must be a string")
         ct.terminated = True
         self._count("server.cross.aborted")
         ct.aborting = True
-        responses = await asyncio.gather(
-            *(
-                self._call(
-                    shard,
-                    session,
-                    "abort",
-                    {
-                        "txn": branch,
-                        "reason": reason or "client requested",
-                    },
-                    rid,
-                )
-                for shard, branch in sorted(ct.branches.items())
-            )
+        replies = await self._fanout(
+            ct, "abort", rid, reason=reason or "client requested"
         )
         own = set(ct.branches.values())
         cascade: list[str] = []
-        for response in responses:
-            if response.get("ok"):
+        for reply in replies:
+            if reply.get("ok"):
                 cascade.extend(
                     name
-                    for name in response.get("cascade", [])
+                    for name in reply.get("cascade", [])
                     if name not in own
                 )
         self._forget(ct)
@@ -906,26 +804,16 @@ class ShardRouter:
             rid, outcome="aborted", cascade=self._translate(cascade)
         )
 
-    async def _view_cross(
-        self, session: SessionState, rid: int, ct: _CrossTxn
+    async def _cross_view(
+        self, rid: int, ct: _CrossTxn
     ) -> dict[str, Any]:
-        shards = sorted(ct.branches)
-        responses = await asyncio.gather(
-            *(
-                self._call(
-                    shard, session, "view", {"txn": ct.branches[shard]}, rid
-                )
-                for shard in shards
-            )
-        )
+        replies = await self._fanout(ct, "view", rid)
         views = {
-            str(shard): response.get("view")
-            for shard, response in zip(shards, responses)
-            if response.get("ok")
+            str(shard): reply.get("view")
+            for shard, reply in zip(sorted(ct.branches), replies)
+            if reply.get("ok")
         }
-        failure = next(
-            (r for r in responses if not r.get("ok")), None
-        )
+        failure = next((r for r in replies if not r.get("ok")), None)
         if failure is not None and not views:
             return failure
         return ok_response(rid, view=views, gid=ct.gid)

@@ -43,6 +43,11 @@ from typing import TYPE_CHECKING, Any, Callable
 if TYPE_CHECKING:  # pragma: no cover — typing only
     from ..durability.recovery import RecoveryResult
 
+from ..durability import (
+    DurableTransactionManager,
+    resolve_in_doubt,
+    shard_wal_dir,
+)
 from ..obs.metrics import MetricsRegistry
 from ..obs.trace import Tracer
 from ..protocol.scheduler import TransactionManager
@@ -84,6 +89,16 @@ def _parse_hostport(text: str) -> "tuple[str, int]":
             f"bad address {text!r}: expected host:port"
         ) from None
     return (host or "127.0.0.1", port)
+
+
+async def _cancelled(task: "asyncio.Task | None") -> None:
+    """Cancel a background task and wait until it is gone."""
+    if task is not None:
+        task.cancel()
+        try:
+            await task
+        except asyncio.CancelledError:
+            pass
 
 
 @dataclass(frozen=True)
@@ -179,6 +194,7 @@ class TransactionServer:
         if self._config.shards < 1:
             raise ValueError("shards must be >= 1")
         self._sharded = self._config.shards > 1
+        self._tracer = tracer
         #: Per-shard recovery results / in-doubt 2PC resolutions
         #: (sharded durable startup only).
         self.shard_recoveries: "dict[int, RecoveryResult]" = {}
@@ -201,9 +217,7 @@ class TransactionServer:
                     )
                 self._managers = list(shard_managers)
             else:
-                self._managers = self._open_shard_managers(
-                    database, tracer
-                )
+                self._managers = self._open_shard_managers(database)
             self._manager = self._managers[0]
         elif shard_managers is not None:
             raise ValueError("shard_managers requires shards > 1")
@@ -218,12 +232,7 @@ class TransactionServer:
                 raise ValueError(
                     "follow_of requires wal_dir for replicated history"
                 )
-            self._manager = TransactionManager(
-                database,
-                tracer=tracer,
-                registry=self._registry,
-                strict=self._config.strict,
-            )
+            self._manager, _ = self._open_manager(database, None)
             host, port = _parse_hostport(self._config.follow_of)
             applier = FollowerApplier(
                 self._config.wal_dir,
@@ -247,57 +256,31 @@ class TransactionServer:
                 primary_port=port,
             )
             self.replication.promote = self.promote_now
-        elif self._config.wal_dir:
-            from ..durability import DurableTransactionManager
-
-            self._manager, self.recovery = DurableTransactionManager.open(
-                self._config.wal_dir,
-                lambda: database,
-                flush_interval=self._config.flush_interval,
-                checkpoint_every=self._config.checkpoint_every,
-                segment_bytes=self._config.segment_bytes,
-                retain=self._config.retain,
-                tracer=tracer,
-                registry=self._registry,
-                strict=self._config.strict,
-            )
         else:
-            self._manager = TransactionManager(
-                database,
-                tracer=tracer,
-                registry=self._registry,
-                strict=self._config.strict,
+            self._manager, self.recovery = self._open_manager(
+                database, self._config.wal_dir
             )
-        self._tracer = tracer
-        if self._sharded:
-            shard_dispatchers = [
-                CommandDispatcher(
-                    shard_manager,
-                    registry=self._registry,
-                    tracer=tracer,
-                    queue_size=self._config.queue_size,
-                    request_timeout=self._config.request_timeout,
-                    clock=clock if clock is not None else CLOCK,
-                    batch_size=self._config.batch_size,
-                    shard=index,
-                    shards_total=self._config.shards,
-                )
-                for index, shard_manager in enumerate(self._managers)
-            ]
-            self._dispatcher: "CommandDispatcher | ShardRouter" = (
-                ShardRouter(shard_dispatchers, registry=self._registry)
-            )
-        else:
+        if not self._sharded:
             self._managers = [self._manager]
-            self._dispatcher = CommandDispatcher(
-                self._manager,
+        dispatchers = [
+            CommandDispatcher(
+                shard_manager,
                 registry=self._registry,
                 tracer=tracer,
                 queue_size=self._config.queue_size,
                 request_timeout=self._config.request_timeout,
                 clock=clock if clock is not None else CLOCK,
                 batch_size=self._config.batch_size,
+                shard=index if self._sharded else None,
+                shards_total=self._config.shards,
             )
+            for index, shard_manager in enumerate(self._managers)
+        ]
+        self._dispatcher: "CommandDispatcher | ShardRouter" = (
+            ShardRouter(dispatchers, registry=self._registry)
+            if self._sharded
+            else dispatchers[0]
+        )
         if (
             self.replication is None
             and self._config.repl_port is not None
@@ -321,8 +304,40 @@ class TransactionServer:
         self._stopping = False
         self._drain_summary: dict[str, Any] = {}
 
+    def _open_manager(
+        self,
+        database: Database | None,
+        wal_dir: "str | None",
+        root_name: str | None = None,
+    ) -> "tuple[TransactionManager, RecoveryResult | None]":
+        """The one place this server builds a manager from its config:
+        in memory without ``wal_dir``, else WAL-backed — recovered, or
+        fresh from ``database``; with no ``database`` the directory
+        must already hold history (promotion)."""
+        options: dict[str, Any] = dict(
+            tracer=self._tracer,
+            registry=self._registry,
+            strict=self._config.strict,
+        )
+        if not wal_dir:
+            manager = TransactionManager(
+                database, root_name=root_name, **options
+            )
+            return manager, None
+        options.update(
+            flush_interval=self._config.flush_interval,
+            checkpoint_every=self._config.checkpoint_every,
+            segment_bytes=self._config.segment_bytes,
+            retain=self._config.retain,
+        )
+        if database is None:
+            return promote_in_place(wal_dir, **options)
+        return DurableTransactionManager.open(
+            wal_dir, lambda: database, root_name=root_name, **options
+        )
+
     def _open_shard_managers(
-        self, database: Database, tracer: Tracer | None
+        self, database: Database
     ) -> list[TransactionManager]:
         """One full manager stack per shard.
 
@@ -335,53 +350,23 @@ class TransactionServer:
         log *before* any shard recovers (see
         :func:`~repro.durability.shard_recovery.resolve_in_doubt`).
         """
+        wal_dir = self._config.wal_dir
+        if wal_dir:
+            self.shard_resolutions = resolve_in_doubt(wal_dir)
         managers: list[TransactionManager] = []
-        if self._config.wal_dir:
-            from ..durability import (
-                DurableTransactionManager,
-                resolve_in_doubt,
-                shard_wal_dir,
-            )
-
-            self.shard_resolutions = resolve_in_doubt(
-                self._config.wal_dir
-            )
-            for index in range(self._config.shards):
-                shard_db = Database(
+        for index in range(self._config.shards):
+            manager, recovery = self._open_manager(
+                Database(
                     database.schema,
                     database.constraint,
                     database.initial_state,
-                )
-                shard_manager, recovery = DurableTransactionManager.open(
-                    shard_wal_dir(self._config.wal_dir, index),
-                    lambda db=shard_db: db,
-                    flush_interval=self._config.flush_interval,
-                    checkpoint_every=self._config.checkpoint_every,
-                    segment_bytes=self._config.segment_bytes,
-                    retain=self._config.retain,
-                    tracer=tracer,
-                    registry=self._registry,
-                    strict=self._config.strict,
-                    root_name=f"sh{index}",
-                )
-                if recovery is not None:
-                    self.shard_recoveries[index] = recovery
-                managers.append(shard_manager)
-            return managers
-        for index in range(self._config.shards):
-            managers.append(
-                TransactionManager(
-                    Database(
-                        database.schema,
-                        database.constraint,
-                        database.initial_state,
-                    ),
-                    tracer=tracer,
-                    registry=self._registry,
-                    strict=self._config.strict,
-                    root_name=f"sh{index}",
-                )
+                ),
+                shard_wal_dir(wal_dir, index) if wal_dir else None,
+                f"sh{index}",
             )
+            if recovery is not None:
+                self.shard_recoveries[index] = recovery
+            managers.append(manager)
         return managers
 
     # -- accessors -----------------------------------------------------------
@@ -454,17 +439,9 @@ class TransactionServer:
         applier = context.applier
         assert applier is not None
         applier.close()
-        manager, recovery = promote_in_place(
-            self._config.wal_dir,
-            flush_interval=self._config.flush_interval,
-            checkpoint_every=self._config.checkpoint_every,
-            segment_bytes=self._config.segment_bytes,
-            retain=self._config.retain,
-            registry=self._registry,
-            tracer=self._tracer,
-            strict=self._config.strict,
-        )
+        manager, recovery = self._open_manager(None, self._config.wal_dir)
         self._manager = manager
+        self._managers = [manager]  # what the flush loop and shutdown see
         self._dispatcher.replace_manager(manager)
         self.recovery = recovery
         new_context = ReplicationContext(ROLE_PRIMARY)
@@ -536,10 +513,9 @@ class TransactionServer:
                     context.link.run(), name="repro-follower-link"
                 )
         if self._config.wal_dir and self._config.flush_interval > 0:
-            # Started for followers too: their plain manager has no
-            # ``maybe_flush`` (each tick is a no-op) but a promotion
-            # swaps in a durable manager that needs group-commit
-            # driving, so the loop re-resolves the hook every tick.
+            # Started for followers too: their in-memory manager's
+            # ``maybe_flush`` is a no-op, but a promotion swaps in a
+            # durable manager that needs group-commit driving.
             self._flush_task = asyncio.create_task(
                 self._flush_loop(), name="repro-wal-flush"
             )
@@ -549,16 +525,14 @@ class TransactionServer:
 
         ``maybe_flush`` is synchronous and the event loop is
         single-threaded, so this never interleaves with a dispatcher
-        iteration mid-append.  The hook is looked up per tick because
-        promotion replaces the manager mid-flight.
+        iteration mid-append.  ``_managers`` is re-read every tick
+        because promotion replaces the manager mid-flight.
         """
         interval = max(self._config.flush_interval / 2, 0.001)
         while True:
             await asyncio.sleep(interval)
             for shard_manager in self._managers:
-                flush = getattr(shard_manager, "maybe_flush", None)
-                if flush is not None:
-                    flush()
+                shard_manager.maybe_flush()
 
     def _health(self) -> "dict[str, Any]":
         context = self.replication
@@ -589,12 +563,7 @@ class TransactionServer:
             await self._repl_listener.close()
         if self.replication is not None and self.replication.link is not None:
             self.replication.link.stop()
-        if self._link_task is not None:
-            self._link_task.cancel()
-            try:
-                await self._link_task
-            except asyncio.CancelledError:
-                pass
+        await _cancelled(self._link_task)
         drained = await self._dispatcher.drain(self._config.drain_grace)
         for connection in list(self._connections.values()):
             self._send(connection, event_frame("shutdown"))
@@ -602,17 +571,10 @@ class TransactionServer:
         await self._dispatcher.stop()
         if self._dispatcher_task is not None:
             await self._dispatcher_task
-        if self._flush_task is not None:
-            self._flush_task.cancel()
-            try:
-                await self._flush_task
-            except asyncio.CancelledError:
-                pass
+        await _cancelled(self._flush_task)
         for shard_manager in self._managers:
-            close = getattr(shard_manager, "close", None)
-            if close is not None:
-                # Durable manager: final checkpoint + flush, clean WAL.
-                close()
+            # Durable manager: final checkpoint + flush, clean WAL.
+            shard_manager.close()
         if self.replication is not None:
             if self.replication.hub is not None:
                 self.replication.hub.close()

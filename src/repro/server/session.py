@@ -37,14 +37,9 @@ import asyncio
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
-from ..core.predicates import Predicate, parse_cached
+from ..core.predicates import Predicate
 from ..core.transactions import Spec
-from ..errors import (
-    PredicateParseError,
-    ProtocolError,
-    ReproError,
-    TransactionAborted,
-)
+from ..errors import ProtocolError
 from ..obs.metrics import MetricsRegistry
 from ..obs.trace import NULL_TRACER, Span, Tracer
 from ..protocol.scheduler import (
@@ -59,13 +54,19 @@ from .errors import (
     InvalidArgument,
     NotOwner,
     NotPrimary,
-    ServerError,
     StaleRead,
-    UnknownOperation,
     UnknownTransaction,
 )
 from .clock import CLOCK
-from .protocol import Request, error_response, event_frame, ok_response
+from .protocol import (
+    OPS,
+    Request,
+    bind,
+    error_reply,
+    error_response,
+    event_frame,
+    ok_response,
+)
 
 PARKED = object()
 """Sentinel returned by op handlers that parked their command."""
@@ -107,6 +108,9 @@ class Command:
     future: "asyncio.Future[dict[str, Any]]"
     enqueued_at: float
     deadline: float
+    #: ``params`` bound against the op table (set on first execution;
+    #: a resumed command is not re-validated).
+    args: dict[str, Any] | None = None
     parked_on: str | None = None
     blocked_entity: str | None = None
     timer: asyncio.TimerHandle | None = None
@@ -122,9 +126,6 @@ class Command:
     #: Sync replication: the commit LSN this command's reply waits on
     #: (the commit is already durable locally when this is set).
     repl_lsn: int | None = None
-
-
-_REQUIRED = object()
 
 
 class CommandDispatcher:
@@ -257,16 +258,8 @@ class CommandDispatcher:
                 ErrorCode.SHUTTING_DOWN,
                 "server is draining; no new requests admitted",
             )
-        now = self._clock()
-        loop = asyncio.get_running_loop()
-        command = Command(
-            session=session,
-            request_id=request.request_id,
-            op=request.op,
-            params=request.params,
-            future=loop.create_future(),
-            enqueued_at=now,
-            deadline=now + self._request_timeout,
+        command = self._command(
+            session, request.request_id, request.op, request.params
         )
         try:
             self._queue.put_nowait(command)
@@ -291,19 +284,27 @@ class CommandDispatcher:
         (the drain itself aborts every live transaction)."""
         if self._draining or self._stopped:
             return None
+        command = self._command(session, -1, op, params)
+        await self._queue.put(command)
+        return await command.future
+
+    def _command(
+        self,
+        session: SessionState,
+        request_id: int,
+        op: str,
+        params: dict[str, Any],
+    ) -> Command:
         now = self._clock()
-        loop = asyncio.get_running_loop()
-        command = Command(
+        return Command(
             session=session,
-            request_id=-1,
+            request_id=request_id,
             op=op,
             params=params,
-            future=loop.create_future(),
+            future=asyncio.get_running_loop().create_future(),
             enqueued_at=now,
             deadline=now + self._request_timeout,
         )
-        await self._queue.put(command)
-        return await command.future
 
     # -- the dispatcher loop -------------------------------------------------
 
@@ -447,36 +448,17 @@ class CommandDispatcher:
                 # waiting out the grace period.
                 break
             await asyncio.sleep(0.02)
-        parked_failed = 0
-        for command in list(self._repl_waiters.values()):
-            # These commits *happened* and are durable locally; only
-            # the replication ack is outstanding.  Mark the reply
-            # indeterminate rather than implying the commit was lost.
-            self._unpark(command)
-            parked_failed += 1
-            self._count("server.repl.indeterminate")
-            self._resolve(
-                command,
-                error_response(
-                    command.request_id,
-                    ErrorCode.SHUTTING_DOWN,
-                    "server shut down before the replication ack; "
-                    "the commit is durable locally",
-                    indeterminate=True,
-                    commit_lsn=command.repl_lsn,
-                ),
-            )
-        for command in list(self._lock_waiters.values()):
-            self._unpark(command)
-            parked_failed += 1
-            self._resolve(
-                command,
-                error_response(
-                    command.request_id,
-                    ErrorCode.SHUTTING_DOWN,
-                    "server shut down while the request was parked",
-                ),
-            )
+        # Commits awaiting acks *happened* and are durable locally;
+        # mark the reply indeterminate rather than implying a loss.
+        parked_failed = self._fail_parked(
+            self._repl_waiters,
+            "server shut down before the replication ack; "
+            "the commit is durable locally",
+            indeterminate=True,
+        ) + self._fail_parked(
+            self._lock_waiters,
+            "server shut down while the request was parked",
+        )
         aborted: list[str] = []
         root = self._tm.root
         for skip_commit_parked in (True, False):
@@ -488,23 +470,35 @@ class CommandDispatcher:
                 cascade = self._tm.abort(child, reason="server shutdown")
                 aborted.extend(cascade)
                 self._after_abort(cascade)
-        for command in list(self._commit_waiters.values()):
+        parked_failed += self._fail_parked(
+            self._commit_waiters,
+            "server shut down while the commit was parked; "
+            "its outcome was not decided",
+            indeterminate=True,
+        )
+        return {"parked_failed": parked_failed, "aborted": aborted}
+
+    def _fail_parked(
+        self, store: dict[str, Command], message: str, **details: Any
+    ) -> int:
+        """Answer everything parked in ``store`` ``SHUTTING_DOWN``."""
+        commands = list(store.values())
+        for command in commands:
+            lsn = command.repl_lsn
             self._unpark(command)
-            parked_failed += 1
+            if lsn is not None:
+                self._count("server.repl.indeterminate")
+                details["commit_lsn"] = lsn
             self._resolve(
                 command,
                 error_response(
                     command.request_id,
                     ErrorCode.SHUTTING_DOWN,
-                    "server shut down while the commit was parked; "
-                    "its outcome was not decided",
-                    indeterminate=True,
+                    message,
+                    **details,
                 ),
             )
-        return {
-            "parked_failed": parked_failed,
-            "aborted": aborted,
-        }
+        return len(commands)
 
     # -- command execution ---------------------------------------------------
 
@@ -517,31 +511,8 @@ class CommandDispatcher:
             return
         try:
             result = self._execute(command)
-        except ServerError as error:
-            result = error_response(
-                command.request_id,
-                error.code,
-                str(error),
-                **error.details,
-            )
-        except TransactionAborted as error:
-            result = error_response(
-                command.request_id, ErrorCode.ABORTED, str(error)
-            )
-        except ProtocolError as error:
-            result = error_response(
-                command.request_id, ErrorCode.PROTOCOL, str(error)
-            )
-        except ReproError as error:
-            result = error_response(
-                command.request_id, ErrorCode.INVALID_ARG, str(error)
-            )
         except Exception as error:  # noqa: BLE001 — fault barrier
-            result = error_response(
-                command.request_id,
-                ErrorCode.INTERNAL,
-                f"{type(error).__name__}: {error}",
-            )
+            result = error_reply(command.request_id, error)
         if result is PARKED:
             return
         self._resolve(command, result)
@@ -569,136 +540,44 @@ class CommandDispatcher:
             else:
                 self._tracer.end(command.span, ok=False, error=error_code)
 
-    #: Operations that mutate (or read uncommitted) manager state and
-    #: therefore only the primary may serve.
-    _PRIMARY_ONLY_OPS = frozenset(
-        {
-            "define",
-            "validate",
-            "read",
-            "begin_write",
-            "end_write",
-            "write",
-            "commit",
-            "prepare",
-            "abort",
-            "view",
-        }
-    )
-
     def _execute(self, command: Command) -> dict[str, Any] | object:
         op = command.op
-        repl = self.replication
-        if (
-            repl is not None
-            and repl.is_follower
-            and op in self._PRIMARY_ONLY_OPS
-        ):
-            raise NotPrimary(
-                f"{op!r} requires the primary; this node is a follower",
-                details={
-                    "host": repl.primary_host,
-                    "port": repl.primary_port,
-                },
-            )
-        if op == "ping":
-            return ok_response(command.request_id, pong=True)
-        if op == "hello":
-            return self._op_hello(command)
-        if op == "stats":
-            return self._op_stats(command)
-        if op == "follower_read":
-            return self._op_follower_read(command)
-        if op == "repl_status":
-            return self._op_repl_status(command)
-        if op == "promote":
-            return self._op_promote(command)
-        if op == "define":
-            return self._op_define(command)
-        if op == "validate":
-            return self._op_validate(command)
-        if op == "read":
-            return self._op_read(command)
-        if op == "begin_write":
-            return self._op_begin_write(command)
-        if op == "end_write":
-            return self._op_end_write(command)
-        if op == "write":
-            return self._op_write(command)
-        if op == "commit":
-            return self._op_commit(command)
-        if op == "prepare":
-            return self._op_prepare(command)
-        if op == "abort":
-            return self._op_abort(command)
-        if op == "view":
-            return self._op_view(command)
-        raise UnknownOperation(f"unknown operation {op!r}")
+        spec = OPS.get(op)
+        if command.args is None:
+            repl = self.replication
+            if (
+                spec is not None
+                and spec.primary
+                and repl is not None
+                and repl.is_follower
+            ):
+                raise NotPrimary(
+                    f"{op!r} requires the primary; this node is a follower",
+                    details={
+                        "host": repl.primary_host,
+                        "port": repl.primary_port,
+                    },
+                )
+            command.args = bind(op, command.params)
+        if spec.txn_scoped:
+            self._authorise(command.session, command.args["txn"])
+        return getattr(self, "_op_" + op)(command, **command.args)
 
-    # -- parameter plumbing --------------------------------------------------
-
-    @staticmethod
-    def _str_param(
-        params: dict[str, Any], key: str, default: Any = _REQUIRED
-    ) -> str:
-        value = params.get(key, default)
-        if value is _REQUIRED:
-            raise InvalidArgument(f"missing required parameter {key!r}")
-        if not isinstance(value, str) or not value:
-            raise InvalidArgument(
-                f"parameter {key!r} must be a non-empty string"
-            )
-        return value
-
-    @staticmethod
-    def _int_param(params: dict[str, Any], key: str) -> int:
-        value = params.get(key, _REQUIRED)
-        if value is _REQUIRED:
-            raise InvalidArgument(f"missing required parameter {key!r}")
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise InvalidArgument(
-                f"parameter {key!r} must be an integer, got {value!r}"
-            )
-        return value
-
-    @staticmethod
-    def _name_list_param(
-        params: dict[str, Any], key: str
-    ) -> list[str]:
-        value = params.get(key, [])
-        if not isinstance(value, list) or any(
-            not isinstance(item, str) for item in value
-        ):
-            raise InvalidArgument(
-                f"parameter {key!r} must be a list of strings"
-            )
-        return value
-
-    def _owned_txn(self, command: Command, key: str = "txn") -> str:
-        """Resolve + authorise the transaction a request targets."""
-        name = self._str_param(command.params, key)
+    def _authorise(
+        self, session: SessionState, name: str, what: str = "transaction"
+    ) -> None:
+        """Only the session that defined a transaction may drive it."""
         try:
             self._tm.record(name)
         except ProtocolError:
-            raise UnknownTransaction(
-                f"unknown transaction {name!r}"
-            ) from None
-        if name not in command.session.owned:
-            raise NotOwner(
-                f"transaction {name} belongs to another session"
-            )
-        return name
-
-    @staticmethod
-    def _parse_predicate(text: str, role: str) -> Predicate:
-        try:
-            return parse_cached(text)
-        except PredicateParseError as error:
-            raise InvalidArgument(
-                f"unparseable {role} predicate {text!r}: {error}"
-            ) from error
+            raise UnknownTransaction(f"unknown {what} {name!r}") from None
+        if name not in session.owned:
+            raise NotOwner(f"{what} {name} belongs to another session")
 
     # -- operations ----------------------------------------------------------
+
+    def _op_ping(self, command: Command) -> dict[str, Any]:
+        return ok_response(command.request_id, pong=True)
 
     def _op_hello(self, command: Command) -> dict[str, Any]:
         return ok_response(
@@ -741,47 +620,37 @@ class CommandDispatcher:
             **extra,
         )
 
-    def _op_define(self, command: Command) -> dict[str, Any]:
-        params = command.params
-        parent = params.get("parent") or self._tm.root
-        if not isinstance(parent, str):
-            raise InvalidArgument("parameter 'parent' must be a string")
+    def _op_define(
+        self,
+        command: Command,
+        updates: list[str],
+        input: Predicate,
+        output: Predicate,
+        parent: str | None,
+        predecessors: list[str],
+    ) -> dict[str, Any]:
+        parent = parent or self._tm.root
         if parent != self._tm.root:
             # Nesting below a session's own transactions is allowed;
             # nesting below someone else's tree is not.
-            try:
-                self._tm.record(parent)
-            except ProtocolError:
-                raise UnknownTransaction(
-                    f"unknown parent {parent!r}"
-                ) from None
-            if parent not in command.session.owned:
-                raise NotOwner(
-                    f"parent {parent} belongs to another session"
-                )
-        spec = Spec(
-            self._parse_predicate(
-                self._str_param(params, "input", "true"), "input"
-            ),
-            self._parse_predicate(
-                self._str_param(params, "output", "true"), "output"
-            ),
-        )
-        updates = self._name_list_param(params, "updates")
+            self._authorise(command.session, parent, "parent")
         # Cross-session cooperation edges: predecessors may be owned by
         # any session.  Aborted or vanished predecessors are dropped —
         # they can never commit, so the ordering obligation is vacuous
         # (mirrors the scheduler adapter).
-        predecessors = []
-        for predecessor in self._name_list_param(params, "predecessors"):
+        live_predecessors = []
+        for predecessor in predecessors:
             try:
                 record = self._tm.record(predecessor)
             except ProtocolError:
                 continue
             if record.phase is not TxnPhase.ABORTED:
-                predecessors.append(predecessor)
+                live_predecessors.append(predecessor)
         name = self._tm.define(
-            parent, spec, updates, predecessors=predecessors
+            parent,
+            Spec(input, output),
+            updates,
+            predecessors=live_predecessors,
         )
         command.session.owned.add(name)
         self._owners[name] = command.session
@@ -800,65 +669,64 @@ class CommandDispatcher:
                 self._tracer.reparent(command.span, root)
         return ok_response(command.request_id, txn=name)
 
-    def _op_validate(self, command: Command) -> dict[str, Any] | object:
-        name = self._owned_txn(command)
-        step = self._tm.validate(name)
+    def _op_validate(
+        self, command: Command, txn: str
+    ) -> dict[str, Any] | object:
+        step = self._tm.validate(txn)
         if step.outcome is Outcome.BLOCKED:
             return self._park(
-                command, name, self._lock_waiters, step.blocked_on
+                command, txn, self._lock_waiters, step.blocked_on
             )
+        self._handle_side_effects(step)
         if step.outcome is Outcome.FAILED:
-            self._handle_side_effects(step)
             # A failed validation aborts the transaction inside the
             # scheduler but reports only the *other* cascade victims,
             # so close its lifetime span here (the cascade loop in
             # _after_abort never sees it).
-            self._end_txn_span(name, outcome="aborted", reason=step.reason)
+            self._end_txn_span(txn, outcome="aborted", reason=step.reason)
             return ok_response(
                 command.request_id,
                 outcome="failed",
                 reason=step.reason,
                 aborted=step.aborted,
             )
-        self._handle_side_effects(step)
         assigned = {
             item: str(version)
             for item, version in sorted(
-                self._tm.assigned_versions(name).items()
+                self._tm.assigned_versions(txn).items()
             )
         }
         return ok_response(
             command.request_id, outcome="ok", assigned=assigned
         )
 
-    def _op_read(self, command: Command) -> dict[str, Any] | object:
-        name = self._owned_txn(command)
-        entity = self._str_param(command.params, "entity")
-        step = self._tm.read(name, entity)
+    def _op_read(
+        self, command: Command, txn: str, entity: str
+    ) -> dict[str, Any] | object:
+        step = self._tm.read(txn, entity)
         if step.outcome is Outcome.BLOCKED:
             return self._park(
-                command, name, self._lock_waiters, step.blocked_on
+                command, txn, self._lock_waiters, step.blocked_on
             )
         self._handle_side_effects(step)
         return ok_response(command.request_id, value=step.value)
 
-    def _op_begin_write(self, command: Command) -> dict[str, Any] | object:
-        name = self._owned_txn(command)
-        entity = self._str_param(command.params, "entity")
-        step = self._tm.begin_write(name, entity)
+    def _op_begin_write(
+        self, command: Command, txn: str, entity: str
+    ) -> dict[str, Any] | object:
+        step = self._tm.begin_write(txn, entity)
         if step.outcome is Outcome.BLOCKED:
             # Strict mode: an uncommitted version of the entity exists.
             return self._park(
-                command, name, self._lock_waiters, step.blocked_on
+                command, txn, self._lock_waiters, step.blocked_on
             )
         self._handle_side_effects(step)
         return ok_response(command.request_id)
 
-    def _op_end_write(self, command: Command) -> dict[str, Any]:
-        name = self._owned_txn(command)
-        entity = self._str_param(command.params, "entity")
-        value = self._int_param(command.params, "value")
-        step = self._tm.end_write(name, entity, value)
+    def _op_end_write(
+        self, command: Command, txn: str, entity: str, value: int
+    ) -> dict[str, Any]:
+        step = self._tm.end_write(txn, entity, value)
         self._handle_side_effects(step)
         return ok_response(
             command.request_id,
@@ -866,52 +734,55 @@ class CommandDispatcher:
             reassigned=step.reassigned,
         )
 
-    def _op_write(self, command: Command) -> dict[str, Any] | object:
-        name = self._owned_txn(command)
-        entity = self._str_param(command.params, "entity")
-        value = self._int_param(command.params, "value")
-        begin = self._tm.begin_write(name, entity)
+    def _op_write(
+        self, command: Command, txn: str, entity: str, value: int
+    ) -> dict[str, Any] | object:
+        begin = self._tm.begin_write(txn, entity)
         if begin.outcome is Outcome.BLOCKED:
             # Strict mode: re-run the whole write once unblocked
             # (begin_write did not register anything while blocked).
             return self._park(
-                command, name, self._lock_waiters, begin.blocked_on
+                command, txn, self._lock_waiters, begin.blocked_on
             )
-        step = self._tm.end_write(name, entity, value)
-        self._handle_side_effects(step)
-        return ok_response(
-            command.request_id,
-            aborted=step.aborted,
-            reassigned=step.reassigned,
-        )
+        return self._op_end_write(command, txn, entity, value)
 
-    def _op_commit(self, command: Command) -> dict[str, Any] | object:
-        name = self._owned_txn(command)
-        ok, reason = self._tm.can_commit(name)
-        if not ok and "predecessor" in reason:
-            return self._park(command, name, self._commit_waiters, None)
-        if not ok:
+    def _commit_gate(self, command: Command, txn: str) -> object | None:
+        """The gate ``commit`` and ``prepare`` share: the reply (or
+        ``PARKED``) while ``txn`` may not commit yet, else ``None``.
+
+        Beyond ``can_commit`` (parking on unresolved predecessors) this
+        is the commit-stability gate: a commit acknowledgement promises
+        durability, but recovery cascade-aborts committed readers of
+        versions whose authors were in flight at the crash.  Park until
+        every reads-from author has terminated — then, by induction and
+        WAL append order, the whole dependency chain is on disk before
+        this commit record (and a coordinator's later decision about a
+        prepared branch is safe to replay).  If the author aborts
+        instead, the live cascade fails this command (ABORTED); a
+        reads-from cycle parks both sides until the deadline (TIMEOUT).
+        Strict mode never exposes uncommitted versions, so the gate is
+        vacuous there.
+        """
+        ok, reason = self._tm.can_commit(txn)
+        if not ok and "predecessor" not in reason:
             return ok_response(
                 command.request_id, outcome="failed", reason=reason
             )
-        # Commit-stability gate: a commit acknowledgement promises
-        # durability, but recovery cascade-aborts committed readers of
-        # versions whose authors were in flight at the crash.  Park
-        # until every reads-from author has terminated — then, by
-        # induction and WAL append order, the whole dependency chain
-        # is on disk before this commit record.  If the author aborts
-        # instead, the live cascade fails this command (ABORTED); a
-        # reads-from cycle parks both sides until the deadline
-        # (TIMEOUT).  Strict mode never exposes uncommitted versions,
-        # so the gate is vacuous there.
-        blocker = self._tm.unstable_reads_from(name)
-        if blocker is not None:
-            return self._park(command, name, self._commit_waiters, None)
-        step = self._tm.commit(name)
+        if not ok or self._tm.unstable_reads_from(txn) is not None:
+            return self._park(command, txn, self._commit_waiters)
+        return None
+
+    def _op_commit(
+        self, command: Command, txn: str
+    ) -> dict[str, Any] | object:
+        gated = self._commit_gate(command, txn)
+        if gated is not None:
+            return gated
+        step = self._tm.commit(txn)
         self._count("server.txns.committed")
-        self._end_txn_span(name, outcome="committed")
+        self._end_txn_span(txn, outcome="committed")
         self._handle_side_effects(step)
-        if getattr(self._tm, "strict", False):
+        if self._tm.strict:
             # A commit makes the committer's versions strict-visible;
             # the manager has no lock-queue grant to report for that,
             # so re-run every parked waiter (they re-park if still
@@ -920,7 +791,7 @@ class CommandDispatcher:
         # The commit LSN doubles as the client's read-your-writes
         # session token: a later ``follower_read`` passing it as
         # ``min_applied_lsn`` is guaranteed to observe this commit.
-        lsn = getattr(self._tm, "commit_lsn_of", lambda _n: None)(name)
+        lsn = self._tm.commit_lsn_of(txn)
         extra: dict[str, Any] = {}
         if lsn is not None:
             extra["commit_lsn"] = lsn
@@ -929,52 +800,34 @@ class CommandDispatcher:
             if lsn is not None and repl.hub.replicated_lsn < lsn:
                 # Committed and durable locally; the reply waits until
                 # enough followers have fsynced past the commit LSN.
-                return self._park_repl(command, name, lsn)
-            return ok_response(
-                command.request_id,
-                outcome="committed",
-                replicated_lsn=repl.hub.replicated_lsn,
-                **extra,
-            )
+                return self._park(
+                    command, txn, self._repl_waiters, lsn=lsn
+                )
+            extra["replicated_lsn"] = repl.hub.replicated_lsn
         return ok_response(command.request_id, outcome="committed", **extra)
 
-    def _op_prepare(self, command: Command) -> dict[str, Any] | object:
-        """2PC phase 1: promise to commit this branch if told to.
-
-        Runs the full commit gate — ``can_commit`` (parking on
-        unresolved predecessors, exactly like a commit) and the
-        commit-stability gate (parking while a reads-from author is in
-        flight) — *before* logging the durable PREPARE.  The stability
-        gate is what makes the coordinator's later decision safe to
-        replay: by induction every reads-from author of a prepared
-        branch is terminated and durable, so no recovery cascade can
-        expunge a version this branch read.
-        """
-        name = self._owned_txn(command)
-        ok, reason = self._tm.can_commit(name)
-        if not ok and "predecessor" in reason:
-            return self._park(command, name, self._commit_waiters, None)
-        if not ok:
-            return ok_response(
-                command.request_id, outcome="failed", reason=reason
-            )
-        blocker = self._tm.unstable_reads_from(name)
-        if blocker is not None:
-            return self._park(command, name, self._commit_waiters, None)
-        participants = command.params.get("participants")
-        if not isinstance(participants, dict):
-            raise InvalidArgument(
-                "parameter 'participants' must be a shard->branch map"
-            )
-        data = {
-            "gid": self._str_param(command.params, "gid"),
-            "participants": dict(participants),
-            "coordinator": self._int_param(
-                command.params, "coordinator"
-            ),
-        }
-        prepare = getattr(self._tm, "prepare", None)
-        lsn = prepare(name, data) if prepare is not None else None
+    def _op_prepare(
+        self,
+        command: Command,
+        txn: str,
+        gid: str,
+        participants: dict[str, str],
+        coordinator: int,
+    ) -> dict[str, Any] | object:
+        """2PC phase 1: promise to commit this branch if told to —
+        after the full commit gate, *before* logging the durable
+        PREPARE."""
+        gated = self._commit_gate(command, txn)
+        if gated is not None:
+            return gated
+        lsn = self._tm.prepare(
+            txn,
+            {
+                "gid": gid,
+                "participants": dict(participants),
+                "coordinator": coordinator,
+            },
+        )
         self._count("server.txns.prepared")
         extra: dict[str, Any] = {}
         if lsn is not None:
@@ -983,29 +836,32 @@ class CommandDispatcher:
             command.request_id, outcome="prepared", **extra
         )
 
-    def _op_abort(self, command: Command) -> dict[str, Any]:
-        name = self._owned_txn(command)
-        reason = command.params.get("reason")
-        if reason is not None and not isinstance(reason, str):
-            raise InvalidArgument("parameter 'reason' must be a string")
-        cascade = self._tm.abort(name, reason=reason or "client requested")
+    def _op_abort(
+        self, command: Command, txn: str, reason: str | None
+    ) -> dict[str, Any]:
+        cascade = self._tm.abort(txn, reason=reason or "client requested")
         self._count("server.txns.aborted")
         # The requester learns its own abort from the response; only
         # cascade victims are notified.
-        self._after_abort(cascade, notify_exclude={name})
+        self._after_abort(cascade, notify_exclude={txn})
         return ok_response(
             command.request_id,
             outcome="aborted",
-            cascade=[other for other in cascade if other != name],
+            cascade=[other for other in cascade if other != txn],
         )
 
-    def _op_view(self, command: Command) -> dict[str, Any]:
-        name = self._owned_txn(command)
-        return ok_response(command.request_id, view=self._tm.view(name))
+    def _op_view(self, command: Command, txn: str) -> dict[str, Any]:
+        return ok_response(command.request_id, view=self._tm.view(txn))
 
     # -- replication operations ----------------------------------------------
 
-    def _op_follower_read(self, command: Command) -> dict[str, Any]:
+    def _op_follower_read(
+        self,
+        command: Command,
+        entity: str | None,
+        max_lag_lsn: int | None,
+        min_applied_lsn: int | None,
+    ) -> dict[str, Any]:
         """A bounded-stale read of the committed root view.
 
         On a follower the view is the replayed state at ``applied_lsn``
@@ -1015,7 +871,6 @@ class CommandDispatcher:
         staleness; an unsatisfiable bound fails with ``FOLLOWER_READ``
         so the client can retry or go to the primary.
         """
-        params = command.params
         repl = self.replication
         if repl is not None and repl.is_follower:
             applier = repl.applier
@@ -1031,59 +886,30 @@ class CommandDispatcher:
         else:
             # Primary (or standalone): the committed view, zero lag.
             view = self._tm.view(self._tm.root)
-            wal = getattr(self._tm, "wal", None)
+            wal = self._tm.wal
             applied_lsn = wal.last_lsn if wal is not None else 0
             lag_lsn = 0
             lag_ms = 0.0
             role = "primary"
-        max_lag = params.get("max_lag_lsn")
-        if max_lag is not None:
-            if isinstance(max_lag, bool) or not isinstance(max_lag, int):
-                raise InvalidArgument(
-                    "parameter 'max_lag_lsn' must be an integer"
-                )
-            if lag_lsn > max_lag:
-                raise StaleRead(
-                    f"replication lag {lag_lsn} exceeds bound {max_lag}",
-                    details={
-                        "applied_lsn": applied_lsn,
-                        "lag_lsn": lag_lsn,
-                    },
-                )
-        min_applied = params.get("min_applied_lsn")
-        if min_applied is not None:
-            if isinstance(min_applied, bool) or not isinstance(
-                min_applied, int
-            ):
-                raise InvalidArgument(
-                    "parameter 'min_applied_lsn' must be an integer"
-                )
-            if applied_lsn < min_applied:
-                raise StaleRead(
-                    f"applied_lsn {applied_lsn} is behind required "
-                    f"{min_applied} (read-your-writes bound)",
-                    details={
-                        "applied_lsn": applied_lsn,
-                        "lag_lsn": lag_lsn,
-                    },
-                )
-        entity = params.get("entity")
-        payload: dict[str, Any] = {
-            "applied_lsn": applied_lsn,
-            "lag_lsn": lag_lsn,
-            "lag_ms": lag_ms,
-            "role": role,
-        }
-        if entity is not None:
-            if not isinstance(entity, str) or not entity:
-                raise InvalidArgument(
-                    "parameter 'entity' must be a non-empty string"
-                )
-            if entity not in view:
-                raise InvalidArgument(f"unknown entity {entity!r}")
+        position = {"applied_lsn": applied_lsn, "lag_lsn": lag_lsn}
+        if max_lag_lsn is not None and lag_lsn > max_lag_lsn:
+            raise StaleRead(
+                f"replication lag {lag_lsn} exceeds bound {max_lag_lsn}",
+                details=position,
+            )
+        if min_applied_lsn is not None and applied_lsn < min_applied_lsn:
+            raise StaleRead(
+                f"applied_lsn {applied_lsn} is behind required "
+                f"{min_applied_lsn} (read-your-writes bound)",
+                details=position,
+            )
+        payload: dict[str, Any] = {**position, "lag_ms": lag_ms, "role": role}
+        if entity is None:
+            payload["view"] = dict(sorted(view.items()))
+        elif entity in view:
             payload["value"] = view[entity]
         else:
-            payload["view"] = dict(sorted(view.items()))
+            raise InvalidArgument(f"unknown entity {entity!r}")
         self._count("server.follower_reads")
         return ok_response(command.request_id, **payload)
 
@@ -1094,7 +920,9 @@ class CommandDispatcher:
         )
         return ok_response(command.request_id, **status)
 
-    def _op_promote(self, command: Command) -> dict[str, Any]:
+    def _op_promote(
+        self, command: Command, listen_port: int | None
+    ) -> dict[str, Any]:
         """Promote this follower to primary, in place.
 
         Runs synchronously inside the dispatcher iteration: no other
@@ -1110,14 +938,6 @@ class CommandDispatcher:
             raise InvalidArgument(
                 "promote: this follower cannot be promoted"
             )
-        listen_port = command.params.get("listen_port")
-        if listen_port is not None and (
-            isinstance(listen_port, bool)
-            or not isinstance(listen_port, int)
-        ):
-            raise InvalidArgument(
-                "parameter 'listen_port' must be an integer"
-            )
         report = repl.promote(listen_port=listen_port)
         self._count("server.promotions")
         return ok_response(command.request_id, **report)
@@ -1129,14 +949,27 @@ class CommandDispatcher:
         command: Command,
         txn: str,
         store: dict[str, Command],
-        entity: str | None,
+        entity: str | None = None,
+        lsn: int | None = None,
     ) -> object:
-        if txn in self._lock_waiters or txn in self._commit_waiters:
+        """File ``command`` under ``txn`` until resumed or expired.
+
+        ``store`` says what it waits for: a lock grant on ``entity``,
+        commit ripeness, or — the commit already done and durable
+        locally — follower acks covering ``lsn``.
+        """
+        if store is self._repl_waiters:
+            attrs: dict[str, Any] = {"on": "replication", "lsn": lsn}
+        elif txn in self._lock_waiters or txn in self._commit_waiters:
             raise ConflictingRequest(
                 f"another request is already parked on {txn}"
             )
+        else:
+            on = "commit" if store is self._commit_waiters else "lock"
+            attrs = {"entity": entity, "on": on}
         command.parked_on = txn
         command.blocked_entity = entity
+        command.repl_lsn = lsn
         command.park_epoch += 1
         command.parked_at = self._clock()
         store[txn] = command
@@ -1144,76 +977,57 @@ class CommandDispatcher:
         self._gauge_set("server.park.depth", self.parked_count)
         if self._tracer.enabled and command.span is not None:
             command.wait_span = self._tracer.start(
-                "park.wait",
-                txn,
-                parent=command.span,
-                entity=entity,
-                on=("commit" if store is self._commit_waiters else "lock"),
+                "park.wait", txn, parent=command.span, **attrs
             )
         remaining = command.deadline - self._clock()
-        loop = asyncio.get_running_loop()
         if remaining <= 0:
             self._expire(command)
-            return PARKED
-        command.timer = loop.call_later(
-            remaining, self._expire, command
-        )
-        return PARKED
-
-    def _park_repl(
-        self, command: Command, txn: str, lsn: int
-    ) -> object:
-        """Withhold a committed reply until followers ack ``lsn``."""
-        command.parked_on = txn
-        command.repl_lsn = lsn
-        command.park_epoch += 1
-        command.parked_at = self._clock()
-        self._repl_waiters[txn] = command
-        self._count("server.parked")
-        self._gauge_set("server.park.depth", self.parked_count)
-        if self._tracer.enabled and command.span is not None:
-            command.wait_span = self._tracer.start(
-                "park.wait",
-                txn,
-                parent=command.span,
-                on="replication",
-                lsn=lsn,
+        else:
+            command.timer = asyncio.get_running_loop().call_later(
+                remaining, self._expire, command
             )
-        remaining = command.deadline - self._clock()
-        loop = asyncio.get_running_loop()
-        if remaining <= 0:
-            self._expire_repl(command)
-            return PARKED
-        command.timer = loop.call_later(
-            remaining, self._expire_repl, command
-        )
         return PARKED
 
-    def _expire_repl(self, command: Command) -> None:
-        """Replication-ack deadline: the outcome is *indeterminate*.
+    def _expire(self, command: Command) -> None:
+        """Deadline callback for a parked command.
 
-        The commit happened and is durable on this node; only the
-        replication guarantee is unmet.  The client is told exactly
-        that — ``TIMEOUT`` with ``indeterminate: true`` — so it must
-        not assume the commit was lost (after a failover it may well
-        survive)."""
-        if command.parked_on is None:
+        A lock or commit waiter's underlying request stays queued with
+        the manager (the protocol tolerates that — a later grant just
+        means the lock is held); the *client* is released with
+        ``TIMEOUT`` and should abort or retry.  A replication-ack
+        waiter's outcome is *indeterminate*: the commit happened and is
+        durable on this node, only the replication guarantee is unmet.
+        The client is told exactly that — ``TIMEOUT`` with
+        ``indeterminate: true`` — so it must not assume the commit was
+        lost (after a failover it may well survive).
+        """
+        txn, lsn = command.parked_on, command.repl_lsn
+        if txn is None:
             return
-        txn = command.parked_on
         self._unpark(command)
         self._count("server.timeouts")
-        self._count("server.repl.indeterminate")
-        self._resolve(
-            command,
-            error_response(
+        if lsn is not None:
+            self._count("server.repl.indeterminate")
+            response = error_response(
                 command.request_id,
                 ErrorCode.TIMEOUT,
                 f"commit of {txn} is durable locally but the "
                 "replication ack did not arrive in time",
                 indeterminate=True,
-                commit_lsn=command.repl_lsn,
-            ),
-        )
+                commit_lsn=lsn,
+            )
+        else:
+            what = (
+                f"write on {command.blocked_entity}"
+                if command.blocked_entity
+                else "partial-order predecessors"
+            )
+            response = error_response(
+                command.request_id,
+                ErrorCode.TIMEOUT,
+                f"{command.op} timed out waiting on {what}",
+            )
+        self._resolve(command, response)
 
     def on_replicated(self, lsn: int) -> None:
         """Hub callback: follower acks cover everything up to ``lsn``."""
@@ -1250,32 +1064,6 @@ class CommandDispatcher:
             self._tracer.end(command.wait_span)
             command.wait_span = None
 
-    def _expire(self, command: Command) -> None:
-        """Deadline callback for a parked command.
-
-        The underlying lock request stays queued with the manager (the
-        protocol tolerates that — a later grant just means the lock is
-        held); the *client* is released with ``TIMEOUT`` and should
-        abort or retry.
-        """
-        if command.parked_on is None:
-            return
-        what = (
-            f"write on {command.blocked_entity}"
-            if command.blocked_entity
-            else "partial-order predecessors"
-        )
-        self._unpark(command)
-        self._count("server.timeouts")
-        self._resolve(
-            command,
-            error_response(
-                command.request_id,
-                ErrorCode.TIMEOUT,
-                f"{command.op} timed out waiting on {what}",
-            ),
-        )
-
     def _handle_side_effects(self, step: StepResult) -> None:
         """Propagate one step's aborted/unblocked lists to parked
         commands and owning sessions (runs inside the dispatcher
@@ -1284,7 +1072,10 @@ class CommandDispatcher:
             self._after_abort(step.aborted)
             return  # _after_abort already resumes waiters + ripeness
         for name in step.unblocked:
-            self._resume_lock_waiter(name)
+            command = self._lock_waiters.get(name)
+            if command is not None:
+                self._unpark(command)
+                self._run_command(command)
         self._check_commit_waiters()
 
     def _end_txn_span(self, name: str, **attrs: Any) -> None:
@@ -1349,13 +1140,6 @@ class CommandDispatcher:
             return "aborted"
         return record.abort_reason or "aborted"
 
-    def _resume_lock_waiter(self, name: str) -> None:
-        command = self._lock_waiters.get(name)
-        if command is None:
-            return
-        self._unpark(command)
-        self._run_command(command)
-
     def _resume_all_lock_waiters(self) -> None:
         """Re-run every lock-parked command — each at most once.
 
@@ -1402,16 +1186,11 @@ class CommandDispatcher:
         and notified — the "killed client mid-transaction" path.
         """
         session.closed = True
-        live = [
-            name
-            for name in sorted(session.owned)
-            if not self._tm.record(name).terminated
-        ]
-        for name in live:
-            if self._tm.record(name).terminated:
-                continue  # an earlier cascade got it
-            await self.submit_internal(
-                session,
-                "abort",
-                {"txn": name, "reason": "session disconnected"},
-            )
+        for name in sorted(session.owned):
+            # (an earlier abort's cascade may already have got it)
+            if not self._tm.record(name).terminated:
+                await self.submit_internal(
+                    session,
+                    "abort",
+                    {"txn": name, "reason": "session disconnected"},
+                )

@@ -54,16 +54,11 @@ def test_shrink_respects_run_budget():
     assert small.canonical_json() == plan.canonical_json()
 
 
-def _ack_without_commit(self, command):
+def _ack_without_commit(self, command, txn):
     """The injected regression: a commit acked but never performed."""
-    name = self._owned_txn(command)
-    ok, reason = self._tm.can_commit(name)
-    if not ok and "predecessor" in reason:
-        return self._park(command, name, self._commit_waiters, None)
-    if not ok:
-        return ok_response(
-            command.request_id, outcome="failed", reason=reason
-        )
+    gated = self._commit_gate(command, txn)
+    if gated is not None:
+        return gated
     self._count("server.txns.committed")
     return ok_response(command.request_id, outcome="committed")
 

@@ -206,8 +206,17 @@ class TestFailover:
                     # assert the root-level committed state instead).
                     view = (await f_client.follower_read())["view"]
                     assert view == {"x": 7, "y": 99}
+                    # The promoted manager is the one the group-commit
+                    # loop now drives (and shutdown will close).
+                    wal = follower.manager.wal
+
+                    async def flushed():
+                        return wal.durable_lsn == wal.last_lsn
+
+                    await _wait_for(flushed, timeout=2.0)
                 finally:
                     await f_client.close()
+            assert wal.closed
 
         run(scenario())
 

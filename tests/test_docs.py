@@ -87,3 +87,23 @@ def test_examples_listed_in_readme_exist():
         if name in ("setup.py",):
             continue
         assert (DOCS_ROOT / "examples" / name).exists(), name
+
+
+def test_server_operations_table_is_the_op_table():
+    """docs/server.md lists every op with exactly its parameters."""
+    from repro.server.protocol import OPS, REQUIRED
+
+    text = (DOCS_ROOT / "docs/server.md").read_text(encoding="utf-8")
+    table = text.split("### Operations", 1)[1].split("\n\n", 2)[1]
+    documented = {}
+    for row in table.splitlines()[2:]:
+        op, params = [cell.strip() for cell in row.split("|")[1:3]]
+        documented[op.strip("`")] = re.findall(r"`([^`]+)`", params)
+    assert documented == {
+        op: [
+            param.name + ("" if param.default is REQUIRED else "?")
+            for param in spec.params
+        ]
+        for op, spec in OPS.items()
+    }
+    assert list(documented) == list(OPS)  # same order, too
