@@ -141,9 +141,8 @@ class _Surface:
         """An *indeterminate* failure (replication-ack timeout) means
         the commit is durable locally: the session has still observed
         its own write, so the token advances."""
-        details = getattr(error, "details", None) or {}
-        if details.get("indeterminate"):
-            self._committed(details)
+        if error.details.get("indeterminate"):
+            self._committed(error.details)
 
     def prepare(
         self,

@@ -117,7 +117,7 @@ def parse_request(frame: dict[str, Any]) -> Request:
     if "id" not in frame:
         raise MalformedFrame("request has no 'id'")
     request_id = frame["id"]
-    if isinstance(request_id, bool) or not isinstance(request_id, int):
+    if not _is_int(request_id):
         raise MalformedFrame(
             f"request id must be an integer, got {request_id!r}"
         )
@@ -267,6 +267,7 @@ def bind(op: str, params: dict[str, Any]) -> dict[str, Any]:
         if value is not param.default and not check(value):
             message = f"parameter {key!r} must be {wording}"
             if param.kind == "int" and param.default is REQUIRED:
+                # Wire compatibility: required integers echo the value.
                 message += f", got {value!r}"
             raise InvalidArgument(message)
         if param.kind == "predicate":

@@ -215,14 +215,13 @@ class TransactionServer:
                         f"shard_managers has {len(shard_managers)} "
                         f"entries for {self._config.shards} shards"
                     )
-                self._managers = list(shard_managers)
+                managers = list(shard_managers)
             else:
-                self._managers = self._open_shard_managers(database)
-            self._manager = self._managers[0]
+                managers = self._open_shard_managers(database)
         elif shard_managers is not None:
             raise ValueError("shard_managers requires shards > 1")
         elif manager is not None:
-            self._manager = manager
+            managers = [manager]
         elif self._config.follow_of:
             # Follower: the WAL dir belongs to the applier (replicated
             # history), never to a DurableTransactionManager — the
@@ -232,7 +231,7 @@ class TransactionServer:
                 raise ValueError(
                     "follow_of requires wal_dir for replicated history"
                 )
-            self._manager, _ = self._open_manager(database, None)
+            managers = [self._open_manager(database, None)[0]]
             host, port = _parse_hostport(self._config.follow_of)
             applier = FollowerApplier(
                 self._config.wal_dir,
@@ -257,12 +256,13 @@ class TransactionServer:
             )
             self.replication.promote = self.promote_now
         else:
-            self._manager, self.recovery = self._open_manager(
+            opened, self.recovery = self._open_manager(
                 database, self._config.wal_dir
             )
-        if not self._sharded:
-            self._managers = [self._manager]
-        dispatchers = [
+            managers = [opened]
+        #: One dispatcher per shard; each holds its manager (a promotion
+        #: swaps it there), so nothing else keeps a second reference.
+        self._dispatchers = [
             CommandDispatcher(
                 shard_manager,
                 registry=self._registry,
@@ -274,19 +274,19 @@ class TransactionServer:
                 shard=index if self._sharded else None,
                 shards_total=self._config.shards,
             )
-            for index, shard_manager in enumerate(self._managers)
+            for index, shard_manager in enumerate(managers)
         ]
         self._dispatcher: "CommandDispatcher | ShardRouter" = (
-            ShardRouter(dispatchers, registry=self._registry)
+            ShardRouter(self._dispatchers, registry=self._registry)
             if self._sharded
-            else dispatchers[0]
+            else self._dispatchers[0]
         )
         if (
             self.replication is None
             and self._config.repl_port is not None
         ):
             hub = ReplicationHub(
-                self._manager,  # raises unless WAL-backed
+                managers[0],  # raises unless WAL-backed
                 sync_replicas=self._config.sync_replicas,
                 registry=self._registry,
                 tracer=tracer,
@@ -385,7 +385,7 @@ class TransactionServer:
 
     @property
     def manager(self) -> TransactionManager:
-        return self._manager
+        return self._dispatchers[0].manager
 
     @property
     def dispatcher(self) -> CommandDispatcher:
@@ -440,8 +440,6 @@ class TransactionServer:
         assert applier is not None
         applier.close()
         manager, recovery = self._open_manager(None, self._config.wal_dir)
-        self._manager = manager
-        self._managers = [manager]  # what the flush loop and shutdown see
         self._dispatcher.replace_manager(manager)
         self.recovery = recovery
         new_context = ReplicationContext(ROLE_PRIMARY)
@@ -525,14 +523,14 @@ class TransactionServer:
 
         ``maybe_flush`` is synchronous and the event loop is
         single-threaded, so this never interleaves with a dispatcher
-        iteration mid-append.  ``_managers`` is re-read every tick
-        because promotion replaces the manager mid-flight.
+        iteration mid-append.  Each dispatcher's manager is re-read
+        every tick because promotion replaces it mid-flight.
         """
         interval = max(self._config.flush_interval / 2, 0.001)
         while True:
             await asyncio.sleep(interval)
-            for shard_manager in self._managers:
-                shard_manager.maybe_flush()
+            for dispatcher in self._dispatchers:
+                dispatcher.manager.maybe_flush()
 
     def _health(self) -> "dict[str, Any]":
         context = self.replication
@@ -572,9 +570,9 @@ class TransactionServer:
         if self._dispatcher_task is not None:
             await self._dispatcher_task
         await _cancelled(self._flush_task)
-        for shard_manager in self._managers:
+        for dispatcher in self._dispatchers:
             # Durable manager: final checkpoint + flush, clean WAL.
-            shard_manager.close()
+            dispatcher.manager.close()
         if self.replication is not None:
             if self.replication.hub is not None:
                 self.replication.hub.close()
