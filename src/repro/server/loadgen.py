@@ -453,23 +453,6 @@ async def run_loadgen(
     return report
 
 
-#: Per-phase latency sources for the bench file: registry histogram →
-#: bench key.  Closes the ROADMAP gap — p50/p95/p99 of where dispatcher
-#: time goes (queue, park, validation, fsync) straight from the live
-#: registry.  Units are whatever the histogram observes (seconds unless
-#: the key says otherwise).
-_PHASE_HISTOGRAMS = {
-    "queue_wait_s": "server.queue.wait",
-    "park_wait_s": "server.park.wait",
-    "validate_us": "validation_latency_us",
-    "wal_fsync_ms": "wal.flush.latency_ms",
-    "request_s": "server.request.latency",
-    # Not a latency: commands drained per dispatch cycle.  Archived so
-    # the bench file shows whether batched validation actually engaged.
-    "batch_records": "server.batch.size",
-}
-
-
 def _trim_server_stats(snapshot: dict[str, Any]) -> dict[str, Any]:
     """The server-side numbers worth archiving in the bench file."""
     counters = snapshot.get("counters", {})
@@ -480,15 +463,6 @@ def _trim_server_stats(snapshot: dict[str, Any]) -> dict[str, Any]:
         for name, value in counters.items()
         if name.startswith("server.")
     }
-    phases = {}
-    for label, source in _PHASE_HISTOGRAMS.items():
-        summary = histograms.get(source)
-        if summary and summary.get("count"):
-            phases[label] = {
-                key: summary[key]
-                for key in ("count", "mean", "p50", "p95", "p99", "max")
-                if key in summary
-            }
     return {
         "counters": interesting_counters,
         "queue_depth_max": gauges.get("server.queue.depth", {}).get(
@@ -499,7 +473,6 @@ def _trim_server_stats(snapshot: dict[str, Any]) -> dict[str, Any]:
         "request_latency": histograms.get(
             "server.request.latency", {}
         ),
-        "phases": phases,
     }
 
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from collections import Counter
+
 from repro.analysis import (
     CensusResult,
     census_of_programs,
@@ -11,6 +13,7 @@ from repro.analysis import (
     text_table,
 )
 from repro.classes import classify
+from repro.obs import RecordingTracer
 from repro.schedules import Schedule
 
 
@@ -112,6 +115,33 @@ class TestCensusEngines:
             example1_programs(), [{"x"}, {"y"}], exact=True
         )
         assert self.counts(fast) == self.counts(exact)
+
+    def test_four_transaction_census_staged_equals_exact(self):
+        """1680 interleavings, high fingerprint collision: the staged
+        engine with dedup counts what the exact one does, running
+        strictly fewer checks of every class."""
+        programs = Schedule.parse(
+            "r1(x) w1(x) r2(x) r2(y) w2(y) r3(y) w3(x) w4(y)"
+        ).programs()
+        checks = {}
+        results = {}
+        for mode, kwargs in (
+            ("exact", {"exact": True, "dedup": False}),
+            ("fast", {}),
+        ):
+            tracer = RecordingTracer()
+            results[mode] = census_of_programs(
+                programs, [{"x"}, {"y"}], tracer=tracer, **kwargs
+            )
+            checks[mode] = Counter(
+                span.attrs["cls"] for span in tracer.of_kind("class.check")
+            )
+        assert self.counts(results["fast"]) == self.counts(results["exact"])
+        assert results["exact"].total == 1680
+        assert results["exact"].containment_failures == 0
+        assert checks["exact"]["CSR"] == 1680
+        for cls, count in checks["exact"].items():
+            assert checks["fast"][cls] < count, cls
 
     def test_dedup_counts_identical_and_cache_hits(self):
         cached = census_of_programs(example1_programs(), [{"x"}, {"y"}])

@@ -114,6 +114,25 @@ class TestCommittedPrefix:
         view = result.manager.view(result.manager.root)
         assert view["x"] == 5
 
+    def test_ten_thousand_record_wal_recovers_verified(self, wal_dir):
+        # 100 leaves x 100 reads, no checkpoint past the first: recovery
+        # replays every record, exactly as after a crash.
+        manager = open_fresh(wal_dir, checkpoint_every=0)
+        for index in range(100):
+            entity = "xyz"[index % 3]
+            name = manager.define(
+                manager.root, spec(f"{entity} >= 0"), [entity]
+            )
+            assert manager.validate(name).outcome is Outcome.OK
+            for _ in range(100):
+                assert manager.read(name, entity).outcome is Outcome.OK
+            assert manager.write(name, entity, index).outcome is Outcome.OK
+            assert manager.commit(name).outcome is Outcome.OK
+        result = recover(wal_dir)
+        assert result.records_replayed >= 10_000
+        assert result.verified, result.violations
+        assert len(result.committed) == 100
+
     def test_recovered_manager_serves_new_transactions(self, wal_dir):
         manager = open_fresh(wal_dir)
         run_leaf(manager, "x", 11)

@@ -14,6 +14,7 @@ from repro.durability.wal import (
     truncate_torn_tail,
 )
 from repro.errors import DurabilityError
+from repro.obs.metrics import MetricsRegistry
 
 
 class FakeClock:
@@ -211,6 +212,29 @@ class TestGroupCommit:
         old = segment_name(1)
         assert lengths[old] == (wal_dir / old).stat().st_size
         wal.close()
+
+    def test_window_amortises_fsyncs(self, tmp_path):
+        """Sync mode fsyncs once per commit; a window takes fewer
+        fsyncs for the same appends."""
+
+        def fsyncs(flush_interval: float) -> int:
+            clock = FakeClock()
+            registry = MetricsRegistry()
+            wal = WriteAheadLog(
+                tmp_path / f"wal-{flush_interval}",
+                flush_interval=flush_interval,
+                registry=registry,
+                clock=clock,
+            )
+            for index in range(200):
+                wal.append("commit", f"t.{index}", {"released": {}})
+                clock.advance(0.001)
+                wal.maybe_flush()
+            wal.close()
+            return registry.counter("wal.fsyncs").value
+
+        assert fsyncs(0.0) == 200
+        assert fsyncs(0.005) < 200
 
 
 class TestCleanup:

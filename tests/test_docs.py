@@ -89,6 +89,26 @@ def test_examples_listed_in_readme_exist():
         assert (DOCS_ROOT / "examples" / name).exists(), name
 
 
+def test_benchmark_paths_in_docs_exist():
+    """Every ``benchmarks/…py`` a doc names is a file in the tree."""
+    docs = [DOCS_ROOT / name for name in ("README.md", "DESIGN.md", "EXPERIMENTS.md")]
+    docs += sorted((DOCS_ROOT / "docs").glob("*.md"))
+    named = {
+        (doc.name, path)
+        for doc in docs
+        for path in re.findall(
+            r"benchmarks/[\w/]+\.py", doc.read_text(encoding="utf-8")
+        )
+    }
+    assert named, "no benchmark paths found in the docs"
+    missing = sorted(
+        f"{doc}: {path}"
+        for doc, path in named
+        if not (DOCS_ROOT / path).is_file()
+    )
+    assert not missing, missing
+
+
 def test_server_operations_table_is_the_op_table():
     """docs/server.md lists every op with exactly its parameters."""
     from repro.server.protocol import OPS, REQUIRED

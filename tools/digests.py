@@ -9,6 +9,9 @@ versus change with the same interpreter:
                  report with oracle verdicts reduced to ``{name: ok}``
 ``scenarios``    the six shipped ``repro sim`` scenarios, ``details``
                  dropped from the per-epoch oracle verdicts
+``sim_sweep``    the default ``hot_key_storm`` sweep (nodes 3,6 x
+                 partition rates 0,0.3), bytes as ``repro sim sweep
+                 --output`` writes them
 ``wal``          segment names + bytes left by the fixed in-process
                  script below
 ``checkpoints``  checkpoint names + bytes left by the same script
@@ -76,6 +79,13 @@ def scenario_digest() -> str:
             yield json.dumps(report, sort_keys=True).encode()
 
     return _sha(reports())
+
+
+def sim_sweep_digest() -> str:
+    from repro.des import get_scenario, run_sweep
+
+    doc = run_sweep(get_scenario("hot_key_storm"))
+    return _sha([(json.dumps(doc, indent=2, sort_keys=True) + "\n").encode()])
 
 
 # ---------------------------------------------------------------------------
@@ -494,6 +504,7 @@ def compute() -> dict[str, str]:
     return {
         "fuzz": fuzz_digest(),
         "scenarios": scenario_digest(),
+        "sim_sweep": sim_sweep_digest(),
         "wal": wal,
         "checkpoints": checkpoints,
         "wire.shards1": _sha(wire_frames(1)),
