@@ -19,12 +19,11 @@ from __future__ import annotations
 
 from repro.sim import (
     DEFAULT_SCHEDULERS,
-    cad_workload,
     compare_schedulers,
     metrics_table,
-    oltp_workload,
     run_one,
 )
+from repro.workload import cad_workload, oltp_workload
 
 from conftest import report
 

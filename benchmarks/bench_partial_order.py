@@ -44,14 +44,9 @@ def test_d2_admissibility_gain(benchmark):
 def test_d2_operational_wait_reduction(benchmark):
     from repro.baselines import StrictTwoPhaseLocking
     from repro.core import Domain, Predicate, Schema
-    from repro.sim import (
-        SimulationEngine,
-        TransactionScript,
-        Workload,
-        Write,
-    )
-    from repro.sim.workload import Unordered
+    from repro.sim import SimulationEngine
     from repro.storage import Database
+    from repro.workload import TransactionScript, Unordered, Workload, Write
 
     schema = Schema.of("x", "y", domain=Domain.interval(0, 1000))
 

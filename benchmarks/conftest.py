@@ -34,7 +34,7 @@ def report(title: str, body: str) -> None:
 @pytest.fixture(scope="session")
 def cad_workload_std():
     """The canonical P1 workload (shared across benchmarks)."""
-    from repro.sim import cad_workload
+    from repro.workload import cad_workload
 
     return cad_workload(
         num_designers=8,

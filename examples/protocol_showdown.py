@@ -17,12 +17,8 @@ Expected shape (Section 2.4's goals):
 Run:  python examples/protocol_showdown.py
 """
 
-from repro.sim import (
-    cad_workload,
-    compare_schedulers,
-    metrics_table,
-    oltp_workload,
-)
+from repro.sim import compare_schedulers, metrics_table
+from repro.workload import cad_workload, oltp_workload
 
 
 def main() -> None:

@@ -21,15 +21,15 @@ See ``examples/`` for protocol-level walkthroughs and ``benchmarks/``
 for the experiment suite (DESIGN.md maps experiments to modules).
 """
 
+# ``repro.baselines`` and ``repro.sim`` are imported where used, so the
+# serving stack (``repro serve``) never loads them.
 from . import (
     analysis,
-    baselines,
     classes,
     core,
     protocol,
     sat,
     schedules,
-    sim,
     storage,
 )
 from .errors import ReproError
@@ -40,12 +40,10 @@ __all__ = [
     "ReproError",
     "__version__",
     "analysis",
-    "baselines",
     "classes",
     "core",
     "protocol",
     "sat",
     "schedules",
-    "sim",
     "storage",
 ]

@@ -6,7 +6,7 @@ from .base import (
     ConcurrencyControl,
     PlannedAccess,
 )
-from .korth_speegle import KorthSpeegleScheduler, default_spec_builder
+from .korth_speegle import KorthSpeegleScheduler
 from .multiversion_to import MultiversionTimestampOrdering
 from .predicatewise_2pl import PredicatewiseTwoPhaseLocking
 from .serial import SerialExecution
@@ -25,5 +25,4 @@ __all__ = [
     "SerialExecution",
     "StrictTwoPhaseLocking",
     "TimestampOrdering",
-    "default_spec_builder",
 ]

@@ -21,9 +21,9 @@ Key behavioural mappings:
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
-from ..core.predicates import Atom, Clause, Predicate
+from ..core.predicates import parse_cached
 from ..core.transactions import Spec
 from ..errors import ProtocolError
 from ..obs.metrics import MetricsRegistry
@@ -31,46 +31,8 @@ from ..obs.trace import NULL_TRACER, Tracer
 from ..protocol.scheduler import Outcome, TransactionManager, TxnPhase
 from ..protocol.validation import VersionSelector
 from ..storage.database import Database
+from ..workload import predicate_text
 from .base import AccessResult, ConcurrencyControl, PlannedAccess
-
-SpecBuilder = Callable[[Sequence[PlannedAccess]], Spec]
-
-
-def default_spec_builder(database: Database) -> SpecBuilder:
-    """Plan → specification: read entities appear in ``I_t``.
-
-    The generated input constraint asserts each read entity sits in its
-    domain (trivially satisfiable but *mentions* the entity, which is
-    what the model requires of ``N_t``); the output condition restates
-    the same for written entities.
-    """
-
-    def build(plan: Sequence[PlannedAccess]) -> Spec:
-        read_entities = sorted(
-            {access.entity for access in plan if not access.is_write}
-        )
-        written = sorted(
-            {access.entity for access in plan if access.is_write}
-        )
-
-        def domain_clauses(names: Iterable[str]) -> list[Clause]:
-            clauses = []
-            for name in names:
-                domain = database.schema[name].domain
-                low = min(domain) if len(domain) < 10**6 else None
-                bound = low if low is not None else 0
-                clauses.append(
-                    Clause.of(Atom.of(name, ">=", bound))
-                )
-            return clauses
-
-        return Spec(
-            Predicate(domain_clauses(read_entities)),
-            Predicate(domain_clauses(written)),
-        )
-
-    return build
-
 
 class KorthSpeegleScheduler(ConcurrencyControl):
     """The paper's protocol as a drivable scheduler."""
@@ -81,15 +43,9 @@ class KorthSpeegleScheduler(ConcurrencyControl):
         self,
         database: Database,
         selector: VersionSelector | None = None,
-        spec_builder: SpecBuilder | None = None,
     ) -> None:
         self._db = database
         self._tm = TransactionManager(database, selector=selector)
-        self._spec_builder = (
-            spec_builder
-            if spec_builder is not None
-            else default_spec_builder(database)
-        )
         self._names: dict[str, str] = {}  # engine id -> protocol name
         self._ids: dict[str, str] = {}  # protocol name -> engine id
         self._commit_waiters: list[str] = []
@@ -138,8 +94,12 @@ class KorthSpeegleScheduler(ConcurrencyControl):
     ) -> AccessResult:
         plan = plan or ()
         if txn not in self._names:
-            spec = self._spec_builder(plan)
             updates = {access.entity for access in plan if access.is_write}
+            reads = {access.entity for access in plan if not access.is_write}
+            spec = Spec(
+                parse_cached(predicate_text(sorted(reads))),
+                parse_cached(predicate_text(sorted(updates))),
+            )
             predecessor_names = [
                 self._names[p] for p in predecessors if p in self._names
             ]

@@ -170,7 +170,8 @@ def _cmd_admission(args: argparse.Namespace) -> int:
 
 
 def _cmd_showdown(args: argparse.Namespace) -> int:
-    from .sim import cad_workload, compare_schedulers, metrics_table
+    from .sim import compare_schedulers, metrics_table
+    from .workload import cad_workload
 
     workload = cad_workload(
         num_designers=args.designers,
@@ -206,7 +207,8 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     )
 
     if args.record:
-        from .sim import DEFAULT_SCHEDULERS, cad_workload, run_one
+        from .sim import DEFAULT_SCHEDULERS, run_one
+        from .workload import cad_workload
 
         factory = DEFAULT_SCHEDULERS.get(args.scheduler)
         if factory is None:
@@ -288,7 +290,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     import signal
 
     from .obs import LiveTracer, SpanRing
-    from .server import ServerConfig, TransactionServer, build_workload
+    from .server import ServerConfig, TransactionServer
+    from .workload import build_workload
 
     workload = build_workload(
         args.workload,
@@ -691,11 +694,8 @@ def _recover_sharded_layout(args: argparse.Namespace, registry) -> int:
 def _cmd_loadgen(args: argparse.Namespace) -> int:
     import asyncio
 
-    from .server.loadgen import (
-        build_workload,
-        report_table,
-        run_loadgen,
-    )
+    from .workload import build_workload
+    from .workload.driver import report_table, run_loadgen
 
     workload = build_workload(
         args.workload,
@@ -717,13 +717,6 @@ def _cmd_loadgen(args: argparse.Namespace) -> int:
                 seed=args.seed,
             )
         )
-    except ConnectionError as error:
-        print(
-            f"error: cannot reach server at {args.host}:{args.port} "
-            f"({error})",
-            file=sys.stderr,
-        )
-        return 2
     except OSError as error:
         print(
             f"error: cannot reach server at {args.host}:{args.port} "

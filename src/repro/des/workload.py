@@ -3,8 +3,10 @@
 Same discipline as :mod:`repro.fuzz.plan`: the seed is consumed *up
 front*, at plan time, into explicit :class:`~repro.fuzz.plan.ClientPlan`
 scripts — execution never touches an RNG, so the same scenario + seed
-always produces the same cluster run.  The scripts reuse the fuzz
-plan's op encoding plus one DES-only op:
+always produces the same cluster run.  The per-transaction families
+live in :mod:`repro.workload.families`; each client draws from its own
+seeded stream.  The scripts use the :class:`~repro.workload.Txn` op
+encoding plus one DES-only op:
 
 ``["follower_read", entity_or_None, follower_index]``
     a bounded-stale read routed to the given follower node, carrying
@@ -21,7 +23,16 @@ from __future__ import annotations
 import random
 from typing import Any
 
-from ..fuzz.plan import ENTITIES, ClientPlan, FuzzPlan, PlannedTxn
+from ..fuzz.plan import ClientPlan, FuzzPlan
+from ..workload import Txn
+from ..workload.families import (
+    ENTITIES,
+    cad_txn,
+    cascade_txn,
+    herd_txn,
+    hot_key_txn,
+    mixed_txn,
+)
 from .scenarios import WORKLOAD_KINDS, Scenario
 
 
@@ -63,150 +74,6 @@ def _maybe_follower_read(
     )
 
 
-def _sleep(rng: random.Random, think_max: float) -> "list[Any]":
-    return ["sleep", round(rng.uniform(0.0, think_max), 4)]
-
-
-def _hot_key_txn(
-    scenario: Scenario, rng: random.Random, label: str
-) -> PlannedTxn:
-    """Everyone reads and rewrites ``x``: maximal write-write conflict."""
-    ops: list[list[Any]] = [["read", "x"]]
-    if scenario.think_max > 0:
-        ops.append(_sleep(rng, scenario.think_max))
-    ops.append(["write", "x", rng.randint(0, 9)])
-    ops.append(["commit"])
-    return PlannedTxn(
-        label=label,
-        updates=["x"],
-        input="x >= 0",
-        output="x >= 0",
-        ops=ops,
-    )
-
-
-def _cad_txn(
-    scenario: Scenario,
-    rng: random.Random,
-    label: str,
-    long_form: bool,
-) -> PlannedTxn:
-    """Long CAD-style reader-then-writer vs. a short point write."""
-    if long_form:
-        ops: list[list[Any]] = []
-        for entity in ENTITIES:
-            ops.append(_sleep(rng, scenario.think_max))
-            ops.append(["read", entity])
-        target = rng.choice(ENTITIES)
-        ops.append(_sleep(rng, scenario.think_max))
-        ops.append(["write", target, rng.randint(0, 9)])
-        ops.append(["commit"])
-        return PlannedTxn(
-            label=label,
-            updates=[target],
-            input=" & ".join(f"{e} >= 0" for e in ENTITIES),
-            output=f"{target} >= 0",
-            ops=ops,
-        )
-    target = rng.choice(ENTITIES)
-    return PlannedTxn(
-        label=label,
-        updates=[target],
-        input="true",
-        output=f"{target} >= 0",
-        ops=[["write", target, rng.randint(0, 9)], ["commit"]],
-    )
-
-
-def _cascade_txn(
-    scenario: Scenario,
-    rng: random.Random,
-    label: str,
-    earlier: "list[str]",
-    aborter: bool,
-) -> PlannedTxn:
-    """Writers that abort late vs. dependents that read their entity."""
-    entity = rng.choice(ENTITIES)
-    if aborter:
-        ops: list[list[Any]] = [
-            ["write", entity, rng.randint(0, 9)],
-            _sleep(rng, max(scenario.think_max, 0.02) * 3),
-            ["abort"],
-        ]
-        return PlannedTxn(
-            label=label,
-            updates=[entity],
-            input="true",
-            output=f"{entity} >= 0",
-            ops=ops,
-        )
-    predecessors = [rng.choice(earlier)] if earlier else []
-    ops = [
-        ["read", entity],
-        _sleep(rng, max(scenario.think_max, 0.02)),
-        ["write", entity, rng.randint(0, 9)],
-        ["commit"],
-    ]
-    return PlannedTxn(
-        label=label,
-        updates=[entity],
-        input=f"{entity} >= 0",
-        output=f"{entity} >= 0",
-        predecessors=predecessors,
-        ops=ops,
-    )
-
-
-def _herd_txn(
-    scenario: Scenario, rng: random.Random, label: str
-) -> PlannedTxn:
-    """Zero think time: stampede the queue, ride the BUSY backoff."""
-    entity = rng.choice(ENTITIES)
-    return PlannedTxn(
-        label=label,
-        updates=[entity],
-        input="true",
-        output=f"{entity} >= 0",
-        ops=[["write", entity, rng.randint(0, 9)], ["commit"]],
-    )
-
-
-def _mixed_txn(
-    scenario: Scenario,
-    rng: random.Random,
-    label: str,
-    earlier: "list[str]",
-) -> PlannedTxn:
-    """The fuzz generator's shape: random reads, writes, terminals."""
-    reads = [e for e in ENTITIES if rng.random() < 0.45]
-    updates = [e for e in ENTITIES if rng.random() < 0.5] or [
-        rng.choice(ENTITIES)
-    ]
-    input_terms = [f"{e} >= 0" for e in reads]
-    output_terms = [f"{e} >= 0" for e in updates]
-    predecessors = []
-    if earlier and rng.random() < 0.3:
-        predecessors.append(rng.choice(earlier))
-    ops: list[list[Any]] = []
-    for entity in reads:
-        if scenario.think_max > 0 and rng.random() < 0.5:
-            ops.append(_sleep(rng, scenario.think_max))
-        ops.append(["read", entity])
-    for entity in updates:
-        if scenario.think_max > 0 and rng.random() < 0.5:
-            ops.append(_sleep(rng, scenario.think_max))
-        ops.append(["write", entity, rng.randint(0, 9)])
-    ops.append(["abort"] if rng.random() < 0.12 else ["commit"])
-    return PlannedTxn(
-        label=label,
-        updates=updates,
-        input=" & ".join(input_terms) or "true",
-        output=" & ".join(output_terms) or "true",
-        predecessors=predecessors,
-        ops=ops,
-    )
-
-
 def build_clients(
     scenario: Scenario,
     *,
@@ -229,28 +96,27 @@ def build_clients(
     earlier: list[str] = []
     for client_id in range(scenario.clients):
         rng = _rng(scenario, phase, client_id)
-        txns: list[PlannedTxn] = []
+        txns: list[Txn] = []
         for txn_index in range(n_txns):
             label = f"{prefix}c{client_id}t{txn_index}"
             kind = scenario.workload
+            think_max = scenario.think_max
             if kind == "hot_key":
-                txn = _hot_key_txn(scenario, rng, label)
-            elif kind == "cad":
-                txn = _cad_txn(
-                    scenario, rng, label, long_form=client_id % 2 == 0
-                )
+                txn = hot_key_txn(rng, label, think_max)
+            elif kind == "cad" and client_id % 2 == 0:
+                txn = cad_txn(rng, label, think_max)
             elif kind == "cascade":
-                txn = _cascade_txn(
-                    scenario,
+                txn = cascade_txn(
                     rng,
                     label,
                     earlier,
+                    think_max,
                     aborter=(client_id + txn_index) % 3 == 0,
                 )
-            elif kind == "herd":
-                txn = _herd_txn(scenario, rng, label)
+            elif kind in ("cad", "herd"):  # cad's odd clients: short writes
+                txn = herd_txn(rng, label)
             else:
-                txn = _mixed_txn(scenario, rng, label, earlier)
+                txn = mixed_txn(rng, label, earlier, think_max)
             _maybe_follower_read(scenario, rng, txn.ops, txn_index)
             txns.append(txn)
             earlier.append(label)

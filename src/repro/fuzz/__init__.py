@@ -36,7 +36,7 @@ from .corpus import (
 )
 from .loop import FuzzDeadlockError, VirtualClockLoop, run_virtual
 from .oracles import OracleResult, run_oracles
-from .plan import ClientPlan, FuzzPlan, PlannedTxn, generate_plan
+from .plan import ClientPlan, FuzzPlan, generate_plan
 from .runner import Evidence, RunResult, execute_plan, fuzz_database
 from .shrink import shrink_plan
 
@@ -50,7 +50,6 @@ __all__ = [
     "FuzzDeadlockError",
     "FuzzPlan",
     "OracleResult",
-    "PlannedTxn",
     "RunResult",
     "VirtualClockLoop",
     "execute_plan",

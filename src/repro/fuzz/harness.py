@@ -66,8 +66,10 @@ from ..server.server import ServerConfig, TransactionServer
 from ..server.session import SessionState
 from ..sim.clock import VirtualClock
 from ..storage.database import Database
+from ..workload import predicate_text
+from ..workload.families import ENTITIES
 from .loop import FuzzDeadlockError, VirtualClockLoop
-from .plan import ENTITIES, ClientPlan, FuzzPlan
+from .plan import ClientPlan, FuzzPlan
 
 #: Codes after which a transaction script is abandoned outright (the
 #: transaction is already gone server-side).
@@ -88,9 +90,7 @@ def fuzz_database() -> Database:
     schema = Schema(
         [Entity(name, Domain.interval(0, 100)) for name in ENTITIES]
     )
-    constraint = Predicate.parse(
-        " & ".join(f"{name} >= 0" for name in ENTITIES)
-    )
+    constraint = Predicate.parse(predicate_text(ENTITIES))
     return Database(schema, constraint, {name: 1 for name in ENTITIES})
 
 

@@ -2,11 +2,12 @@
 
 Determinism and shrinkability both fall out of one decision: the seed
 is consumed *up front* to produce an explicit :class:`FuzzPlan` — every
-client's scripted transactions (predicates, writes, think times,
-terminal action), the fault schedule (disconnects, an optional armed
-crash point), and the server tunables (queue size, request timeout,
-strict mode).  Execution then follows the plan with no further
-randomness, so
+client's scripted transactions (:class:`~repro.workload.Txn`, drawn
+by :func:`~repro.workload.families.fuzz_txn`: predicates, writes,
+think times, terminal action), the fault schedule (disconnects, an
+optional armed crash point), and the server tunables (queue size,
+request timeout, strict mode).  Execution then follows the plan with
+no further randomness, so
 
 * the same seed always produces the same run (the RNG is never
   consulted mid-flight, where control flow could skew the stream), and
@@ -26,8 +27,8 @@ import random
 from dataclasses import dataclass, field
 from typing import Any
 
-#: The fuzz database schema: three integer entities.
-ENTITIES = ("x", "y", "z")
+from ..workload import Txn
+from ..workload.families import fuzz_txn
 
 #: Crash points reachable with WAL appends alone.
 _WAL_CRASH_POINTS = (
@@ -47,56 +48,11 @@ PLAN_VERSION = 1
 
 
 @dataclass
-class PlannedTxn:
-    """One scripted transaction: define, validate, then ``ops``.
-
-    ``ops`` entries are small JSON-friendly lists:
-    ``["sleep", seconds]``, ``["read", entity]``,
-    ``["write", entity, value]``, ``["commit"]``, ``["abort"]``.
-    A script without a terminal op leaves the transaction live — the
-    disconnect or drain path has to clean it up.
-    """
-
-    label: str
-    updates: list[str]
-    input: str
-    output: str
-    predecessors: list[str] = field(default_factory=list)
-    ops: list[list[Any]] = field(default_factory=list)
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "label": self.label,
-            "updates": list(self.updates),
-            "input": self.input,
-            "output": self.output,
-            "predecessors": list(self.predecessors),
-            "ops": [list(op) for op in self.ops],
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict[str, Any]) -> "PlannedTxn":
-        return cls(
-            label=data["label"],
-            updates=list(data["updates"]),
-            input=data["input"],
-            output=data["output"],
-            predecessors=list(data.get("predecessors", [])),
-            ops=[list(op) for op in data.get("ops", [])],
-        )
-
-    @property
-    def request_count(self) -> int:
-        """Requests this script issues (define + validate + data ops)."""
-        return 2 + sum(1 for op in self.ops if op[0] != "sleep")
-
-
-@dataclass
 class ClientPlan:
     """One scripted session: transactions plus an optional disconnect."""
 
     client_id: int
-    txns: list[PlannedTxn]
+    txns: list[Txn]
     #: Disconnect (without clean aborts) after this many *requests*.
     disconnect_after: "int | None" = None
 
@@ -111,7 +67,7 @@ class ClientPlan:
     def from_dict(cls, data: dict[str, Any]) -> "ClientPlan":
         return cls(
             client_id=data["client_id"],
-            txns=[PlannedTxn.from_dict(t) for t in data["txns"]],
+            txns=[Txn.from_dict(t) for t in data["txns"]],
             disconnect_after=data.get("disconnect_after"),
         )
 
@@ -214,56 +170,6 @@ class FuzzPlan:
         )
 
 
-def _gen_txn(
-    rng: random.Random,
-    label: str,
-    earlier_labels: list[str],
-    think_max: float,
-) -> PlannedTxn:
-    reads = [e for e in ENTITIES if rng.random() < 0.45]
-    updates = [e for e in ENTITIES if rng.random() < 0.4]
-    # The input constraint must mention every entity the script reads
-    # (reads need an RV lock, granted at validate over the input set).
-    input_terms = [f"{e} >= 0" for e in reads]
-    if reads and rng.random() < 0.25:
-        # A tight bound: satisfiable only if a small-enough version
-        # exists, so some validations fail and abort (on purpose).
-        input_terms.append(f"{rng.choice(reads)} <= {rng.randint(0, 2)}")
-    output_terms = [f"{e} >= 0" for e in updates]
-    if updates and rng.random() < 0.2:
-        # Occasionally impossible given the values we write: the
-        # commit fails its output predicate and the script aborts.
-        output_terms.append(
-            f"{rng.choice(updates)} <= {rng.randint(0, 2)}"
-        )
-    predecessors = []
-    if earlier_labels and rng.random() < 0.35:
-        predecessors.append(rng.choice(earlier_labels))
-    ops: list[list[Any]] = []
-    for entity in reads:
-        if rng.random() < 0.5:
-            ops.append(["sleep", round(rng.uniform(0.0, think_max), 4)])
-        ops.append(["read", entity])
-    for entity in updates:
-        if rng.random() < 0.5:
-            ops.append(["sleep", round(rng.uniform(0.0, think_max), 4)])
-        ops.append(["write", entity, rng.randint(0, 9)])
-    roll = rng.random()
-    if roll < 0.78:
-        ops.append(["commit"])
-    elif roll < 0.9:
-        ops.append(["abort"])
-    # else: no terminal — leave the transaction for disconnect/drain.
-    return PlannedTxn(
-        label=label,
-        updates=updates,
-        input=" & ".join(input_terms) or "true",
-        output=" & ".join(output_terms) or "true",
-        predecessors=predecessors,
-        ops=ops,
-    )
-
-
 def generate_plan(
     seed: int,
     *,
@@ -319,7 +225,7 @@ def generate_plan(
         txns = []
         for txn_index in range(n_txns):
             label = f"c{client_id}t{txn_index}"
-            txns.append(_gen_txn(rng, label, earlier_labels, think_max))
+            txns.append(fuzz_txn(rng, label, earlier_labels, think_max))
             earlier_labels.append(label)
         client = ClientPlan(client_id=client_id, txns=txns)
         total_requests = sum(t.request_count for t in txns)

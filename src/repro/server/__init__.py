@@ -21,11 +21,13 @@ Layering (each module documents its own contract):
 * :mod:`repro.server.router` — entity-hash shard routing and the
   cross-shard two-phase commit coordinator (``--shards N``);
 * :mod:`repro.server.server` — asyncio TCP transport and lifecycle;
-* :mod:`repro.server.client` — sync + asyncio client libraries;
-* :mod:`repro.server.loadgen` — workload replay over N connections,
-  producing ``BENCH_server.json``.
+* :mod:`repro.server.client` — sync + asyncio client libraries.
+
+``build_workload`` is re-exported from :mod:`repro.workload` for
+``benchmarks/suite`` until the suite imports it from there.
 """
 
+from ..workload import build_workload
 from .client import AsyncClient, Client
 from .errors import (
     WIRE_FAULT_CODES,
@@ -43,12 +45,6 @@ from .errors import (
     UnknownOperation,
     UnknownTransaction,
 )
-from .loadgen import (
-    WORKLOAD_KINDS,
-    LoadgenReport,
-    build_workload,
-    run_loadgen,
-)
 from .metrics_http import MetricsHTTPServer
 from .protocol import MAX_FRAME_BYTES
 from .router import ShardRouter, affinity_key, shard_of
@@ -63,7 +59,6 @@ __all__ = [
     "ConflictingRequest",
     "ErrorCode",
     "InvalidArgument",
-    "LoadgenReport",
     "MalformedFrame",
     "MAX_FRAME_BYTES",
     "MetricsHTTPServer",
@@ -81,9 +76,7 @@ __all__ = [
     "UnknownOperation",
     "UnknownTransaction",
     "WIRE_FAULT_CODES",
-    "WORKLOAD_KINDS",
     "affinity_key",
     "build_workload",
-    "run_loadgen",
     "shard_of",
 ]

@@ -1,4 +1,8 @@
-"""Discrete-event simulation of long-duration transaction workloads."""
+"""Discrete-event simulation of long-duration transaction workloads.
+
+The simulator runs :mod:`repro.workload` scripts against the
+:mod:`repro.baselines` schedulers in virtual time.
+"""
 
 from .clock import EventQueue, ScheduledEvent, VirtualClock
 from .engine import SimulationEngine
@@ -10,35 +14,17 @@ from .runner import (
     metrics_table,
     run_one,
 )
-from .workload import (
-    Read,
-    Think,
-    TransactionScript,
-    Unordered,
-    Workload,
-    Write,
-    cad_workload,
-    oltp_workload,
-)
 
 __all__ = [
     "DEFAULT_SCHEDULERS",
     "EXTENDED_SCHEDULERS",
     "EventQueue",
-    "Read",
     "RunMetrics",
     "ScheduledEvent",
     "SimulationEngine",
-    "Think",
-    "TransactionScript",
-    "Unordered",
     "TxnMetrics",
     "VirtualClock",
-    "Workload",
-    "Write",
-    "cad_workload",
     "compare_schedulers",
     "metrics_table",
-    "oltp_workload",
     "run_one",
 ]

@@ -1,6 +1,6 @@
 """The discrete-event simulation engine.
 
-Drives a set of :class:`~repro.sim.workload.TransactionScript` against
+Drives a set of :class:`~repro.workload.TransactionScript` against
 one :class:`~repro.baselines.base.ConcurrencyControl` implementation in
 virtual time, producing :class:`~repro.sim.metrics.RunMetrics`.
 
@@ -35,9 +35,7 @@ from ..baselines.base import AccessResult, AccessStatus, ConcurrencyControl
 from ..baselines.korth_speegle import KorthSpeegleScheduler
 from ..errors import SimulationError
 from ..obs.trace import NULL_TRACER, Tracer
-from .clock import EventQueue
-from .metrics import RunMetrics
-from .workload import (
+from ..workload import (
     Read,
     Think,
     TransactionScript,
@@ -45,6 +43,8 @@ from .workload import (
     Workload,
     Write,
 )
+from .clock import EventQueue
+from .metrics import RunMetrics
 
 
 class _State(enum.Enum):

@@ -22,9 +22,9 @@ from ..baselines.timestamp import (
 from ..baselines.two_phase_locking import StrictTwoPhaseLocking
 from ..obs.trace import Tracer
 from ..storage.database import Database
+from ..workload import Workload
 from .engine import SimulationEngine
 from .metrics import RunMetrics
-from .workload import Workload
 
 SchedulerFactory = Callable[[Database], ConcurrencyControl]
 

@@ -1,355 +1,21 @@
-"""Workload generation — synthetic designers and clerks.
+"""Re-export of the names ``benchmarks/suite/workloads.py`` imports.
 
-The paper's motivating application is collaborative CAD: a handful of
-designers running **long-duration transactions** whose cost is
-dominated by human think time, touching design objects grouped into
-modules (the consistency constraint's conjuncts).  The paper has no
-machine evaluation, so this module is the documented substitution: a
-seeded generator producing workloads with the structural properties the
-paper argues about — think-time ≫ access-time, module locality,
-occasional cross-module access, and explicit cooperation edges
-(partial-order predecessors).
-
-:func:`oltp_workload` generates the classical contrast: short
-transactions with no think time, where 2PL is perfectly adequate — the
-benchmarks use it to show the protocols *agree* on data-processing
-workloads and *diverge* on design workloads.
+The workload model lives in :mod:`repro.workload`; this module goes
+once the suite imports from there.
 """
 
-from __future__ import annotations
+from ..workload import (
+    Read,
+    TransactionScript,
+    Write,
+    cad_workload,
+    oltp_workload,
+)
 
-import random
-from dataclasses import dataclass
-from typing import Callable
-
-from ..core.entities import Domain, Entity, Schema
-from ..core.predicates import Atom, Clause, Predicate
-from ..errors import SimulationError
-from ..storage.database import Database
-
-
-@dataclass(frozen=True)
-class Think:
-    """Human think time between accesses."""
-
-    duration: float
-
-
-@dataclass(frozen=True)
-class Read:
-    entity: str
-
-
-@dataclass(frozen=True)
-class Write:
-    """A write; ``value`` may be a constant or f(values-read-so-far)."""
-
-    entity: str
-    value: "int | Callable[[dict[str, int]], int]"
-    duration: float = 1.0
-
-    def resolve(self, context: dict[str, int]) -> int:
-        if callable(self.value):
-            return self.value(context)
-        return self.value
-
-
-@dataclass(frozen=True)
-class Unordered:
-    """A group of accesses that may execute in **any order** (≺SR).
-
-    Section 4.2's partial-order serializability argument, made
-    operational: "a scenario can exist where an item required by a
-    transaction is locked … however, if partial orders are used, the
-    transaction can access a different, available data item."  The
-    engine tries the group's members in turn and only parks when every
-    remaining member is blocked.
-    """
-
-    steps: tuple["Read | Write", ...]
-
-    def __post_init__(self) -> None:
-        for step in self.steps:
-            if not isinstance(step, (Read, Write)):
-                raise SimulationError(
-                    "unordered groups may contain only reads/writes"
-                )
-        if not self.steps:
-            raise SimulationError("empty unordered group")
-
-
-Step = "Think | Read | Write | Unordered"
-
-
-@dataclass
-class TransactionScript:
-    """One scripted transaction: its steps and cooperation edges.
-
-    ``predecessors`` name scripts this one must follow in the nested
-    partial order (used by the Section-5 protocol; classical baselines
-    ignore them — they have no notion of declared cooperation).
-    """
-
-    txn_id: str
-    steps: list[object]
-    arrival: float = 0.0
-    predecessors: tuple[str, ...] = ()
-
-    def flat_accesses(self) -> list["Read | Write"]:
-        """All read/write steps, unordered groups flattened."""
-        accesses: list[Read | Write] = []
-        for step in self.steps:
-            if isinstance(step, (Read, Write)):
-                accesses.append(step)
-            elif isinstance(step, Unordered):
-                accesses.extend(step.steps)
-        return accesses
-
-    @property
-    def read_entities(self) -> frozenset[str]:
-        return frozenset(
-            step.entity
-            for step in self.flat_accesses()
-            if isinstance(step, Read)
-        )
-
-    @property
-    def write_entities(self) -> frozenset[str]:
-        return frozenset(
-            step.entity
-            for step in self.flat_accesses()
-            if isinstance(step, Write)
-        )
-
-    @property
-    def total_think(self) -> float:
-        return sum(
-            step.duration for step in self.steps if isinstance(step, Think)
-        )
-
-
-#: Entity-selection distributions the generators understand.
-KEY_DISTRIBUTIONS = ("uniform", "zipf")
-
-#: Zipf skew exponent: weight of the rank-``k`` entity ∝ 1/(k+1)^s.
-ZIPF_EXPONENT = 1.2
-
-
-def _pick_entity(
-    rng: random.Random, pool: list[str], key_dist: str
-) -> str:
-    """One entity draw under the configured key distribution.
-
-    ``uniform`` is *exactly* the historical ``rng.choice(pool)`` — same
-    call, same stream — so old seeds replay byte-identically.  ``zipf``
-    spends one ``rng.random()`` draw on an inverse-CDF walk over
-    rank-weighted entities (the pool's order is the rank order), making
-    low-rank entities hot: the contention-skew knob.
-    """
-    if key_dist == "uniform":
-        return rng.choice(pool)
-    if key_dist != "zipf":
-        raise SimulationError(
-            f"unknown key distribution {key_dist!r} "
-            f"(choose from {KEY_DISTRIBUTIONS})"
-        )
-    weights = [
-        1.0 / (rank + 1) ** ZIPF_EXPONENT for rank in range(len(pool))
-    ]
-    point = rng.random() * sum(weights)
-    cumulative = 0.0
-    for entity, weight in zip(pool, weights):
-        cumulative += weight
-        if point <= cumulative:
-            return entity
-    return pool[-1]
-
-
-@dataclass
-class Workload:
-    """Scripts plus a factory for fresh databases (one per scheduler).
-
-    Each scheduler run must see its own pristine database — the factory
-    rebuilds schema, constraint, and initial state deterministically.
-    """
-
-    name: str
-    scripts: list[TransactionScript]
-    database_factory: Callable[[], Database]
-    description: str = ""
-    #: How entity accesses were drawn (see :data:`KEY_DISTRIBUTIONS`);
-    #: recorded in bench metadata so runs are comparable.
-    key_dist: str = "uniform"
-
-    def fresh_database(self) -> Database:
-        return self.database_factory()
-
-
-def _module_schema(
-    num_modules: int, entities_per_module: int, high: int
-) -> tuple[Schema, Predicate, dict[str, int], list[list[str]]]:
-    """Schema + module-structured CNF constraint + initial state."""
-    modules: list[list[str]] = []
-    entities: list[Entity] = []
-    for module in range(num_modules):
-        names = [
-            f"m{module}_e{index}" for index in range(entities_per_module)
-        ]
-        modules.append(names)
-        entities.extend(
-            Entity(name, Domain.interval(0, high)) for name in names
-        )
-    schema = Schema(entities)
-    # One conjunct per module: every entity non-negative.  Trivially
-    # satisfiable, but it *mentions* exactly the module's entities, so
-    # the constraint's objects are the modules — the structure PWSR and
-    # the protocol's conjunct decomposition exploit.
-    clauses = []
-    for names in modules:
-        for name in names:
-            clauses.append(Clause.of(Atom.of(name, ">=", 0)))
-    # Group per module: conjuncts above are single-entity; add one
-    # module-wide disjunctive clause so each module forms one object.
-    for names in modules:
-        clauses.append(
-            Clause(tuple(Atom.of(name, ">=", 0) for name in names))
-        )
-    constraint = Predicate(clauses)
-    initial = {name: 1 for names in modules for name in names}
-    return schema, constraint, initial, modules
-
-
-def cad_workload(
-    num_designers: int = 6,
-    num_modules: int = 3,
-    entities_per_module: int = 4,
-    accesses_per_txn: int = 6,
-    think_time: float = 100.0,
-    write_ratio: float = 0.5,
-    cross_module_probability: float = 0.2,
-    cooperation_probability: float = 0.3,
-    write_duration: float = 1.0,
-    arrival_spread: float = 10.0,
-    value_high: int = 10_000,
-    seed: int = 0,
-    key_dist: str = "uniform",
-) -> Workload:
-    """A collaborative-design workload of long-duration transactions.
-
-    Each designer's transaction works mostly within a home module,
-    occasionally reaching across (``cross_module_probability``), with
-    ``think_time`` between accesses — the regime where lock-holding
-    protocols make humans wait for humans.  With probability
-    ``cooperation_probability`` a designer declares an earlier designer
-    as partial-order predecessor (a cooperation edge the Section-5
-    protocol honours).  ``key_dist`` skews which entity each access
-    picks *within* the chosen module (``uniform`` keeps the historical
-    stream; ``zipf`` concentrates contention on low-rank entities).
-    """
-    if num_designers < 1:
-        raise SimulationError("need at least one designer")
-    rng = random.Random(seed)
-    schema, constraint, initial, modules = _module_schema(
-        num_modules, entities_per_module, value_high
-    )
-
-    scripts: list[TransactionScript] = []
-    for index in range(num_designers):
-        txn_id = f"D{index}"
-        home = modules[index % num_modules]
-        steps: list[object] = []
-        read_so_far: list[str] = []
-        for __ in range(accesses_per_txn):
-            steps.append(
-                Think(rng.uniform(0.5 * think_time, 1.5 * think_time))
-            )
-            if rng.random() < cross_module_probability:
-                pool = modules[rng.randrange(num_modules)]
-            else:
-                pool = home
-            entity = _pick_entity(rng, pool, key_dist)
-            if rng.random() < write_ratio and read_so_far:
-                base = rng.choice(read_so_far)
-                steps.append(
-                    Write(
-                        entity,
-                        _bump(base, rng.randrange(1, 5), value_high),
-                        duration=write_duration,
-                    )
-                )
-            else:
-                steps.append(Read(entity))
-                read_so_far.append(entity)
-        predecessors: tuple[str, ...] = ()
-        if index > 0 and rng.random() < cooperation_probability:
-            predecessors = (f"D{rng.randrange(index)}",)
-        scripts.append(
-            TransactionScript(
-                txn_id,
-                steps,
-                arrival=rng.uniform(0, arrival_spread),
-                predecessors=predecessors,
-            )
-        )
-
-    def factory() -> Database:
-        return Database(schema, constraint, dict(initial))
-
-    return Workload(
-        name=f"cad(designers={num_designers}, think={think_time})",
-        scripts=scripts,
-        database_factory=factory,
-        description=(
-            "long-duration collaborative design transactions with "
-            "module locality and cooperation edges"
-        ),
-        key_dist=key_dist,
-    )
-
-
-def _bump(
-    source: str, delta: int, high: int
-) -> Callable[[dict[str, int]], int]:
-    def compute(context: dict[str, int]) -> int:
-        return min(high, context.get(source, 0) + delta)
-
-    return compute
-
-
-def oltp_workload(
-    num_transactions: int = 20,
-    num_modules: int = 2,
-    entities_per_module: int = 4,
-    accesses_per_txn: int = 4,
-    write_ratio: float = 0.5,
-    write_duration: float = 1.0,
-    arrival_spread: float = 40.0,
-    value_high: int = 10_000,
-    seed: int = 0,
-    key_dist: str = "uniform",
-) -> Workload:
-    """Short data-processing transactions (no think time).
-
-    The regime the classical protocols were built for; used to show the
-    paper's protocol does not regress it.
-    """
-    base = cad_workload(
-        num_designers=num_transactions,
-        num_modules=num_modules,
-        entities_per_module=entities_per_module,
-        accesses_per_txn=accesses_per_txn,
-        think_time=0.0,
-        write_ratio=write_ratio,
-        cross_module_probability=0.5,
-        cooperation_probability=0.0,
-        write_duration=write_duration,
-        arrival_spread=arrival_spread,
-        value_high=value_high,
-        seed=seed,
-        key_dist=key_dist,
-    )
-    base.name = f"oltp(transactions={num_transactions})"
-    base.description = "short data-processing transactions, no think time"
-    for script in base.scripts:
-        script.txn_id = script.txn_id.replace("D", "T")
-    return base
+__all__ = [
+    "Read",
+    "TransactionScript",
+    "Write",
+    "cad_workload",
+    "oltp_workload",
+]

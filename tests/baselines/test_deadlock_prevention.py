@@ -99,7 +99,8 @@ class TestWoundWait:
 
 class TestSimulationIntegration:
     def test_both_policies_complete_a_workload(self, db):
-        from repro.sim import SimulationEngine, oltp_workload
+        from repro.sim import SimulationEngine
+        from repro.workload import oltp_workload
 
         workload = oltp_workload(num_transactions=12, seed=9)
         for policy in ("wait-die", "wound-wait"):

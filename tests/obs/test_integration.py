@@ -11,8 +11,9 @@ from repro.obs import (
     load_jsonl,
 )
 from repro.protocol import TransactionManager
-from repro.sim import DEFAULT_SCHEDULERS, cad_workload, run_one
+from repro.sim import DEFAULT_SCHEDULERS, run_one
 from repro.storage import Database
+from repro.workload import cad_workload
 
 
 def _database():

@@ -4,7 +4,8 @@ The load generator used to time requests with ``time.perf_counter``
 while the dispatcher stamped queue waits with ``time.monotonic`` —
 two clocks with unrelated epochs whose readings cannot be subtracted
 from each other.  These tests pin the unified source and the invariant
-that every live-path default is that same callable.
+that every live-path default — and the closed-loop driver behind
+``repro loadgen`` — is that same callable.
 """
 
 from __future__ import annotations
@@ -12,7 +13,8 @@ from __future__ import annotations
 import time
 
 from repro.server import clock as clock_module
-from repro.server import loadgen, server, session
+from repro.server import server, session
+from repro.workload import driver
 
 
 class TestUnifiedClock:
@@ -24,14 +26,14 @@ class TestUnifiedClock:
         assert defaults["clock"] is clock_module.CLOCK
 
     def test_modules_share_one_source(self):
-        # Loadgen and server import the same object, not a lookalike.
-        assert loadgen.CLOCK is clock_module.CLOCK
+        # Driver and server import the same object, not a lookalike.
+        assert driver.CLOCK is clock_module.CLOCK
         assert server.CLOCK is clock_module.CLOCK
 
     def test_loadgen_no_longer_reads_perf_counter(self):
         import inspect
 
-        source = inspect.getsource(loadgen)
+        source = inspect.getsource(driver)
         assert "perf_counter" not in source
 
     def test_readings_are_comparable(self):

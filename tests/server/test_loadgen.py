@@ -1,4 +1,4 @@
-"""Loadgen tests: workload replay, report shape, bench-file output."""
+"""Closed-loop driver tests: workload replay, report shape, bench file."""
 
 from __future__ import annotations
 
@@ -7,14 +7,12 @@ import json
 
 import pytest
 
-from repro.server import (
-    ServerConfig,
-    TransactionServer,
-    build_workload,
-)
-from repro.server.loadgen import report_table, run_loadgen
+from repro.errors import SimulationError
+from repro.server import AsyncClient, ServerConfig, TransactionServer
+from repro.workload import build_workload
+from repro.workload.driver import report_table, run_loadgen
 
-from .conftest import run
+from .conftest import run, serving
 
 
 def _replay(workload, clients, **server_kw):
@@ -52,7 +50,7 @@ class TestBuildWorkload:
         zipf = build_workload("cad", transactions=3, key_dist="zipf")
         assert zipf.key_dist == "zipf"
         assert build_workload("oltp", transactions=3).key_dist == "uniform"
-        with pytest.raises(ValueError, match="key distribution"):
+        with pytest.raises(SimulationError, match="key distribution"):
             build_workload("cad", key_dist="pareto")
 
 
@@ -129,6 +127,42 @@ class TestLoadgen:
 
         with pytest.raises(OSError):
             run(body())
+
+
+class TestDefineOnDemand:
+    def test_live_set_is_the_connection_count(self):
+        # Scripts are defined inside the timed window, one per
+        # connection at a time: a third connection polling ``stats``
+        # never sees more live transactions than there are driver
+        # connections.
+        workload = build_workload("oltp", transactions=40, seed=7)
+
+        async def body():
+            async with serving(workload.fresh_database()) as server:
+                observer = await AsyncClient.connect(port=server.port)
+                driving = asyncio.ensure_future(
+                    run_loadgen(workload, clients=2, port=server.port)
+                )
+                live = []
+                try:
+                    while not driving.done():
+                        reply = await observer.stats()
+                        counters = reply["stats"]["counters"]
+                        live.append(
+                            counters.get("server.txns.defined", 0)
+                            - counters.get("server.txns.committed", 0)
+                            - counters.get("server.txns.aborted", 0)
+                        )
+                    return await driving, live
+                finally:
+                    await observer.close()
+
+        report, live = run(body(), timeout=120)
+        # No attempt aborted, so the counters' difference is exactly
+        # the live set.
+        assert report.committed == 40 and report.restarts == 0
+        assert len(live) > 10
+        assert max(live) <= 2
 
 
 class TestLoadgenUnderPressure:

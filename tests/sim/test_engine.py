@@ -10,15 +10,9 @@ from repro.baselines import (
     TimestampOrdering,
 )
 from repro.core import Domain, Entity, Predicate, Schema
-from repro.sim import (
-    Read,
-    SimulationEngine,
-    Think,
-    TransactionScript,
-    Workload,
-    Write,
-)
+from repro.sim import SimulationEngine
 from repro.storage import Database
+from repro.workload import Read, Think, TransactionScript, Workload, Write
 
 
 def _tiny_workload(scripts) -> Workload:

@@ -10,15 +10,16 @@ from repro.baselines import (
 )
 from repro.core import Domain, Predicate, Schema
 from repro.errors import SimulationError
-from repro.sim import (
+from repro.sim import SimulationEngine
+from repro.storage import Database
+from repro.workload import (
     Read,
-    SimulationEngine,
+    Think,
     TransactionScript,
+    Unordered,
     Workload,
     Write,
 )
-from repro.sim.workload import Unordered
-from repro.storage import Database
 
 
 def _workload(scripts) -> Workload:
@@ -38,8 +39,6 @@ class TestUnorderedConstruction:
     def test_requires_accesses(self):
         with pytest.raises(SimulationError):
             Unordered(())
-        from repro.sim import Think
-
         with pytest.raises(SimulationError):
             Unordered((Think(1.0),))
 

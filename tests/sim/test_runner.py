@@ -6,12 +6,11 @@ import pytest
 
 from repro.sim import (
     DEFAULT_SCHEDULERS,
-    cad_workload,
     compare_schedulers,
     metrics_table,
-    oltp_workload,
     run_one,
 )
+from repro.workload import cad_workload, oltp_workload
 
 
 @pytest.fixture(scope="module")

@@ -4,12 +4,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.sim import (
-    DEFAULT_SCHEDULERS,
-    cad_workload,
-    oltp_workload,
-    run_one,
-)
+from repro.sim import DEFAULT_SCHEDULERS, run_one
+from repro.workload import cad_workload, oltp_workload
 
 
 class TestProtocolAtScale:

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import SimulationError
-from repro.sim import Read, Write, cad_workload, oltp_workload
+from repro.workload import Read, Write, cad_workload, oltp_workload
 
 
 class TestCadWorkload:

@@ -256,7 +256,7 @@ class TestLoadgenCommand:
         import json
 
         from repro.server import ServerThread
-        from repro.server.loadgen import build_workload
+        from repro.workload import build_workload
 
         workload = build_workload("cad", transactions=4, seed=0)
         bench = tmp_path / "BENCH_server.json"
