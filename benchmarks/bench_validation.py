@@ -2,9 +2,11 @@
 
 The paper argues version selection is worst-case exponential but cheap
 in the expected case, and suggests heuristics or query-style search.
-These benchmarks time the three selectors (exact backtracking,
-SAT-backed, greedy-latest-with-fallback) as the number of versions per
-item grows, and verify they agree on feasibility.
+These benchmarks time three ways to select (the manager's exact
+backtracking :func:`~repro.protocol.validation.select_versions`, the
+reference DPLL over a CNF encoding, and an all-latest probe with an
+exact fallback) as the number of versions per item grows, and verify
+they agree on feasibility.
 """
 
 from __future__ import annotations
@@ -12,12 +14,8 @@ from __future__ import annotations
 import time
 
 from repro.core import Predicate
-from repro.protocol import (
-    BacktrackingSelector,
-    GreedyLatestSelector,
-    SatSelector,
-)
-from repro.protocol.validation import DSet
+from repro.protocol import DSet, select_versions
+from repro.reference import select_versions_dpll
 from repro.storage.version_store import Version
 
 from conftest import report
@@ -48,19 +46,36 @@ def _constraint(num_items: int) -> Predicate:
     return Predicate.parse(text)
 
 
+def latest_first(d_sets, constraint):
+    """The paper's cheap expected case: try the one all-latest
+    assignment (O(|I_t|)), and pay for the exact search only when it
+    fails."""
+    probe = {
+        item: max(d_set.candidates, key=lambda version: version.sequence)
+        for item, d_set in d_sets.items()
+    }
+    if constraint.evaluate(
+        {item: version.value for item, version in probe.items()}
+    ):
+        return probe
+    return select_versions(d_sets, constraint)
+
+
+SELECTORS = {
+    "backtracking": select_versions,
+    "dpll": select_versions_dpll,
+    "latest-first": latest_first,
+}
+
+
 def test_p2_selectors_agree(benchmark):
     d_sets = _d_sets(5, 6)
     constraint = _constraint(5)
-    selectors = {
-        "backtracking": BacktrackingSelector(),
-        "sat": SatSelector(),
-        "greedy": GreedyLatestSelector(),
-    }
 
     def select_all():
         return {
-            name: selector.select(d_sets, constraint)
-            for name, selector in selectors.items()
+            name: select(d_sets, constraint)
+            for name, select in SELECTORS.items()
         }
 
     chosen = benchmark(select_all)
@@ -79,25 +94,19 @@ def test_p2_selectors_agree(benchmark):
 def test_p2_backtracking_selector(benchmark):
     d_sets = _d_sets(6, 8)
     constraint = _constraint(6)
-    selector = BacktrackingSelector()
-    result = benchmark(lambda: selector.select(d_sets, constraint))
-    assert result is not None
+    assert benchmark(lambda: select_versions(d_sets, constraint))
 
 
-def test_p2_sat_selector(benchmark):
+def test_p2_dpll_selector(benchmark):
     d_sets = _d_sets(6, 8)
     constraint = _constraint(6)
-    selector = SatSelector()
-    result = benchmark(lambda: selector.select(d_sets, constraint))
-    assert result is not None
+    assert benchmark(lambda: select_versions_dpll(d_sets, constraint))
 
 
-def test_p2_greedy_selector(benchmark):
+def test_p2_latest_first_selector(benchmark):
     d_sets = _d_sets(6, 8)
     constraint = _constraint(6)
-    selector = GreedyLatestSelector()
-    result = benchmark(lambda: selector.select(d_sets, constraint))
-    assert result is not None
+    assert benchmark(lambda: latest_first(d_sets, constraint))
 
 
 def test_p2_scaling_with_version_count(benchmark):
@@ -109,13 +118,9 @@ def test_p2_scaling_with_version_count(benchmark):
             d_sets = _d_sets(5, versions)
             constraint = _constraint(5)
             timings = {}
-            for name, selector in (
-                ("backtracking", BacktrackingSelector()),
-                ("sat", SatSelector()),
-                ("greedy", GreedyLatestSelector()),
-            ):
+            for name, select in SELECTORS.items():
                 start = time.perf_counter()
-                assert selector.select(d_sets, constraint) is not None
+                assert select(d_sets, constraint) is not None
                 timings[name] = time.perf_counter() - start
             rows.append((versions, timings))
         return rows
@@ -132,8 +137,8 @@ def test_p2_scaling_with_version_count(benchmark):
             for versions, timings in rows
         ),
     )
-    # The greedy probe should beat exhaustive search when the
+    # The all-latest probe should beat exhaustive search when the
     # all-latest assignment satisfies the constraint (it does here:
     # equal latest values are non-decreasing).
     last = rows[-1][1]
-    assert last["greedy"] <= last["backtracking"] * 5
+    assert last["latest-first"] <= last["backtracking"] * 5

@@ -29,7 +29,6 @@ from ..errors import ProtocolError
 from ..obs.metrics import MetricsRegistry
 from ..obs.trace import NULL_TRACER, Tracer
 from ..protocol.scheduler import Outcome, TransactionManager, TxnPhase
-from ..protocol.validation import VersionSelector
 from ..storage.database import Database
 from ..workload import predicate_text
 from .base import AccessResult, ConcurrencyControl, PlannedAccess
@@ -39,13 +38,9 @@ class KorthSpeegleScheduler(ConcurrencyControl):
 
     name = "korth-speegle"
 
-    def __init__(
-        self,
-        database: Database,
-        selector: VersionSelector | None = None,
-    ) -> None:
+    def __init__(self, database: Database) -> None:
         self._db = database
-        self._tm = TransactionManager(database, selector=selector)
+        self._tm = TransactionManager(database)
         self._names: dict[str, str] = {}  # engine id -> protocol name
         self._ids: dict[str, str] = {}  # protocol name -> engine id
         self._commit_waiters: list[str] = []

@@ -27,7 +27,6 @@ from ..errors import RecoveryError
 from ..obs.metrics import MetricsRegistry
 from ..obs.trace import Tracer
 from ..protocol.scheduler import TransactionManager
-from ..protocol.validation import VersionSelector
 from .crashpoints import CrashPoints
 from .recovery import RecoveryResult, recover_with
 from .snapshot import CheckpointStore
@@ -54,7 +53,6 @@ class DurableTransactionManager(TransactionManager):
         checkpoint_every: int = 0,
         segment_bytes: int = 0,
         retain: int = 3,
-        selector: VersionSelector | None = None,
         root_spec: Spec | None = None,
         tracer: Tracer | None = None,
         registry: MetricsRegistry | None = None,
@@ -81,9 +79,7 @@ class DurableTransactionManager(TransactionManager):
         has_history = bool(checkpoints.checkpoints()) or bool(
             list_segments(wal_dir)
         )
-        options = dict(
-            selector=selector, tracer=tracer, registry=registry, strict=strict
-        )
+        options = dict(tracer=tracer, registry=registry, strict=strict)
         recovery: RecoveryResult | None = None
         if has_history:
             recovery = recover_with(

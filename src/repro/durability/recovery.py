@@ -299,7 +299,7 @@ def verify_recovery(
     violations: list[str] = []
     violations.extend(_check_committed_prefix(scan.records, result))
     violations.extend(_check_consistency(result))
-    violations.extend(_check_protocol_predicates(result.manager))
+    violations.extend(check_protocol_predicates(result.manager))
     return violations
 
 
@@ -465,9 +465,11 @@ def _check_consistency(result: RecoveryResult) -> list[str]:
     return violations
 
 
-def _check_protocol_predicates(
+def check_protocol_predicates(
     manager: TransactionManager,
 ) -> list[str]:
+    """Lemma 4 / Theorem 2 at every level: each non-aborted parent's
+    committed children are parent-based and correct."""
     violations: list[str] = []
     for record in list(manager.iter_records()):
         if not record.children or record.phase is TxnPhase.ABORTED:

@@ -39,6 +39,7 @@ from ..durability.history import (
     recorded_is_rc,
 )
 from ..durability.records import OP_WRITE
+from ..durability.recovery import check_protocol_predicates
 from ..protocol.scheduler import TxnPhase
 
 #: Committed-projection size caps for the NP-complete classifier
@@ -442,9 +443,10 @@ def _classifier_lattice(evidence: Any) -> OracleResult:
 def _protocol_verify(evidence: Any) -> OracleResult:
     """Post-drain manager state passes Lemma 4 / Theorem 2 and is clean.
 
-    Node by node, plus the commit map: each manager's committed
-    children are exactly the acked ∪ indeterminate transactions'
-    branches on that node.
+    Node by node: every non-aborted parent, as recovery judges it
+    (:func:`~repro.durability.recovery.check_protocol_predicates`),
+    plus the commit map: each manager's committed children are exactly
+    the acked ∪ indeterminate transactions' branches on that node.
     """
     name = "protocol_verify"
     nodes = evidence.nodes
@@ -463,11 +465,7 @@ def _protocol_verify(evidence: Any) -> OracleResult:
         root = manager.root
         details.extend(
             f"{where}{problem}"
-            for problem in manager.verify_parent_based(root)
-        )
-        details.extend(
-            f"{where}{problem}"
-            for problem in manager.verify_correctness(root)
+            for problem in check_protocol_predicates(manager)
         )
         committed = set()
         for child in manager.children_of(root):

@@ -11,19 +11,10 @@ from .locks import (
 from .reeval import ReevalDecision, figure4_decision
 from .scheduler import Outcome, StepResult, TransactionManager
 from .state import ProtocolState, TxnPhase, TxnRecord
-from .validation import (
-    BacktrackingSelector,
-    DSet,
-    GreedyLatestSelector,
-    SatSelector,
-    VersionSelector,
-    compute_d_set,
-)
+from .validation import DSet, select_versions
 
 __all__ = [
-    "BacktrackingSelector",
     "DSet",
-    "GreedyLatestSelector",
     "LockMode",
     "LockOutcome",
     "LockRequest",
@@ -31,14 +22,12 @@ __all__ = [
     "Outcome",
     "ProtocolState",
     "ReevalDecision",
-    "SatSelector",
     "StepResult",
     "TransactionManager",
     "TxnPhase",
     "TxnRecord",
-    "VersionSelector",
     "compatible",
-    "compute_d_set",
     "figure4_decision",
     "lock_compatibility_matrix",
+    "select_versions",
 ]

@@ -1,6 +1,6 @@
 """Bitmask-encoded D-set index — the validator's live-path fast lane.
 
-:func:`~repro.protocol.validation.compute_d_set` is a direct
+:func:`~repro.reference.validation.compute_d_set` is a direct
 transliteration of §5.1: for each sibling it scans *every other*
 sibling looking for an intervening updater, an O(|siblings|²) rule-3
 check per item per validation.  Under the live server a busy parent

@@ -41,6 +41,7 @@ from __future__ import annotations
 
 import enum
 import functools
+import time
 from dataclasses import dataclass, field, replace
 from typing import Any, Iterable, Iterator
 
@@ -76,12 +77,7 @@ from .state import (
     encode,
     version_ref,
 )
-from .validation import (
-    BacktrackingSelector,
-    DSet,
-    TracedSelector,
-    VersionSelector,
-)
+from .validation import DSet, select_versions
 
 
 class Outcome(enum.Enum):
@@ -149,7 +145,6 @@ class TransactionManager:
     def __init__(
         self,
         database: "Database | ProtocolState",
-        selector: VersionSelector | None = None,
         root_spec: Spec | None = None,
         tracer: Tracer | None = None,
         registry: MetricsRegistry | None = None,
@@ -170,15 +165,10 @@ class TransactionManager:
         self._records = state.records
         self._active = state.active
         self._strict = strict
-        self._selector: VersionSelector = (
-            selector if selector is not None else BacktrackingSelector()
-        )
         self._tracer = tracer if tracer is not None else NULL_TRACER
         self._registry = registry
         self._locks = LockTable(tracer=self._tracer, registry=registry)
         self._write_spans: dict[tuple[str, str], object] = {}
-        if tracer is not None or registry is not None:
-            self._wrap_selector()
         # Fast-path caches, keyed on the state's epoch counters.
         self._parent_indexes: dict[str, tuple[int, ParentIndex]] = {}
         self._order_cache: dict[str, tuple[int, int, PartialOrder[str]]] = {}
@@ -192,20 +182,12 @@ class TransactionManager:
         """Attach a tracer after construction (simulator wiring)."""
         self._tracer = tracer
         self._locks.set_tracer(tracer)
-        self._wrap_selector()
 
     def set_registry(self, registry: MetricsRegistry | None) -> None:
         """Attach a metrics registry (lock-queue depths, validation
         latency) after construction."""
         self._registry = registry
         self._locks.set_registry(registry)
-        self._wrap_selector()
-
-    def _wrap_selector(self) -> None:
-        inner = self._selector
-        if isinstance(inner, TracedSelector):
-            inner = inner.inner
-        self._selector = TracedSelector(inner, self._registry, self._tracer)
 
     def _select(
         self,
@@ -214,10 +196,27 @@ class TransactionManager:
         constraint,
         pinned: dict[str, Version] | None = None,
     ) -> dict[str, Version] | None:
-        selector = self._selector
-        if isinstance(selector, TracedSelector):
-            selector.txn_hint = txn
-        return selector.select(d_sets, constraint, pinned)
+        """§5.1 part 2 on behalf of ``txn``: its wall-clock cost goes
+        to the registry's ``validation_latency_us`` histogram, and one
+        ``validate.select`` event carries the candidate-space size (no
+        timing, so a recorded trace repeats byte for byte)."""
+        started = time.perf_counter()
+        assignment = select_versions(d_sets, constraint, pinned)
+        if self._registry is not None:
+            self._registry.histogram("validation_latency_us").observe(
+                (time.perf_counter() - started) * 1e6
+            )
+        if self._tracer.enabled:
+            self._tracer.event(
+                "validate.select",
+                txn,
+                items=len(d_sets),
+                candidates=sum(
+                    len(d_set.candidates) for d_set in d_sets.values()
+                ),
+                satisfiable=assignment is not None,
+            )
+        return assignment
 
     # -- step records --------------------------------------------------------
 

@@ -186,8 +186,8 @@ def candidate_selection_to_sat(
 
     The generic kernel shared by :func:`version_correctness_to_sat`
     (candidates = a database state's retained versions) and the
-    protocol's SAT-backed version selector (candidates = the
-    validation phase's D-set versions).  Returns the formula and the
+    reference DPLL version selector (candidates = the validation
+    phase's D-set versions).  Returns the formula and the
     selector-variable map.
     """
     versions = {name: sorted(values) for name, values in candidates.items()}

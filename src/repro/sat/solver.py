@@ -4,9 +4,10 @@ Used three ways in the reproduction:
 
 * as the certified "NP oracle" for the Lemma-1 / Theorem-1 reductions
   (:mod:`repro.sat.reduction`);
-* as an alternative back-end for the protocol's version-selection
-  problem (Section 5.1 suggests heuristics / query-style search — the
-  library offers exhaustive, heuristic, and SAT-backed selectors);
+* as the reference back-end for the protocol's version-selection
+  problem (Section 5.1 suggests query-style search; the DPLL selector
+  in :mod:`repro.reference.validation` is the oracle the manager's
+  backtracking selector is tested against);
 * as the brute-force comparator in property tests.
 
 The implementation is classic DPLL with unit propagation, pure-literal

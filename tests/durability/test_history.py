@@ -21,7 +21,6 @@ from repro.durability.history import (
 )
 from repro.durability.wal import scan_wal
 from repro.protocol.scheduler import Outcome
-from repro.protocol.validation import GreedyLatestSelector
 from repro.schedules.recovery import (
     avoids_cascading_aborts,
     is_recoverable,
@@ -55,14 +54,12 @@ class TestRecoveredIsRC:
         assert recorded_is_rc(records, commit_order=result.committed)
 
     def test_dirty_read_history_is_rc_only_after_recovery(self, wal_dir):
-        manager = open_manager(
-            wal_dir, selector=GreedyLatestSelector()
-        )
+        manager = open_manager(wal_dir)
         # t.1 commits having read t.0's never-committed write: the raw
         # WAL is NOT RC...
         run_leaf(manager, "x", 10, commit=False)
         reader = manager.define(
-            manager.root, spec("x >= 0 & y >= 0"), ["y"]
+            manager.root, spec("x >= 10 & y >= 0"), ["y"]
         )
         drive_leaf(manager, reader, "y", 20)
         assert manager.read(reader, "x").outcome is Outcome.OK
@@ -100,9 +97,7 @@ class TestRecoveredIsRC:
 class TestStrictModeIsST:
     def _interleaved_strict_history(self, wal_dir):
         """Two disjoint concurrent writers, then a reader of both."""
-        manager = open_manager(
-            wal_dir, strict=True, selector=GreedyLatestSelector()
-        )
+        manager = open_manager(wal_dir, strict=True)
         a = manager.define(manager.root, spec("x >= 0"), ["x"])
         b = manager.define(manager.root, spec("y >= 0"), ["y"])
         for name in (a, b):
@@ -120,7 +115,7 @@ class TestStrictModeIsST:
         assert manager.commit(a).outcome is Outcome.OK
         assert manager.commit(b).outcome is Outcome.OK
         c = manager.define(
-            manager.root, spec("x >= 0 & y >= 0 & z >= 0"), ["z"]
+            manager.root, spec("x >= 10 & y >= 20 & z >= 0"), ["z"]
         )
         assert manager.validate(c).outcome is Outcome.OK
         assert manager.record(c).assigned["x"].author == a
@@ -166,12 +161,10 @@ class TestOccurrenceKeying:
     def test_recorded_keys_align_with_flat_schedule(self, wal_dir):
         # Regression: recorded occurrences must be 0-based like
         # Schedule.read_sources(), or every non-initial read "differs".
-        manager = open_manager(
-            wal_dir, selector=GreedyLatestSelector()
-        )
+        manager = open_manager(wal_dir)
         run_leaf(manager, "x", 10)
         reader = manager.define(
-            manager.root, spec("x >= 0 & y >= 0"), ["y"]
+            manager.root, spec("x >= 10 & y >= 0"), ["y"]
         )
         drive_leaf(manager, reader, "y", 20)
         assert manager.read(reader, "x").outcome is Outcome.OK

@@ -15,7 +15,6 @@ from repro.durability.snapshot import CheckpointStore
 from repro.durability.wal import scan_wal
 from repro.errors import RecoveryError
 from repro.protocol.scheduler import Outcome, TransactionManager
-from repro.protocol.validation import GreedyLatestSelector
 
 from .conftest import make_database, run_leaf, spec
 
@@ -82,11 +81,11 @@ class TestLoggedOperations:
 
     def test_abort_logs_full_cascade(self, wal_dir):
         manager, _ = DurableTransactionManager.open(
-            wal_dir, make_database, selector=GreedyLatestSelector()
+            wal_dir, make_database
         )
         author = run_leaf(manager, "x", 10, commit=False)
         reader = manager.define(
-            manager.root, spec("x >= 0 & y >= 0"), ["y"]
+            manager.root, spec("x >= 10 & y >= 0"), ["y"]
         )
         assert manager.validate(reader).outcome is Outcome.OK
         assert manager.read(reader, "x").outcome is Outcome.OK
@@ -110,9 +109,13 @@ class TestLoggedOperations:
 
     def test_cascade_reassignments_logged_and_replayable(self, wal_dir):
         manager, _ = DurableTransactionManager.open(
-            wal_dir, make_database, selector=GreedyLatestSelector()
+            wal_dir, make_database
         )
-        author = run_leaf(manager, "x", 10, commit=False)
+        # Selection takes the smallest satisfying value, so the author
+        # writes below the initial 5: the bystander's x >= 0 admits
+        # both versions, takes the author's, and can fall back to the
+        # initial one when the author aborts.
+        author = run_leaf(manager, "x", 3, commit=False)
         bystander = manager.define(
             manager.root, spec("x >= 0"), ["x"]
         )

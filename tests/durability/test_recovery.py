@@ -16,7 +16,6 @@ from repro.durability.snapshot import CheckpointStore, _digest
 from repro.durability.wal import list_segments, scan_wal
 from repro.errors import RecoveryError
 from repro.protocol.scheduler import Outcome, TxnPhase
-from repro.protocol.validation import GreedyLatestSelector
 
 from .conftest import make_database, run_leaf, spec
 
@@ -74,14 +73,13 @@ class TestCommittedPrefix:
         assert record.phase is TxnPhase.ABORTED
 
     def test_cascade_through_recorded_reads_from(self, wal_dir):
-        manager = open_fresh(
-            wal_dir, selector=GreedyLatestSelector()
-        )
-        # t.0 writes x but never commits; t.1 reads t.0's version and
-        # commits.  Recovery must undo t.1's commit (RC enforcement).
+        manager = open_fresh(wal_dir)
+        # t.0 writes x but never commits; t.1 reads t.0's version (the
+        # only x its input admits) and commits.  Recovery must undo
+        # t.1's commit (RC enforcement).
         run_leaf(manager, "x", 10, commit=False)
         reader = manager.define(
-            manager.root, spec("x >= 0 & y >= 0"), ["y"]
+            manager.root, spec("x >= 10 & y >= 0"), ["y"]
         )
         assert manager.validate(reader).outcome is Outcome.OK
         assert manager.record(reader).assigned["x"].author == "t.0"

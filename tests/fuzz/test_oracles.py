@@ -6,10 +6,12 @@ from types import SimpleNamespace
 
 import pytest
 
+from repro.core import Domain, Predicate, Schema, Spec
 from repro.durability.records import OP_WRITE
 from repro.fuzz import generate_plan, run_oracles
 from repro.fuzz.runner import Evidence, NodeEvidence
-from repro.protocol.scheduler import TxnPhase
+from repro.protocol.scheduler import Outcome, TransactionManager, TxnPhase
+from repro.storage import Database
 
 
 def _verdict(results, name):
@@ -372,8 +374,12 @@ def _drained_manager(root, committed, aborted=()):
     """The slice of a drained manager ``protocol_verify`` reads."""
     phases = {name: TxnPhase.COMMITTED for name in committed}
     phases.update({name: TxnPhase.ABORTED for name in aborted})
+    root_record = SimpleNamespace(
+        name=root, children=sorted(phases), phase=TxnPhase.VALIDATED
+    )
     return SimpleNamespace(
         root=root,
+        iter_records=lambda: iter([root_record]),
         verify_parent_based=lambda _root: [],
         verify_correctness=lambda _root: [],
         children_of=lambda _root: sorted(phases),
@@ -428,3 +434,50 @@ def test_one_node_sharded_shape_matches_unsharded(
     unsharded = verdicts("t")
     assert unsharded == verdicts("sh0")
     assert {name for name, ok, _ in unsharded if ok} == expect_ok
+
+
+def _committed_nested_parent():
+    """A committed parent whose committed children are ordered
+    ``first < second``; ``first`` read x, ``second`` wrote it."""
+    schema = Schema.of("x", domain=Domain.interval(0, 100))
+    tm = TransactionManager(
+        Database(schema, Predicate.parse("x >= 0"), {"x": 1})
+    )
+    parent = tm.define(tm.root, Spec.trivial(), {"x"})
+    first = tm.define(
+        parent, Spec(Predicate.parse("x >= 0"), Predicate.true()), set()
+    )
+    second = tm.define(parent, Spec.trivial(), {"x"}, predecessors=[first])
+    for name in (parent, first, second):
+        assert tm.validate(name).outcome is Outcome.OK
+    assert tm.read(first, "x").value == 1
+    assert tm.commit(first).outcome is Outcome.OK
+    assert tm.write(second, "x", 5).outcome is Outcome.OK
+    assert tm.commit(second).outcome is Outcome.OK
+    assert tm.commit(parent).outcome is Outcome.OK
+    return tm, parent, first, second
+
+
+def test_protocol_verify_judges_nested_parents():
+    # Lemma 4 below the root: a committed child that read its
+    # P-successor sibling's version is not parent-based, even though
+    # every root-level child is.
+    tm, parent, first, second = _committed_nested_parent()
+
+    def verdict():
+        evidence = _evidence(
+            acked_committed=[parent], nodes=[NodeEvidence(0, manager=tm)]
+        )
+        return _verdict(
+            run_oracles(evidence, names=["protocol_verify"]),
+            "protocol_verify",
+        )
+
+    assert verdict().ok, verdict().details
+    tm.record(first).assigned["x"] = tm.record(second).writes["x"]
+    tampered = verdict()
+    assert not tampered.ok
+    assert any(
+        f"{first} read x from successor {second}" in detail
+        for detail in tampered.details
+    )

@@ -4,7 +4,7 @@ The manager computes §5.1 D-sets through the
 :class:`~repro.protocol.fastpath.ParentIndex` bitmask encoding; the
 direct transcription of the three exclusion rules
 (:func:`repro.reference.compute_d_sets_object` →
-:func:`~repro.protocol.validation.compute_d_set`) is the oracle, and
+:func:`~repro.reference.validation.compute_d_set`) is the oracle, and
 :class:`repro.reference.ReferenceTransactionManager` validates through
 it.  These tests drive the two managers in lockstep through identical
 seeded command sequences — including write-triggered cascading aborts

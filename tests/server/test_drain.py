@@ -23,7 +23,6 @@ import asyncio
 import time
 
 from repro.protocol.scheduler import TransactionManager
-from repro.protocol.validation import GreedyLatestSelector
 from repro.server.protocol import Request
 from repro.server.session import CommandDispatcher, SessionState
 
@@ -44,11 +43,11 @@ async def _parked_commit(dispatcher):
     ]
     await _request(dispatcher, s1, 2, "validate", txn=t1)
     await _request(dispatcher, s1, 3, "write", txn=t1, entity="x", value=7)
-    # T2's input predicate mentions x so validation assigns it a
-    # version of x — the latest, which is T1's uncommitted write.
+    # T2's input predicate admits only T1's uncommitted x = 7 (the
+    # initial x is 1), so validation assigns it that version.
     t2 = (
         await _request(
-            dispatcher, s2, 4, "define", updates=["y"], input="x >= 0"
+            dispatcher, s2, 4, "define", updates=["y"], input="x >= 7"
         )
     )["txn"]
     await _request(dispatcher, s2, 5, "validate", txn=t2)
@@ -70,12 +69,7 @@ async def _parked_commit(dispatcher):
 def test_drain_resolves_parked_commit_honestly_and_fast():
     async def body():
         dispatcher = CommandDispatcher(
-            # Latest-first selection so T2 deterministically reads
-            # T1's uncommitted version (the park precondition).
-            TransactionManager(
-                tiny_db(), selector=GreedyLatestSelector()
-            ),
-            request_timeout=30.0,
+            TransactionManager(tiny_db()), request_timeout=30.0
         )
         runner = asyncio.create_task(dispatcher.run())
         t1, t2, commit_future = await _parked_commit(dispatcher)
@@ -107,12 +101,7 @@ def test_drain_resolves_parked_commit_honestly_and_fast():
 def test_drain_commits_waiter_when_author_terminates_in_queue():
     async def body():
         dispatcher = CommandDispatcher(
-            # Latest-first selection so T2 deterministically reads
-            # T1's uncommitted version (the park precondition).
-            TransactionManager(
-                tiny_db(), selector=GreedyLatestSelector()
-            ),
-            request_timeout=30.0,
+            TransactionManager(tiny_db()), request_timeout=30.0
         )
         runner = asyncio.create_task(dispatcher.run())
         t1, t2, commit_future = await _parked_commit(dispatcher)

@@ -178,6 +178,17 @@ class TestShowdownTrace:
         assert spans
         assert {"arrive", "commit"} <= {span.kind for span in spans}
 
+    def test_trace_repeats_byte_for_byte(self, tmp_path, capsys):
+        # Spans carry virtual time and work counts only, so two runs of
+        # one seed write the same bytes (validate.select included).
+        paths = [tmp_path / "first.jsonl", tmp_path / "second.jsonl"]
+        for path in paths:
+            argv = ["showdown", "--designers", "10", "--think", "1"]
+            assert main([*argv, "--seed", "1", "--trace", str(path)]) == 0
+        first, second = (path.read_bytes() for path in paths)
+        assert b'"validate.select"' in first
+        assert first == second
+
 
 class TestCensusJobsValidation:
     @pytest.mark.parametrize("jobs", ["0", "-3", "two"])

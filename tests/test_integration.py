@@ -13,7 +13,7 @@ from repro.core import (
     lemma1_instance,
 )
 from repro.obs import RecordingTracer
-from repro.protocol import Outcome, SatSelector, TransactionManager
+from repro.protocol import Outcome, TransactionManager
 from repro.sat import CNFFormula
 from repro.schedules import Schedule
 from repro.storage import Database
@@ -66,29 +66,6 @@ class TestPaperNarrativeSection2:
         assert tm.commit(tm.root).outcome is Outcome.OK
         assert tm.verify_parent_based(tm.root) == []
         assert tm.verify_correctness(tm.root) == []
-
-
-class TestSatSelectorIntegration:
-    def test_protocol_with_sat_backed_validation(self):
-        schema = Schema.of("x", "y", domain=Domain.interval(0, 1000))
-        db = Database(
-            schema,
-            Predicate.parse("x >= 0 & y >= 0"),
-            {"x": 3, "y": 4},
-        )
-        tm = TransactionManager(db, selector=SatSelector())
-        writer = tm.define(tm.root, Spec.trivial(), {"x"})
-        tm.validate(writer)
-        tm.write(writer, "x", 700)
-        # Needs the *old* x (<= 100) with the new y — SAT selection
-        # must mix versions.
-        picky = tm.define(
-            tm.root,
-            Spec(Predicate.parse("x <= 100 & y >= 0"), Predicate.true()),
-            set(),
-        )
-        assert tm.validate(picky).outcome is Outcome.OK
-        assert tm.assigned_versions(picky)["x"].value == 3
 
 
 class TestComplexityPipeline:

@@ -19,6 +19,9 @@ versus change with the same interpreter:
                  arrival order, from the fixed socket session below
                  against an in-process durable server at ``shards=N``
                  (N = 1, 2)
+``showdown_trace`` the JSONL that ``repro showdown --designers 10
+                 --think 1 --seed 1 --trace FILE`` writes (the
+                 korth-speegle run's spans, version selection included)
 
     PYTHONPATH=src python tools/digests.py                      # print
     PYTHONPATH=src python tools/digests.py --check tools/digests.json
@@ -33,7 +36,9 @@ from __future__ import annotations
 
 import argparse
 import asyncio
+import contextlib
 import hashlib
+import io
 import itertools
 import json
 import random
@@ -86,6 +91,17 @@ def sim_sweep_digest() -> str:
 
     doc = run_sweep(get_scenario("hot_key_storm"))
     return _sha([(json.dumps(doc, indent=2, sort_keys=True) + "\n").encode()])
+
+
+def showdown_trace_digest() -> str:
+    from repro.cli import main
+
+    with tempfile.TemporaryDirectory(prefix="repro-digests-") as tmp:
+        path = Path(tmp) / "trace.jsonl"
+        argv = ["showdown", "--designers", "10", "--think", "1", "--seed", "1"]
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main([*argv, "--trace", str(path)]) == 0
+        return _sha([path.read_bytes()])
 
 
 # ---------------------------------------------------------------------------
@@ -509,6 +525,7 @@ def compute() -> dict[str, str]:
         "checkpoints": checkpoints,
         "wire.shards1": _sha(wire_frames(1)),
         "wire.shards2": _sha(wire_frames(2)),
+        "showdown_trace": showdown_trace_digest(),
     }
 
 
@@ -519,7 +536,7 @@ def main(argv: "list[str] | None" = None) -> int:
     args = parser.parse_args(argv)
     digests = compute()
     for name, value in digests.items():
-        print(f"{name:14s}{value}")
+        print(f"{name:16s}{value}")
     if args.write:
         Path(args.write).write_text(
             json.dumps(digests, indent=2) + "\n", encoding="utf-8"
