@@ -18,7 +18,7 @@ from .scenarios import (
     Scenario,
     get_scenario,
 )
-from .sweep import cell_scenario, run_sweep, split_nodes
+from .sweep import cell_scenario, failed_checks, run_sweep, split_nodes
 from .workload import build_clients, build_plan, expand_partitions
 
 __all__ = [
@@ -36,6 +36,7 @@ __all__ = [
     "cell_scenario",
     "cluster_invariants",
     "expand_partitions",
+    "failed_checks",
     "get_scenario",
     "percentile",
     "run_scenario",

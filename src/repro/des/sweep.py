@@ -35,6 +35,20 @@ def split_nodes(nodes: int) -> "tuple[int, int]":
     return followers, clients
 
 
+def failed_checks(report: dict[str, Any]) -> list[str]:
+    """Names of the oracles and invariants a run report failed."""
+    return sorted(
+        name
+        for section in report["epochs"]
+        for name, verdict in section["oracles"].items()
+        if not verdict["ok"]
+    ) + sorted(
+        name
+        for name, verdict in report["invariants"].items()
+        if not verdict["ok"]
+    )
+
+
 def cell_scenario(
     base: Scenario,
     *,
@@ -96,20 +110,6 @@ def run_sweep(
                         latency=latency,
                     )
                     report = run_scenario(scenario)
-                    failed = sorted(
-                        name
-                        for section in report["epochs"]
-                        for name, verdict in section[
-                            "oracles"
-                        ].items()
-                        if not verdict["ok"]
-                    ) + sorted(
-                        name
-                        for name, verdict in report[
-                            "invariants"
-                        ].items()
-                        if not verdict["ok"]
-                    )
                     cells.append(
                         {
                             "nodes": n,
@@ -127,7 +127,7 @@ def run_sweep(
                                 else None
                             ),
                             "ok": report["ok"],
-                            "failed_checks": failed,
+                            "failed_checks": failed_checks(report),
                             "metrics": report["metrics"],
                         }
                     )

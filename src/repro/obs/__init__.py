@@ -27,7 +27,7 @@ from .export import (
 from .live import LiveTracer, RecordingTracer, RingSubscriber, SpanRing
 from .metrics import Counter, Gauge, Histogram, MetricsRegistry
 from .prom import render_prometheus
-from .top import render_top, run_top
+from .top import render_top
 from .trace import NULL_TRACER, Span, Tracer
 
 __all__ = [
@@ -47,7 +47,6 @@ __all__ = [
     "render_prometheus",
     "render_timeline",
     "render_top",
-    "run_top",
     "timeline_stats",
     "transactions_of",
     "write_jsonl",

@@ -8,22 +8,16 @@ histograms, and the slowest in-flight work (the open-span list the
 server returns when it runs with a live tracer).
 
 Rendering is a pure function (:func:`render_top`) over two stats
-snapshots, so tests drive it without a terminal; :func:`run_top` owns
-the poll-sleep-redraw loop and the ANSI screen clearing.  No curses —
-``\\x1b[H\\x1b[2J`` between frames keeps it dependency-free and works
-in any ANSI terminal (and piped output degrades to frame-per-poll
-text).
+snapshots, so tests drive it without a terminal; the ``top`` command
+(:mod:`repro.cli.service`) owns the client, the poll-sleep-redraw loop
+and the ANSI screen clearing.
 """
 
 from __future__ import annotations
 
-import sys
-import time
-from typing import Any, Callable, TextIO
+from typing import Any
 
-__all__ = ["render_top", "run_top"]
-
-_CLEAR = "\x1b[H\x1b[2J"
+__all__ = ["render_top"]
 
 #: phase label → (histogram name, unit) rows of the latency table.
 _PHASES = (
@@ -171,58 +165,3 @@ def render_top(
         lines.append("")
         lines.append("slowest in flight: (idle)")
     return "\n".join(lines) + "\n"
-
-
-def run_top(
-    host: str = "127.0.0.1",
-    port: int = 7455,
-    *,
-    interval: float = 1.0,
-    iterations: int | None = None,
-    out: TextIO | None = None,
-    clock: Callable[[], float] = time.monotonic,
-    sleep: Callable[[float], None] = time.sleep,
-) -> int:
-    """Poll ``stats`` every ``interval`` seconds and redraw.
-
-    ``iterations`` bounds the loop for tests and one-shot captures
-    (``None`` = until interrupted).  Returns a process exit code.
-    """
-    from ..server.client import Client
-
-    stream = out if out is not None else sys.stdout
-    try:
-        client = Client.connect(host, port)
-    except OSError as error:
-        print(
-            f"error: cannot reach server at {host}:{port} ({error})",
-            file=sys.stderr,
-        )
-        return 2
-    previous: dict[str, Any] | None = None
-    previous_at = clock()
-    count = 0
-    try:
-        while iterations is None or count < iterations:
-            try:
-                stats = client.stats()
-            except (ConnectionError, OSError):
-                print("server went away", file=sys.stderr)
-                return 1
-            now = clock()
-            frame = render_top(
-                stats, previous=previous, elapsed=now - previous_at
-            )
-            if stream.isatty():
-                stream.write(_CLEAR)
-            stream.write(frame)
-            stream.flush()
-            previous, previous_at = stats, now
-            count += 1
-            if iterations is None or count < iterations:
-                sleep(interval)
-    except KeyboardInterrupt:
-        pass
-    finally:
-        client.close()
-    return 0

@@ -48,7 +48,7 @@ from .errors import (
 from .metrics_http import MetricsHTTPServer
 from .protocol import MAX_FRAME_BYTES
 from .router import ShardRouter, affinity_key, shard_of
-from .server import ServerConfig, ServerThread, TransactionServer
+from .server import ServerConfig, ServerThread, TransactionServer, parse_hostport
 from .session import CommandDispatcher, SessionState
 
 __all__ = [
@@ -78,5 +78,6 @@ __all__ = [
     "WIRE_FAULT_CODES",
     "affinity_key",
     "build_workload",
+    "parse_hostport",
     "shard_of",
 ]

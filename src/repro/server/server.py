@@ -79,7 +79,7 @@ from .session import CommandDispatcher, SessionState
 _CLOSE = object()
 
 
-def _parse_hostport(text: str) -> "tuple[str, int]":
+def parse_hostport(text: str) -> "tuple[str, int]":
     """Parse ``host:port`` (host defaults to 127.0.0.1 if omitted)."""
     host, _, port_text = text.rpartition(":")
     try:
@@ -232,7 +232,7 @@ class TransactionServer:
                     "follow_of requires wal_dir for replicated history"
                 )
             managers = [self._open_manager(database, None)[0]]
-            host, port = _parse_hostport(self._config.follow_of)
+            host, port = parse_hostport(self._config.follow_of)
             applier = FollowerApplier(
                 self._config.wal_dir,
                 segment_bytes=self._config.segment_bytes,

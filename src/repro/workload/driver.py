@@ -37,7 +37,6 @@ smoke test's assertion).
 from __future__ import annotations
 
 import asyncio
-import json
 import random
 from dataclasses import dataclass, field
 from typing import Any
@@ -125,11 +124,6 @@ class LoadgenReport:
             "protocol_errors": self.protocol_errors,
             "server": self.server_stats,
         }
-
-    def write(self, path: str) -> None:
-        with open(path, "w", encoding="utf-8") as handle:
-            json.dump(self.to_json(), handle, indent=2, sort_keys=True)
-            handle.write("\n")
 
 
 class _Runner:

@@ -7,6 +7,7 @@ import json
 
 import pytest
 
+from repro.cli.common import write_json
 from repro.errors import SimulationError
 from repro.server import AsyncClient, ServerConfig, TransactionServer
 from repro.workload import build_workload
@@ -92,7 +93,7 @@ class TestLoadgen:
         }
         assert "server" in data
         path = tmp_path / "BENCH_server.json"
-        report.write(str(path))
+        write_json(str(path), report.to_json())
         assert json.loads(path.read_text()) == data
         table = report_table(report)
         assert "wire-protocol errors: 0" in table

@@ -2,9 +2,21 @@
 
 from __future__ import annotations
 
+import pathlib
+import subprocess
+import sys
+
 import pytest
 
-from repro.cli import main
+from repro.cli import COMMANDS, build_parser, main
+
+SRC = pathlib.Path(__file__).parent.parent / "src"
+
+
+def _command_paths(commands, prefix=()):
+    for command in commands:
+        yield (*prefix, command.name)
+        yield from _command_paths(command.commands, (*prefix, command.name))
 
 
 class TestClassify:
@@ -206,23 +218,17 @@ class TestCensusJobsValidation:
 
 class TestServeLoadgenParsers:
     def test_serve_defaults(self):
-        from repro.cli import build_parser
-
         args = build_parser().parse_args(["serve"])
         assert args.port == 7455
         assert args.workload == "cad"
         assert args.queue_size == 256
 
     def test_loadgen_defaults(self):
-        from repro.cli import build_parser
-
         args = build_parser().parse_args(["loadgen"])
         assert args.clients == 8
         assert args.output == "BENCH_server.json"
 
     def test_sharding_and_key_dist_flags(self):
-        from repro.cli import build_parser
-
         args = build_parser().parse_args(
             ["serve", "--shards", "4", "--key-dist", "zipf"]
         )
@@ -231,6 +237,19 @@ class TestServeLoadgenParsers:
         args = build_parser().parse_args(["loadgen", "--key-dist", "zipf"])
         assert args.key_dist == "zipf"
         assert build_parser().parse_args(["serve"]).shards == 1
+
+    def test_serve_defaults_are_server_config_defaults(self):
+        from repro.cli.service import server_config
+        from repro.server import ServerConfig
+
+        args = build_parser().parse_args(["serve"])
+        assert server_config(args) == ServerConfig(port=7455)
+        args = build_parser().parse_args(
+            ["serve", "--wal-segment-bytes", "9", "--shards", "2"]
+        )
+        assert server_config(args) == ServerConfig(
+            port=7455, segment_bytes=9, shards=2
+        )
 
     @pytest.mark.parametrize(
         "argv",
@@ -289,10 +308,99 @@ class TestLoadgenCommand:
         assert data["committed"] + data["gave_up"] == 4
 
 
+class TestServeBadFlags:
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--shards", "2", "--repl-port", "0"],
+            ["--follow-of", "nonsense"],
+        ],
+    )
+    def test_refused_combination_is_a_usage_error(
+        self, flags, tmp_path, capsys
+    ):
+        wal_dir = str(tmp_path / "wal")
+        code = main(["serve", "--port", "0", "--wal-dir", wal_dir, *flags])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ")
+        assert "listening on" not in captured.out
+
+
+class TestTop:
+    def test_frames_from_a_running_server(self, capsys):
+        from repro.server import ServerThread
+        from repro.workload import build_workload
+
+        workload = build_workload("cad", transactions=4, seed=0)
+        with ServerThread(workload.fresh_database) as handle:
+            code = main(
+                [
+                    "top",
+                    "--port", str(handle.port),
+                    "--iterations", "2",
+                    "--interval", "0",
+                ]
+            )
+        out = capsys.readouterr().out
+        assert code == 0
+        assert out.count("repro top — ") == 2
+        assert "lifetime" in out and "s window" in out
+        assert "\x1b[" not in out  # no screen clearing off a terminal
+
+    def test_unreachable_server_exits_2(self, capsys):
+        assert main(["top", "--port", "1", "--iterations", "1"]) == 2
+        assert "cannot reach server" in capsys.readouterr().err
+
+
+class TestPromote:
+    def test_bad_peer_exits_2(self, capsys):
+        assert main(["promote", "--peer", "nowhere:http"]) == 2
+        assert (
+            "error: bad peer 'nowhere:http' (expected host:port)"
+            in capsys.readouterr().err
+        )
+
+
 class TestParser:
     def test_missing_command_exits(self):
         with pytest.raises(SystemExit):
             main([])
+
+    @pytest.mark.parametrize(
+        "path", list(_command_paths(COMMANDS)), ids=" ".join
+    )
+    def test_every_command_answers_help(self, path, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main([*path, "--help"])
+        assert excinfo.value.code == 0
+        assert f"usage: repro {' '.join(path)}" in capsys.readouterr().out
+
+    def test_building_the_parser_loads_no_subsystem(self):
+        forbidden = (
+            "repro.server",
+            "repro.durability",
+            "repro.replication",
+            "repro.sim",
+            "repro.baselines",
+            "repro.fuzz",
+            "repro.des",
+            "repro.workload",
+        )
+        code = (
+            "import sys, repro.cli\n"
+            "repro.cli.build_parser()\n"
+            f"forbidden = {forbidden!r}\n"
+            "loaded = sorted(m for m in sys.modules if any(\n"
+            "    m == p or m.startswith(p + '.') for p in forbidden))\n"
+            "assert not loaded, loaded\n"
+        )
+        subprocess.run(
+            [sys.executable, "-c", code],
+            check=True,
+            env={"PYTHONPATH": str(SRC)},
+            timeout=60,
+        )
 
 
 class TestVersion:

@@ -37,7 +37,6 @@ ALLOWED = {
 BACK_EDGES = {
     ("repro.core.complexity", "sat"),
     ("repro.schedules.semantic", "classes"),
-    ("repro.obs.top", "server"),
 }
 
 

@@ -57,12 +57,13 @@ def test_model_and_families_import_no_server_sim_or_baselines():
 
 
 def _serve_imports() -> list[str]:
-    """The import statements of ``cli._cmd_serve``, made absolute."""
-    tree = ast.parse((SRC / "repro" / "cli.py").read_text(encoding="utf-8"))
+    """The import statements of the ``serve`` command, made absolute."""
+    path = SRC / "repro" / "cli" / "service.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"))
     serve = next(
         node
         for node in ast.walk(tree)
-        if isinstance(node, ast.FunctionDef) and node.name == "_cmd_serve"
+        if isinstance(node, ast.FunctionDef) and node.name == "serve"
     )
     statements = []
     for node in ast.walk(serve):
