@@ -59,6 +59,12 @@ from .predicatewise import (
     is_predicatewise_serializable,
     normalize_objects,
 )
+from .semantic import (
+    is_semantically_conflict_serializable,
+    semantic_conflict,
+    semantic_conflict_graph,
+    semantic_serialization_order,
+)
 from .view import (
     count_view_serial_orders,
     execution_is_view_serializable,
@@ -102,6 +108,7 @@ __all__ = [
     "is_predicate_correct",
     "is_predicatewise_conflict_serializable",
     "is_predicatewise_serializable",
+    "is_semantically_conflict_serializable",
     "lemma3_view_serialization",
     "lift_schedule",
     "mv_conflict_graph_dot",
@@ -110,6 +117,9 @@ __all__ = [
     "mv_view_serialization_order",
     "normalize_objects",
     "observed_linearizes",
+    "semantic_conflict",
+    "semantic_conflict_graph",
+    "semantic_serialization_order",
     "transaction_tree_dot",
     "verify_all",
 ]

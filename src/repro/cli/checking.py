@@ -19,12 +19,16 @@ from .common import arg, command, positive_int, write_json
 )
 def fuzz_replay(args: argparse.Namespace) -> int:
     from ..fuzz import EXIT_HARNESS_ERROR, load_reproducer, replay_file
+    from ..fuzz.plan import PlanError
 
     try:
         _, expected = load_reproducer(args.file)
         result, matches = replay_file(args.file)
     except FileNotFoundError:
         print(f"error: no reproducer {args.file!r}", file=sys.stderr)
+        return EXIT_HARNESS_ERROR
+    except PlanError as error:
+        print(f"error: {args.file!r}: invalid plan: {error}", file=sys.stderr)
         return EXIT_HARNESS_ERROR
     except (ValueError, KeyError) as error:
         print(
@@ -149,7 +153,8 @@ def _scenario(args: argparse.Namespace):
         help="write the full run report as JSON to this path"),
 )
 def sim_run(args: argparse.Namespace) -> int:
-    from ..des import failed_checks, run_scenario
+    from ..des import run_scenario
+    from ..fuzz.runner import failed
 
     scenario = _scenario(args)
     if scenario is None:
@@ -174,7 +179,8 @@ def sim_run(args: argparse.Namespace) -> int:
         )
     if report["deadlock"]:
         print(f"repro sim: DEADLOCK: {report['deadlock']}")
-    for name in failed_checks(report):
+    epochs = (section["oracles"] for section in report["epochs"])
+    for name in failed(*epochs) + failed(report["invariants"]):
         print(f"repro sim: FAILED check: {name}")
     if args.report:
         write_json(args.report, report)

@@ -1,4 +1,10 @@
-"""Deterministic report assembly for cluster simulation runs.
+"""The ``repro sim`` report of one executed scenario.
+
+Each epoch's section is the builder both fronts share
+(:func:`~repro.fuzz.runner.epoch_report`: outcome, counts, commits,
+verdicts); what is the simulator's own is the shape around it — one
+section per epoch, the cluster-scope verdicts as ``invariants``,
+run-wide metrics and network totals.
 
 Everything in a report is a pure function of the scenario and the
 virtual-time execution — no wall-clock timestamps, no environment —
@@ -11,7 +17,13 @@ from __future__ import annotations
 import math
 from typing import Any
 
+from ..fuzz.harness import Evidence
+from ..fuzz.runner import Execution, epoch_report, verdicts
+
 SIM_REPORT_VERSION = 1
+
+#: What each verdict of a sim report keeps of its result.
+_VERDICT = ("ok", "skipped", "details")
 
 
 def percentile(values: "list[float]", q: float) -> float:
@@ -23,75 +35,20 @@ def percentile(values: "list[float]", q: float) -> float:
     return float(ordered[rank - 1])
 
 
-def _epoch_section(entry: dict[str, Any]) -> dict[str, Any]:
-    evidence = entry["evidence"]
-    oracles = entry["oracles"]
-    recovery = evidence.nodes[0].recovery  # one primary per epoch
-    replies = [e for e in evidence.events if e["kind"] == "reply"]
-    section = {
-        "epoch": entry["epoch"],
-        "crashed": evidence.crashed,
-        "crash": evidence.crash_info,
-        "counts": {
-            "events": len(evidence.events),
-            "requests": len(evidence.requests),
-            "replies": len(replies),
-            "busy": sum(
-                1 for e in evidence.events if e["kind"] == "busy"
-            ),
-            "timeouts": sum(
-                1 for e in replies if e.get("code") == "TIMEOUT"
-            ),
-            "commits_acked": len(evidence.acked_committed),
-            "commits_indeterminate": len(
-                evidence.indeterminate_committed
-            ),
-        },
-        "acked_committed": list(evidence.acked_committed),
-        "indeterminate_committed": list(
-            evidence.indeterminate_committed
-        ),
-        "recovered_committed": (
-            list(recovery.committed) if recovery is not None else None
-        ),
-        "recovery_error": evidence.recovery_error,
-        "drain_summary": evidence.drain_summary,
-        "replicas": evidence.replicas,
-        "oracles": {
-            result.name: {
-                "ok": result.ok,
-                "skipped": result.skipped,
-                "details": list(result.details),
-            }
-            for result in oracles
-        },
-        "schedule": evidence.events,
-    }
-    section["ok"] = all(
-        v["ok"] for v in section["oracles"].values()
-    )
-    return section
-
-
 def _metrics(
-    epochs: "list[dict[str, Any]]",
+    sections: "list[dict[str, Any]]",
+    evidences: "list[Evidence]",
     samples: "list[dict[str, Any]]",
     virtual_duration: float,
 ) -> dict[str, Any]:
+    def total(count: str) -> int:
+        return sum(section["counts"][count] for section in sections)
+
     commit_attempts = 0
-    commits_acked = 0
-    commits_indeterminate = 0
     aborts_acked = 0
-    busy = 0
-    timeouts = 0
     follower_reads_ok = 0
     follower_reads_rejected = 0
-    for entry in epochs:
-        evidence = entry["evidence"]
-        commits_acked += len(evidence.acked_committed)
-        commits_indeterminate += len(
-            evidence.indeterminate_committed
-        )
+    for evidence in evidences:
         for request in evidence.requests.values():
             status = request["status"]
             if request["op"] == "commit" and status != "pending":
@@ -103,14 +60,8 @@ def _metrics(
                     follower_reads_ok += 1
                 elif status != "pending":
                     follower_reads_rejected += 1
-        for event in evidence.events:
-            if event["kind"] == "busy":
-                busy += 1
-            elif (
-                event["kind"] == "reply"
-                and event.get("code") == "TIMEOUT"
-            ):
-                timeouts += 1
+    commits_acked = total("commits_acked")
+    commits_indeterminate = total("commits_indeterminate")
     resolved = commits_acked + commits_indeterminate
     failed_commits = max(0, commit_attempts - resolved)
     terminated = commit_attempts + aborts_acked
@@ -118,7 +69,7 @@ def _metrics(
     lag_lsn = [float(s.get("lag_lsn", 0)) for s in samples]
     lag_ms = [float(s.get("lag_ms", 0.0)) for s in samples]
     return {
-        "virtual_duration": round(virtual_duration, 6),
+        "virtual_duration": virtual_duration,
         "commit_attempts": commit_attempts,
         "commits_acked": commits_acked,
         "commits_indeterminate": commits_indeterminate,
@@ -132,8 +83,8 @@ def _metrics(
         "abort_rate": (
             round(aborted / terminated, 6) if terminated else 0.0
         ),
-        "busy_replies": busy,
-        "timeouts": timeouts,
+        "busy_replies": total("busy"),
+        "timeouts": total("timeouts"),
         "follower_reads_ok": follower_reads_ok,
         "follower_reads_rejected": follower_reads_rejected,
         "lag_lsn_p50": percentile(lag_lsn, 50),
@@ -145,47 +96,38 @@ def _metrics(
     }
 
 
-def build_report(
-    scenario: Any,
-    epochs: "list[dict[str, Any]]",
-    invariants: "list[Any]",
-    *,
-    promotion: "dict[str, Any] | None",
-    deadlock: "str | None",
-    samples: "list[dict[str, Any]]",
-    network: Any,
-    virtual_duration: float,
-    partitions: "list[list[float]]",
-) -> dict[str, Any]:
-    epoch_sections = [_epoch_section(entry) for entry in epochs]
-    invariant_section = {
-        result.name: {
-            "ok": result.ok,
-            "skipped": result.skipped,
-            "details": list(result.details),
-        }
-        for result in invariants
-    }
+def sim_report(scenario: Any, outcome: Execution) -> dict[str, Any]:
+    """The ``repro sim run`` document of one executed scenario."""
+    sections = [
+        {"epoch": number, **epoch_report(evidence, oracles, _VERDICT)}
+        for number, (evidence, oracles) in enumerate(outcome.epochs, 1)
+    ]
+    invariants = verdicts(outcome.cluster, _VERDICT)
     report = {
         "sim_version": SIM_REPORT_VERSION,
         "scenario": scenario.to_dict(),
         "scenario_digest": scenario.digest(),
         "seed": scenario.seed,
-        "virtual_duration": round(virtual_duration, 6),
-        "partitions": [list(w) for w in partitions],
-        "promotion": promotion,
-        "deadlock": deadlock,
-        "epochs": epoch_sections,
-        "invariants": invariant_section,
-        "metrics": _metrics(epochs, samples, virtual_duration),
+        "virtual_duration": outcome.virtual_duration,
+        "partitions": [list(w) for w in outcome.spec.plan.partitions],
+        "promotion": outcome.promotion,
+        "deadlock": outcome.deadlock,
+        "epochs": sections,
+        "invariants": invariants,
+        "metrics": _metrics(
+            sections,
+            [evidence for evidence, _ in outcome.epochs],
+            outcome.samples,
+            outcome.virtual_duration,
+        ),
         "network": {
-            "messages": network.messages,
-            "bytes_sent": network.bytes_sent,
+            "messages": outcome.network.messages,
+            "bytes_sent": outcome.network.bytes_sent,
         },
     }
     report["ok"] = (
-        deadlock is None
-        and all(section["ok"] for section in epoch_sections)
-        and all(v["ok"] for v in invariant_section.values())
+        outcome.deadlock is None
+        and all(section["ok"] for section in sections)
+        and all(v["ok"] for v in invariants.values())
     )
     return report

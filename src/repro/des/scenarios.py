@@ -7,30 +7,32 @@ library encodes the failure modes the paper's protocol is supposed to
 survive — hot-key contention, long CAD transactions (§2.1), abort
 cascades, BUSY thundering herds, primary crash + promotion under a
 partition, and follower lag divergence — each validated by the fuzz
-oracle suite plus the cluster-level invariants in
-:mod:`repro.des.invariants`.
+oracle registry (:data:`repro.fuzz.oracles.ORACLES`), per epoch and
+over the whole cluster history.
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, field, replace
 from typing import Any
 
-SCENARIO_VERSION = 1
-
-#: Workload kinds :mod:`repro.des.workload` knows how to expand.
-WORKLOAD_KINDS = ("mixed", "hot_key", "cad", "cascade", "herd")
+from ..fuzz.plan import ServerSettings
+from ..workload.families import FAMILIES
 
 
-@dataclass
-class Scenario:
-    """Everything one cluster simulation needs; JSON-round-trippable."""
+#: The workload kinds a scenario can name: the rows of ``FAMILIES``.
+WORKLOAD_KINDS = tuple(FAMILIES)
+
+
+@dataclass(kw_only=True)
+class Scenario(ServerSettings):
+    """Everything one cluster simulation needs; JSON-round-trippable.
+
+    The server settings are the plan's own (:class:`ServerSettings`).
+    """
 
     name: str
     description: str = ""
-    seed: int = 0
 
     # -- topology ----------------------------------------------------------
     clients: int = 3
@@ -46,14 +48,6 @@ class Scenario:
     post_crash_txns_per_client: int = 2
     think_max: float = 0.05
 
-    # -- server tunables ---------------------------------------------------
-    strict: bool = False
-    queue_size: int = 8
-    request_timeout: float = 1.0
-    drain_grace: float = 2.0
-    flush_interval: float = 0.0
-    checkpoint_every: int = 0
-
     # -- network model -----------------------------------------------------
     latency: float = 0.002
     jitter: float = 0.002
@@ -62,9 +56,6 @@ class Scenario:
     slow_nodes: dict[str, float] = field(default_factory=dict)
 
     # -- faults ------------------------------------------------------------
-    #: Explicit partition windows ``[follower_index, start, end]`` in
-    #: virtual seconds (the fuzz plan's encoding).
-    partitions: list[list[float]] = field(default_factory=list)
     #: Probability (per follower, drawn from the seed at plan time)
     #: of one additional generated partition window.
     partition_rate: float = 0.0
@@ -84,32 +75,9 @@ class Scenario:
     #: detector can fire on a genuinely stuck run.
     horizon: float = 120.0
 
-    def to_dict(self) -> dict[str, Any]:
-        data = asdict(self)
-        data["version"] = SCENARIO_VERSION
-        return data
-
     @classmethod
     def from_dict(cls, data: dict[str, Any]) -> "Scenario":
-        payload = dict(data)
-        version = payload.pop("version", SCENARIO_VERSION)
-        if version != SCENARIO_VERSION:
-            raise ValueError(
-                f"unsupported scenario version {version!r} "
-                f"(this build speaks {SCENARIO_VERSION})"
-            )
-        return cls(**payload)
-
-    def canonical_json(self) -> str:
-        return json.dumps(
-            self.to_dict(), sort_keys=True, separators=(",", ":")
-        )
-
-    def digest(self) -> str:
-        """Stable content hash — identifies a scenario across reports."""
-        return hashlib.sha256(
-            self.canonical_json().encode("utf-8")
-        ).hexdigest()[:16]
+        return cls(**cls._fields_from(data))
 
     def with_overrides(self, **overrides: Any) -> "Scenario":
         return replace(self, **overrides)

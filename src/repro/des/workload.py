@@ -1,39 +1,39 @@
-"""Expand a :class:`Scenario` into deterministic client scripts.
+"""A :class:`Scenario` as a run of the one executor.
 
 Same discipline as :mod:`repro.fuzz.plan`: the seed is consumed *up
 front*, at plan time, into explicit :class:`~repro.fuzz.plan.ClientPlan`
 scripts — execution never touches an RNG, so the same scenario + seed
-always produces the same cluster run.  The per-transaction families
-live in :mod:`repro.workload.families`; each client draws from its own
-seeded stream.  The scripts use the :class:`~repro.workload.Txn` op
-encoding plus one DES-only op:
+always produces the same cluster run.  Each client draws its
+transactions from the scenario's family in
+:data:`~repro.workload.families.FAMILIES`, on its own seeded stream.
+The scripts use the :class:`~repro.workload.Txn` op encoding plus one
+cluster-only op:
 
 ``["follower_read", entity_or_None, follower_index]``
     a bounded-stale read routed to the given follower node, carrying
     the scenario's ``max_lag_lsn`` bound and (when enabled) the
     session's read-your-writes token.
 
-Epoch-2 scripts (after a primary crash + promotion) carry an ``e2``
-label prefix so transaction labels stay globally unique across the
-whole cluster history — the oracle evidence depends on it.
+Post-promotion scripts carry an ``e2`` label prefix so transaction
+labels stay globally unique across the whole cluster history — the
+oracle evidence depends on it.
 """
 
 from __future__ import annotations
 
 import random
+from dataclasses import fields
+from functools import partial
+from pathlib import Path
 from typing import Any
 
-from ..fuzz.plan import ClientPlan, FuzzPlan
-from ..workload import Txn
-from ..workload.families import (
-    ENTITIES,
-    cad_txn,
-    cascade_txn,
-    herd_txn,
-    hot_key_txn,
-    mixed_txn,
-)
-from .scenarios import WORKLOAD_KINDS, Scenario
+from ..fuzz.harness import FollowerReads
+from ..fuzz.plan import ClientPlan, FuzzPlan, ServerSettings
+from ..fuzz.runner import RunSpec, execute
+from ..workload.families import ENTITIES, FAMILIES
+from .network import Network
+from .report import sim_report
+from .scenarios import Scenario
 
 
 def _rng(scenario: Scenario, *scope: Any) -> random.Random:
@@ -74,49 +74,32 @@ def _maybe_follower_read(
     )
 
 
-def build_clients(
-    scenario: Scenario,
-    *,
-    phase: str = "e1",
-    txns_per_client: "int | None" = None,
+def expand_clients(
+    scenario: Scenario, phase: str, txns_per_client: int
 ) -> "list[ClientPlan]":
-    """Expand one epoch's client scripts, labels unique per phase."""
-    if scenario.workload not in WORKLOAD_KINDS:
+    """One epoch's client scripts, labels unique per phase."""
+    family = FAMILIES.get(scenario.workload)
+    if family is None:
         raise ValueError(
             f"unknown workload kind {scenario.workload!r} "
-            f"(known: {', '.join(WORKLOAD_KINDS)})"
+            f"(known: {', '.join(FAMILIES)})"
         )
-    n_txns = (
-        txns_per_client
-        if txns_per_client is not None
-        else scenario.txns_per_client
-    )
-    prefix = "" if phase == "e1" else f"{phase}"
+    prefix = "" if phase == "e1" else phase
     clients: list[ClientPlan] = []
     earlier: list[str] = []
     for client_id in range(scenario.clients):
         rng = _rng(scenario, phase, client_id)
-        txns: list[Txn] = []
-        for txn_index in range(n_txns):
+        txns = []
+        for txn_index in range(txns_per_client):
             label = f"{prefix}c{client_id}t{txn_index}"
-            kind = scenario.workload
-            think_max = scenario.think_max
-            if kind == "hot_key":
-                txn = hot_key_txn(rng, label, think_max)
-            elif kind == "cad" and client_id % 2 == 0:
-                txn = cad_txn(rng, label, think_max)
-            elif kind == "cascade":
-                txn = cascade_txn(
-                    rng,
-                    label,
-                    earlier,
-                    think_max,
-                    aborter=(client_id + txn_index) % 3 == 0,
-                )
-            elif kind in ("cad", "herd"):  # cad's odd clients: short writes
-                txn = herd_txn(rng, label)
-            else:
-                txn = mixed_txn(rng, label, earlier, think_max)
+            txn = family(
+                rng,
+                label,
+                earlier=earlier,
+                think_max=scenario.think_max,
+                client=client_id,
+                index=txn_index,
+            )
             _maybe_follower_read(scenario, rng, txn.ops, txn_index)
             txns.append(txn)
             earlier.append(label)
@@ -124,47 +107,49 @@ def build_clients(
     return clients
 
 
-def build_plan(
-    scenario: Scenario,
-    *,
-    phase: str = "e1",
-    clients: "list[ClientPlan] | None" = None,
-    replicas: "int | None" = None,
-    sync_replicas: "int | None" = None,
-    partitions: "list[list[float]] | None" = None,
-) -> FuzzPlan:
-    """One epoch as a :class:`FuzzPlan`.
-
-    The shared harness (:mod:`repro.fuzz.harness`) executes exactly
-    this plan — stack tunables and client scripts — and the fuzz
-    oracles read run configuration off ``evidence.plan``; the keyword
-    overrides describe the post-promotion phase.
-    """
-    return FuzzPlan(
-        seed=scenario.seed,
-        strict=scenario.strict,
-        durable=True,
-        queue_size=scenario.queue_size,
-        request_timeout=scenario.request_timeout,
-        drain_grace=scenario.drain_grace,
-        flush_interval=scenario.flush_interval,
-        checkpoint_every=scenario.checkpoint_every,
-        replicas=(
-            replicas if replicas is not None else scenario.followers
-        ),
-        sync_replicas=(
-            sync_replicas
-            if sync_replicas is not None
-            else scenario.sync_replicas
-        ),
-        partitions=(
-            [list(w) for w in partitions]
-            if partitions is not None
-            else expand_partitions(scenario)
-        ),
-        clients=(
-            clients
-            if clients is not None
-            else build_clients(scenario, phase=phase)
-        ),
+def cluster_spec(scenario: Scenario) -> RunSpec:
+    """The run ``scenario`` describes; its first epoch is a plan with
+    the scenario's own server settings."""
+    partitions = expand_partitions(scenario)
+    plan = FuzzPlan(
+        **{f.name: getattr(scenario, f.name) for f in fields(ServerSettings)},
+        replicas=scenario.followers,
+        clients=expand_clients(scenario, "e1", scenario.txns_per_client),
     )
+    plan.sync_replicas = min(plan.sync_replicas, plan.replicas)
+    plan.partitions = partitions
+    return RunSpec(
+        plan,
+        network=partial(
+            Network,
+            seed=scenario.seed,
+            latency=scenario.latency,
+            jitter=scenario.jitter,
+            bandwidth=scenario.bandwidth,
+            slow_nodes=dict(scenario.slow_nodes),
+            partitions=[
+                (f"follower{int(index)}", start, end)
+                for index, start, end in partitions
+            ],
+        ),
+        kill_at=scenario.crash_primary_at,
+        successor=(
+            expand_clients(
+                scenario, "e2", scenario.post_crash_txns_per_client
+            )
+            if scenario.crash_primary_at is not None
+            else None
+        ),
+        follower_name="follower",
+        give_up="sim client gave up",
+        traced=False,
+        reads=FollowerReads(scenario.max_lag_lsn, scenario.read_your_writes),
+        horizon=scenario.horizon,
+    )
+
+
+def run_scenario(
+    scenario: Scenario, workdir: "Path | str | None" = None
+) -> dict[str, Any]:
+    """One scenario, one report."""
+    return sim_report(scenario, execute(cluster_spec(scenario), workdir))

@@ -15,9 +15,10 @@ maintains.  This package is that search:
   builder, followers and pumps, transcript, epoch runner, evidence
   collector) that both ``repro fuzz`` and the cluster simulator
   (:mod:`repro.des`) run on;
-* :mod:`repro.fuzz.runner` — executes a plan on the harness with
-  crash-point injection and tracing, and builds the report;
-* :mod:`repro.fuzz.oracles` — the invariants every run must satisfy;
+* :mod:`repro.fuzz.runner` — the one executor (a plan plus its
+  network, kill, promotion and tracing, as data) and the reports;
+* :mod:`repro.fuzz.oracles` — the one check registry every run of
+  either front is judged by;
 * :mod:`repro.fuzz.shrink` — delta-debugging to a minimal reproducer;
 * :mod:`repro.fuzz.corpus` — seed ranges, reproducer files, exit
   codes (``repro fuzz`` / ``repro fuzz replay``).

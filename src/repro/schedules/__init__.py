@@ -21,12 +21,6 @@ from .recovery import (
     recovery_profile,
 )
 from .schedule import Schedule
-from .semantic import (
-    is_semantically_conflict_serializable,
-    semantic_conflict,
-    semantic_conflict_graph,
-    semantic_serialization_order,
-)
 
 __all__ = [
     "CommittedSchedule",
@@ -42,14 +36,10 @@ __all__ = [
     "fast_recovery_profile",
     "interleaving_count",
     "is_recoverable",
-    "is_semantically_conflict_serializable",
     "is_strict",
     "interleavings",
     "random_interleaving",
     "random_programs",
     "random_schedule",
     "recovery_profile",
-    "semantic_conflict",
-    "semantic_conflict_graph",
-    "semantic_serialization_order",
 ]

@@ -22,7 +22,7 @@ class OpType(enum.Enum):
     (§2.3, [Korth 1983]): a blind add that commutes with other
     increments.  The *classical* testers conservatively treat an
     increment as a write; the semantic tester in
-    :mod:`repro.schedules.semantic` exploits the commutativity.
+    :mod:`repro.classes.semantic` exploits the commutativity.
     """
 
     READ = "r"
@@ -87,7 +87,7 @@ class Operation:
         """Classical conflict: same entity, different transactions, and
         at least one write (Section 4.3's standard-model definition).
         Increments are writes here; see
-        :func:`repro.schedules.semantic.semantic_conflict` for the
+        :func:`repro.classes.semantic.semantic_conflict` for the
         commutativity-aware relation."""
         return (
             self.entity == other.entity

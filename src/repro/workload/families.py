@@ -12,10 +12,11 @@ explicit cooperation edges (partial-order predecessors).
 :func:`oltp_workload` generates the classical contrast: short
 transactions with no think time, where 2PL is perfectly adequate.
 
-The per-transaction families (:func:`fuzz_txn`, :func:`mixed_txn`,
-:func:`hot_key_txn`, :func:`cad_txn`, :func:`cascade_txn`,
-:func:`herd_txn`) build one :class:`~repro.workload.model.Txn` over the
-fixed :data:`ENTITIES` schema for the fuzzer and the cluster simulator.
+The per-transaction families build one
+:class:`~repro.workload.model.Txn` over the fixed :data:`ENTITIES`
+schema: :func:`fuzz_txn` for the fuzzer, and the :data:`FAMILIES`
+table (:func:`mixed_txn`, :func:`hot_key_txn`, :func:`cad_txn`,
+:func:`cascade_txn`, :func:`herd_txn`) for the cluster simulator.
 Every generator draws only from the ``random.Random`` it is handed (or
 seeds), in a fixed order, so a seed replays byte-identically.
 """
@@ -23,7 +24,7 @@ seeds), in a fixed order, so a seed replays byte-identically.
 from __future__ import annotations
 
 import random
-from typing import Any
+from typing import Any, Callable
 
 from ..core.entities import Domain, Entity, Schema
 from ..core.predicates import Atom, Clause, Predicate
@@ -331,8 +332,10 @@ def fuzz_txn(
 def mixed_txn(
     rng: random.Random,
     label: str,
+    *,
     earlier: "list[str]",
     think_max: float,
+    **_: Any,
 ) -> Txn:
     """The fuzz shape without bounds: random reads, writes, terminals."""
     reads = [e for e in ENTITIES if rng.random() < 0.45]
@@ -362,7 +365,9 @@ def mixed_txn(
     )
 
 
-def hot_key_txn(rng: random.Random, label: str, think_max: float) -> Txn:
+def hot_key_txn(
+    rng: random.Random, label: str, *, think_max: float, **_: Any
+) -> Txn:
     """Everyone reads and rewrites ``x``: maximal write-write conflict."""
     ops: list[list[Any]] = [["read", "x"]]
     if think_max > 0:
@@ -378,8 +383,18 @@ def hot_key_txn(rng: random.Random, label: str, think_max: float) -> Txn:
     )
 
 
-def cad_txn(rng: random.Random, label: str, think_max: float) -> Txn:
-    """A long CAD-style reader-then-writer (its short foil: herd_txn)."""
+def cad_txn(
+    rng: random.Random,
+    label: str,
+    *,
+    think_max: float,
+    client: int,
+    **_: Any,
+) -> Txn:
+    """Even clients: a long CAD-style reader-then-writer; odd clients
+    its short foil, :func:`herd_txn`."""
+    if client % 2:
+        return herd_txn(rng, label)
     ops: list[list[Any]] = []
     for entity in ENTITIES:
         ops.append(_sleep(rng, think_max))
@@ -400,13 +415,17 @@ def cad_txn(rng: random.Random, label: str, think_max: float) -> Txn:
 def cascade_txn(
     rng: random.Random,
     label: str,
+    *,
     earlier: "list[str]",
     think_max: float,
-    aborter: bool,
+    client: int,
+    index: int,
+    **_: Any,
 ) -> Txn:
-    """Writers that abort late vs. dependents that read their entity."""
+    """Writers that abort late (every third ``client + index`` slot)
+    vs. dependents that read their entity."""
     entity = rng.choice(ENTITIES)
-    if aborter:
+    if (client + index) % 3 == 0:
         return Txn(
             label=label,
             updates=[entity],
@@ -434,7 +453,7 @@ def cascade_txn(
     )
 
 
-def herd_txn(rng: random.Random, label: str) -> Txn:
+def herd_txn(rng: random.Random, label: str, **_: Any) -> Txn:
     """One blind point write: with zero think time, a BUSY stampede."""
     entity = rng.choice(ENTITIES)
     return Txn(
@@ -444,3 +463,17 @@ def herd_txn(rng: random.Random, label: str) -> Txn:
         output=predicate_text([entity]),
         ops=[["write", entity, rng.randint(0, 9)], ["commit"]],
     )
+
+
+#: The cluster simulator's workload kinds.  Each family is called once
+#: per scripted transaction as ``family(rng, label, earlier=...,
+#: think_max=..., client=..., index=...)`` — the labels scripted so far,
+#: the scenario's think-time ceiling, and the transaction's slot — and
+#: takes the keywords it needs; adding a kind is adding a row.
+FAMILIES: "dict[str, Callable[..., Txn]]" = {
+    "mixed": mixed_txn,
+    "hot_key": hot_key_txn,
+    "cad": cad_txn,
+    "cascade": cascade_txn,
+    "herd": herd_txn,
+}

@@ -6,14 +6,22 @@ import pytest
 
 from repro.des import (
     SCENARIOS,
+    WORKLOAD_KINDS,
     Scenario,
-    build_clients,
-    build_plan,
     cell_scenario,
+    cluster_spec,
+    expand_clients,
     expand_partitions,
     get_scenario,
+    run_scenario,
     split_nodes,
 )
+from repro.workload import Txn, predicate_text
+from repro.workload.families import ENTITIES, FAMILIES
+
+
+def _clients(scenario, phase="e1"):
+    return expand_clients(scenario, phase, scenario.txns_per_client)
 
 
 class TestScenario:
@@ -47,8 +55,8 @@ class TestScenario:
 class TestWorkload:
     def test_expansion_is_deterministic(self):
         scenario = get_scenario("primary_crash_promotion")
-        first = build_clients(scenario, phase="e1")
-        second = build_clients(scenario, phase="e1")
+        first = _clients(scenario, phase="e1")
+        second = _clients(scenario, phase="e1")
         assert [c.to_dict() for c in first] == [
             c.to_dict() for c in second
         ]
@@ -58,20 +66,20 @@ class TestWorkload:
             workload="bogus"
         )
         with pytest.raises(ValueError, match="bogus"):
-            build_clients(scenario)
+            _clients(scenario)
 
     def test_epoch2_labels_are_prefixed(self):
         scenario = get_scenario("primary_crash_promotion")
         labels = {
             txn.label
-            for client in build_clients(scenario, phase="e2")
+            for client in _clients(scenario, phase="e2")
             for txn in client.txns
         }
         assert labels
         assert all(label.startswith("e2") for label in labels)
         e1_labels = {
             txn.label
-            for client in build_clients(scenario, phase="e1")
+            for client in _clients(scenario, phase="e1")
             for txn in client.txns
         }
         assert not labels & e1_labels
@@ -79,7 +87,7 @@ class TestWorkload:
     def test_follower_reads_come_before_the_terminal(self):
         scenario = get_scenario("hot_key_storm")
         seen = 0
-        for client in build_clients(scenario):
+        for client in _clients(scenario):
             for txn in client.txns:
                 for index, op in enumerate(txn.ops):
                     if op[0] == "follower_read":
@@ -97,7 +105,7 @@ class TestWorkload:
 
     def test_build_plan_carries_scenario_config(self):
         scenario = get_scenario("follower_lag_divergence")
-        plan = build_plan(scenario)
+        plan = cluster_spec(scenario).plan
         assert plan.seed == scenario.seed
         assert plan.replicas == scenario.followers
         assert plan.sync_replicas == scenario.sync_replicas
@@ -120,3 +128,24 @@ class TestSweepGrid:
         assert cell.partition_rate == 0.3
         assert cell.name == "hot_key_storm@n6+pr0.3"
         assert cell.digest() != base.digest()
+
+
+class TestFamilies:
+    def test_kinds_are_the_family_table(self):
+        assert WORKLOAD_KINDS == tuple(FAMILIES)
+
+    def test_a_new_family_is_one_table_row(self, monkeypatch):
+        def toy(rng, label, **_):
+            entity = rng.choice(ENTITIES)
+            return Txn(
+                label=label,
+                updates=[entity],
+                input=predicate_text(()),
+                output=predicate_text([entity]),
+                ops=[["write", entity, rng.randint(0, 9)], ["commit"]],
+            )
+
+        monkeypatch.setitem(FAMILIES, "toy", toy)
+        report = run_scenario(Scenario(name="toy", workload="toy"))
+        assert report["ok"] is True
+        assert report["metrics"]["commits_acked"] > 0

@@ -9,6 +9,8 @@ import pytest
 from repro.core import Domain, Predicate, Schema, Spec
 from repro.durability.records import OP_WRITE
 from repro.fuzz import generate_plan, run_oracles
+from repro.fuzz.harness import History
+from repro.fuzz.oracles import CLUSTER, ORACLES
 from repro.fuzz.runner import Evidence, NodeEvidence
 from repro.protocol.scheduler import Outcome, TransactionManager, TxnPhase
 from repro.storage import Database
@@ -272,6 +274,36 @@ def test_indeterminate_commit_accepted_without_ack():
     )
     verdict = _verdict(run_oracles(evidence), "committed_prefix")
     assert verdict.ok, verdict.details
+
+
+def test_promotion_baseline_counts_as_committed_without_an_ack():
+    # A promoted primary's recovered history was committed in an
+    # earlier epoch and never acked in this one.
+    evidence = _evidence(
+        acked_committed=["t.2"],
+        recovery=_recovery(["t.1", "t.2"]),
+        baseline_committed=["t.1"],
+    )
+    assert _verdict(run_oracles(evidence), "committed_prefix").ok
+    evidence.baseline_committed = None
+    assert not _verdict(run_oracles(evidence), "committed_prefix").ok
+
+
+def test_rows_apply_by_scope_and_evidence():
+    fresh = {result.name for result in run_oracles(_evidence())}
+    promoted = {
+        result.name
+        for result in run_oracles(_evidence(baseline_committed=[]))
+    }
+    assert fresh - promoted == {"write_multiplicity", "cross_shard_atomicity"}
+    cluster = [n for n, row in ORACLES.items() if row.scope == CLUSTER]
+    assert fresh | set(cluster) == set(ORACLES)
+    assert not fresh & set(cluster)
+    epoch = _evidence(recovery=_recovery([]))
+    # Cluster rows judge a run over a network; a fuzz run has none.
+    assert run_oracles(History([epoch]), scope=CLUSTER) == []
+    judged = run_oracles(History([epoch], network=object()), scope=CLUSTER)
+    assert [result.name for result in judged] == cluster
 
 
 def _sharded_plan(**kw):

@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
-from repro.fuzz import FuzzPlan, generate_plan
+from repro.fuzz import FuzzPlan, execute_plan, generate_plan
+from repro.fuzz.plan import PlanError
 
 
 def test_same_seed_same_plan():
@@ -163,3 +166,28 @@ def test_seed_stream_reaches_replication_dimensions():
             index, start, end = window
             assert 0 <= index < plan.replicas
             assert 0.0 <= start < end
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        {"shards": 2, "replicas": 1},
+        {"durable": False, "crash_point": "wal.mid_record"},
+        {"durable": False, "replicas": 1},
+        {"crash_point": "wal.nope"},
+    ],
+    ids=[
+        "sharded-replicated",
+        "in-memory-crash-point",
+        "in-memory-replicas",
+        "unknown-crash-point",
+    ],
+)
+def test_contradictory_plans_are_refused_where_loaded_and_run(overrides):
+    data = generate_plan(1, durable=True, shards=1).to_dict()
+    data.update(overrides)
+    with pytest.raises(PlanError):
+        FuzzPlan.from_dict(data)
+    plan = replace(generate_plan(1, durable=True, shards=1), **overrides)
+    with pytest.raises(PlanError):
+        execute_plan(plan)

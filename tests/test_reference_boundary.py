@@ -36,7 +36,6 @@ ALLOWED = {
 #: deleted.
 BACK_EDGES = {
     ("repro.core.complexity", "sat"),
-    ("repro.schedules.semantic", "classes"),
 }
 
 
