@@ -10,7 +10,7 @@ cluster history.
 """
 
 from .network import Network
-from .report import SIM_REPORT_VERSION, percentile, sim_report
+from .report import SIM_REPORT_VERSION, sim_report
 from .scenarios import (
     SCENARIOS,
     WORKLOAD_KINDS,
@@ -36,7 +36,6 @@ __all__ = [
     "expand_clients",
     "expand_partitions",
     "get_scenario",
-    "percentile",
     "run_scenario",
     "run_sweep",
     "sim_report",

@@ -14,25 +14,16 @@ and a report diff IS a behavior diff.
 
 from __future__ import annotations
 
-import math
 from typing import Any
 
 from ..fuzz.harness import Evidence
 from ..fuzz.runner import Execution, epoch_report, verdicts
+from ..obs.metrics import Histogram
 
 SIM_REPORT_VERSION = 1
 
 #: What each verdict of a sim report keeps of its result.
 _VERDICT = ("ok", "skipped", "details")
-
-
-def percentile(values: "list[float]", q: float) -> float:
-    """Nearest-rank percentile (deterministic, no interpolation)."""
-    if not values:
-        return 0.0
-    ordered = sorted(values)
-    rank = max(1, math.ceil(q / 100.0 * len(ordered)))
-    return float(ordered[rank - 1])
 
 
 def _metrics(
@@ -87,13 +78,15 @@ def _metrics(
         "timeouts": total("timeouts"),
         "follower_reads_ok": follower_reads_ok,
         "follower_reads_rejected": follower_reads_rejected,
-        "lag_lsn_p50": percentile(lag_lsn, 50),
-        "lag_lsn_p95": percentile(lag_lsn, 95),
-        "lag_lsn_p99": percentile(lag_lsn, 99),
-        "lag_ms_p50": percentile(lag_ms, 50),
-        "lag_ms_p95": percentile(lag_ms, 95),
-        "lag_ms_p99": percentile(lag_ms, 99),
+        **_lag_percentiles("lag_lsn", lag_lsn),
+        **_lag_percentiles("lag_ms", lag_ms),
     }
+
+
+def _lag_percentiles(name: str, values: "list[float]") -> dict[str, float]:
+    """Nearest-rank p50/p95/p99, as floats (the report's JSON form)."""
+    lag = Histogram(name, values)
+    return {f"{name}_p{p}": float(lag.percentile(p)) for p in (50, 95, 99)}
 
 
 def sim_report(scenario: Any, outcome: Execution) -> dict[str, Any]:

@@ -467,8 +467,10 @@ def _protocol_verify(evidence: Any) -> OracleResult:
 
     Node by node: every non-aborted parent, as recovery judges it
     (:func:`~repro.durability.recovery.check_protocol_predicates`),
-    plus the commit map: each manager's committed children are exactly
-    the acked ∪ indeterminate transactions' branches on that node.
+    every parent index the state keeps equal to a rebuild from its
+    records, plus the commit map: each manager's committed children
+    are exactly the acked ∪ indeterminate transactions' branches on
+    that node.
     """
     name = "protocol_verify"
     nodes = evidence.nodes
@@ -488,6 +490,10 @@ def _protocol_verify(evidence: Any) -> OracleResult:
         details.extend(
             f"{where}{problem}"
             for problem in check_protocol_predicates(manager)
+        )
+        details.extend(
+            f"{where}{parent}'s kept ParentIndex differs from a rebuild"
+            for parent in manager.state.stale_indexes()
         )
         committed = set()
         for child in manager.children_of(root):

@@ -176,6 +176,11 @@ class FuzzPlan(ServerSettings):
             raise PlanError(
                 "sharded plans cannot ship a WAL (replicas must be 0)"
             )
+        if self.sync_replicas > self.replicas:
+            raise PlanError(
+                f"sync_replicas {self.sync_replicas} exceeds replicas "
+                f"{self.replicas}: no commit could ever be acked"
+            )
         return self
 
     @property

@@ -34,8 +34,16 @@ predecessor writes.
 from __future__ import annotations
 
 import enum
+from typing import Protocol
 
-from ..core.orders import PartialOrder
+
+class Order(Protocol):
+    """A strict partial order over siblings: the parent's live
+    :class:`~repro.protocol.fastpath.ParentIndex`, or a
+    :class:`~repro.core.orders.PartialOrder`.  Names outside it precede
+    nothing and follow nothing."""
+
+    def precedes(self, before: str, after: str) -> bool: ...
 
 
 class ReevalDecision(enum.Enum):
@@ -56,7 +64,7 @@ def figure4_decision(
     writer: str,
     holder: str,
     version_author: str | None,
-    parent_order: PartialOrder[str],
+    parent_order: Order,
     holder_has_read: bool,
 ) -> ReevalDecision:
     """Decide the fate of one read-side lock holder after a write.
@@ -72,7 +80,8 @@ def figure4_decision(
         holder for this item (``None`` = the parent's / initial
         version, which every sibling's write supersedes).
     parent_order:
-        ``parent(W).P`` restricted to the current siblings.
+        ``parent(W).P`` over the siblings (``P+``, so ``precedes`` is
+        ``path``).
     holder_has_read:
         Has the holder performed the actual read (holds ``R``), or is
         it still in validation (``R_v`` only)?

@@ -23,7 +23,7 @@ phases of Section 5.1 — definition, validation, execution, termination
 
 Every public call is **decide → record → apply**: the checks, locks,
 D-sets, selection and Figure 4 read the state and touch only volatile
-things (lock table, caches, spans); the outcome is one record, appended
+things (lock table, spans); the outcome is one record, appended
 to the write-ahead log when one is attached; and the record is fired
 through :meth:`repro.protocol.state.ProtocolState.apply`, the only code
 that changes a transaction record or the version store.
@@ -48,17 +48,11 @@ from typing import Any, Iterable, Iterator
 from ..core.naming import TxnName
 from ..core.orders import PartialOrder
 from ..core.transactions import Spec
-from ..errors import (
-    LockProtocolError,
-    PartialOrderViolation,
-    ProtocolError,
-    TransactionAborted,
-)
+from ..errors import LockProtocolError, ProtocolError, TransactionAborted
 from ..obs.metrics import MetricsRegistry
 from ..obs.trace import NULL_TRACER, Tracer
 from ..storage.database import Database
 from ..storage.version_store import Version
-from .fastpath import ParentIndex
 from .locks import LockMode, LockOutcome, LockTable
 from .reeval import ReevalDecision, figure4_decision
 from .state import (
@@ -169,12 +163,6 @@ class TransactionManager:
         self._registry = registry
         self._locks = LockTable(tracer=self._tracer, registry=registry)
         self._write_spans: dict[tuple[str, str], object] = {}
-        # Fast-path caches, keyed on the state's epoch counters.
-        self._parent_indexes: dict[str, tuple[int, ParentIndex]] = {}
-        self._order_cache: dict[str, tuple[int, int, PartialOrder[str]]] = {}
-        self._authors_cache: dict[
-            str, tuple[int, dict[str | None, list[Version]]]
-        ] = {}
 
     # -- observability -------------------------------------------------------
 
@@ -306,65 +294,6 @@ class TransactionManager:
     def children_of(self, txn: str) -> tuple[str, ...]:
         return tuple(self.record(txn).children)
 
-    def order_of(self, txn: str) -> PartialOrder[str]:
-        """The partial order ``P`` over a transaction's children.
-
-        Cached: the eager transitive closure is expensive to rebuild
-        per call, and children/pairs only ever grow — their lengths
-        are an exact invalidation key.
-        """
-        record = self.record(txn)
-        key = (len(record.children), len(record.order_pairs))
-        cached = self._order_cache.get(txn)
-        if cached is not None and (cached[0], cached[1]) == key:
-            return cached[2]
-        order = PartialOrder(record.children, record.order_pairs)
-        self._order_cache[txn] = (key[0], key[1], order)
-        return order
-
-    def _parent_index(self, parent: str) -> ParentIndex:
-        """The bitmask D-set index for one parent, epoch-cached.
-
-        One build serves every validation/re-assignment/commit check
-        until the next define or abort — under dispatcher batching,
-        one conflict-structure pass per batch.
-        """
-        cached = self._parent_indexes.get(parent)
-        epoch = self._state.struct_epoch
-        if cached is not None and cached[0] == epoch:
-            return cached[1]
-        parent_record = self.record(parent)
-        records = self._records
-        index = ParentIndex(
-            parent_record.children,
-            parent_record.order_pairs,
-            {
-                child: records[child].update_set
-                for child in parent_record.children
-            },
-            aborted=[
-                child
-                for child in parent_record.children
-                if records[child].phase is TxnPhase.ABORTED
-            ],
-        )
-        self._parent_indexes[parent] = (epoch, index)
-        return index
-
-    def _versions_by_author(
-        self, item: str
-    ) -> dict[str | None, list[Version]]:
-        """All versions of ``item`` grouped by author, creation order."""
-        cached = self._authors_cache.get(item)
-        epoch = self._state.version_epoch
-        if cached is not None and cached[0] == epoch:
-            return cached[1]
-        by_author: dict[str | None, list[Version]] = {}
-        for version in self._db.store.versions(item):
-            by_author.setdefault(version.author, []).append(version)
-        self._authors_cache[item] = (epoch, by_author)
-        return by_author
-
     def assigned_versions(self, txn: str) -> dict[str, Version]:
         return dict(self.record(txn).assigned)
 
@@ -433,17 +362,18 @@ class TransactionManager:
                     "that the committed transaction read"
                 )
 
-        pairs = set(parent_record.order_pairs)
-        pairs.update((pred, name) for pred in preds)
-        pairs.update((name, succ) for succ in succs)
-        try:
-            # Cycle check — PartialOrder raises on cycles.
-            PartialOrder(parent_record.children + [name], pairs)
-        except PartialOrderViolation as error:
+        # Only a successor can close a cycle: the new child would then
+        # sit both after and before some sibling.
+        looped = (
+            self._state.index(parent).closes_cycle(preds, succs)
+            if succs
+            else None
+        )
+        if looped is not None:
             raise ProtocolError(
                 f"defining {name} would make {parent}'s partial order "
-                f"cyclic: {error}"
-            ) from error
+                f"cyclic: it would both follow and precede {looped}"
+            )
 
         if self._tracer.enabled:
             self._tracer.event(
@@ -557,28 +487,31 @@ class TransactionManager:
     def _compute_d_sets(self, record: TxnRecord) -> dict[str, DSet]:
         """D-sets for every input item (§5.1 part 1).
 
-        Answers the three exclusion rules from the bitmask-encoded
-        :class:`ParentIndex`; :mod:`repro.reference.validation` holds
-        the rule-by-rule transcription it must match bit-for-bit (the
-        differential property tests run both).
+        Answers the three exclusion rules from the parent's
+        :class:`~repro.protocol.fastpath.ParentIndex`, which the state
+        keeps current; :mod:`repro.reference.validation` holds the
+        rule-by-rule transcription it must match — the same members,
+        and the same candidates up to order (the differential property
+        tests run both).
         """
         assert record.parent is not None
         parent = record.parent
-        index = self._parent_index(parent)
+        index = self._state.index(parent)
+        ids = index.ids
+        store = self._db.store
         d_sets: dict[str, DSet] = {}
         for item in sorted(record.input_set):
             members_mask, pred_mask = index.d_members(record.name, item)
-            by_author = self._versions_by_author(item)
             parent_version = self._parent_world_version(parent, item)
+            # One walk over the item's versions, creation order, kept
+            # when the author's bit is wanted (``t_0`` has no bit).
+            wanted = pred_mask if pred_mask else members_mask
             candidates: list[Version] = []
-            # Ascending-bit traversal == the object path's sorted-name
-            # candidate order.
-            for member in index.names_from(
-                pred_mask if pred_mask else members_mask
-            ):
-                versions = by_author.get(member)
-                if versions:
-                    candidates.extend(versions)
+            if wanted:
+                for version in store.versions(item):
+                    author_id = ids.get(version.author)
+                    if author_id is not None and wanted >> author_id & 1:
+                        candidates.append(version)
             used_parent = False
             if not pred_mask or not candidates:
                 candidates.append(parent_version)
@@ -748,7 +681,7 @@ class TransactionManager:
         writer_record = self.record(writer)
         if writer_record.parent is None:
             return
-        order = self.order_of(writer_record.parent)
+        index = self._state.index(writer_record.parent)
         for holder in holders:
             if holder in result.aborted:
                 continue
@@ -761,7 +694,7 @@ class TransactionManager:
                 writer,
                 holder,
                 author,
-                order,
+                index,
                 holder_has_read=entity in holder_record.read_items,
             )
             if decision is ReevalDecision.NONE:
@@ -914,19 +847,23 @@ class TransactionManager:
         if self._locks.writing(txn):
             return False, "write in flight"
         if record.parent is not None:
-            index = self._parent_index(record.parent)
-            for predecessor in index.predecessor_names(txn):
-                predecessor_phase = self.record(predecessor).phase
-                if predecessor_phase is TxnPhase.ABORTED:
-                    # An aborted predecessor can never commit; waiting
-                    # on it would deadlock the successor.  Its effects
-                    # are gone (versions expunged, readers cascaded),
-                    # so the ordering obligation is vacuous.
-                    continue
-                if predecessor_phase is not TxnPhase.COMMITTED:
+            index = self._state.index(record.parent)
+            if index.pred_masks[index.ids[txn]]:
+                # Only a live predecessor blocks: an aborted one can
+                # never commit, and waiting on it would deadlock the
+                # successor.  Its effects are gone (versions expunged,
+                # readers cascaded), so the ordering obligation is
+                # vacuous.  The live set is bounded by concurrency,
+                # the predecessor closure is not.
+                waiting = [
+                    name
+                    for name in self._active
+                    if index.precedes(name, txn)
+                ]
+                if waiting:
                     return (
                         False,
-                        f"predecessor {predecessor} not committed",
+                        f"predecessor {min(waiting)} not committed",
                     )
         for child in record.children:
             if not self.record(child).terminated:
@@ -1231,7 +1168,11 @@ class TransactionManager:
         """
         violations: list[str] = []
         parent_record = self.record(parent)
-        order = self.order_of(parent)
+        # Built from the records, not asked of the live index: this
+        # oracle must not share the structure it judges.
+        order = PartialOrder(
+            parent_record.children, parent_record.order_pairs
+        )
         children = set(parent_record.children)
         for child in parent_record.children:
             child_record = self.record(child)

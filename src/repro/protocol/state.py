@@ -34,6 +34,7 @@ from ..core.transactions import Spec
 from ..errors import RecoveryError
 from ..storage.database import Database
 from ..storage.version_store import Version, VersionStore
+from .fastpath import ParentIndex
 
 # Record kinds, mirroring the manager's API.
 OP_DEFINE = "define"
@@ -277,11 +278,9 @@ class ProtocolState:
             for name, record in records.items()
             if not record.terminated
         }
-        #: Bumped on define/abort (children, order, aborted set) and on
-        #: write/expunge (version population): the manager's fast-path
-        #: caches key on them.
-        self.struct_epoch = 0
-        self.version_epoch = 0
+        #: parent -> its children's bitmask index, built on first use
+        #: and from then on kept current by ``apply``.
+        self._indexes: dict[str, ParentIndex] = {}
 
     @classmethod
     def fresh(
@@ -372,6 +371,40 @@ class ProtocolState:
                 state._withdraw(record, gone)
         return state
 
+    # -- the parent indexes ---------------------------------------------------
+
+    def index(self, parent: str) -> ParentIndex:
+        """``parent``'s :class:`ParentIndex`, current as of the last
+        ``apply``."""
+        index = self._indexes.get(parent)
+        if index is None:
+            index = self._indexes[parent] = self.rebuild_index(parent)
+        return index
+
+    def rebuild_index(self, parent: str) -> ParentIndex:
+        """``parent``'s index from its records alone."""
+        record = self.records[parent]
+        records = self.records
+        return ParentIndex.build(
+            record.children,
+            record.order_pairs,
+            {child: records[child].update_set for child in record.children},
+            aborted=[
+                child
+                for child in record.children
+                if records[child].phase is TxnPhase.ABORTED
+            ],
+        )
+
+    def stale_indexes(self) -> list[str]:
+        """Parents whose kept index differs from a rebuild — a check
+        on ``apply``'s upkeep; empty unless it has a bug."""
+        return [
+            parent
+            for parent, index in self._indexes.items()
+            if index.describe() != self.rebuild_index(parent).describe()
+        ]
+
     # -- the transition function -------------------------------------------
 
     def apply(
@@ -429,7 +462,14 @@ class ProtocolState:
             ordinal=len(self.records),
         )
         self.active[name] = None
-        self.struct_epoch += 1
+        index = self._indexes.get(parent.name)
+        if index is not None:
+            index.add(
+                name,
+                data["update_set"],
+                data["predecessors"],
+                data["successors"],
+            )
 
     def _apply_validate(self, txn, data, lsn) -> None:
         record = self._record(txn)
@@ -456,7 +496,6 @@ class ProtocolState:
         entity = data["entity"]
         record.writes[entity] = store.write(entity, data["value"], txn)
         record.did_data_access = True
-        self.version_epoch += 1
 
     def _apply_prepare(self, txn, data, lsn) -> None:
         """A 2PC phase-1 promise.  The branch's phase is untouched — a
@@ -506,7 +545,6 @@ class ProtocolState:
         A name that had (relatively) committed takes its release back
         out of its parent's world, exactly as an undone commit does.
         """
-        died = False
         withdrawn: dict[str, set[str]] = {}
         for name in data["aborted"]:
             record = self._record(name)
@@ -522,13 +560,12 @@ class ProtocolState:
             record.commit_lsn = None
             record.prepared = None
             self.active.pop(name, None)
-            died = True
+            index = self._indexes.get(record.parent)
+            if index is not None:
+                index.kill(name)
         for parent, children in withdrawn.items():
             self._withdraw(self._record(parent), children)
-        if died:
-            self.struct_epoch += 1
-        if self.database.store.expunge(data["expunged"]):
-            self.version_epoch += 1
+        self.database.store.expunge(data["expunged"])
 
     # -- views -------------------------------------------------------------
 

@@ -121,7 +121,8 @@ def compute_d_sets_object(
     """D-sets for every input item of ``record`` via
     :func:`compute_d_set`."""
     assert record.parent is not None
-    order = manager.order_of(record.parent)
+    parent_record = manager.record(record.parent)
+    order = PartialOrder(parent_record.children, parent_record.order_pairs)
     siblings = [
         child
         for child in manager.children_of(record.parent)

@@ -320,11 +320,7 @@ class CommandDispatcher:
         and processed in one dispatch cycle.  FIFO order and the
         single-threaded manager invariant are untouched — batching
         only amortises the per-cycle bookkeeping (gauge updates, clock
-        reads) and lets one epoch of the manager's conflict/D-set
-        index serve the whole batch: validations between which no
-        define or abort intervened share one
-        :class:`~repro.protocol.fastpath.ParentIndex` build instead of
-        recomputing conflict structure per Operation.
+        reads).
         """
         stop = False
         while not stop:

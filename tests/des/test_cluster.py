@@ -9,9 +9,9 @@ import pytest
 from repro.des import (
     SCENARIOS,
     get_scenario,
-    percentile,
     run_scenario,
 )
+from repro.des.report import _lag_percentiles
 from repro.fuzz.oracles import ORACLES
 
 
@@ -134,11 +134,20 @@ class TestPumpCancelledMidShip:
 
 class TestPercentile:
     def test_nearest_rank(self):
-        values = [1.0, 2.0, 3.0, 4.0]
-        assert percentile(values, 50) == 2.0
-        assert percentile(values, 95) == 4.0
-        assert percentile(values, 100) == 4.0
-        assert percentile([], 95) == 0.0
+        # The report's lag percentiles are ``Histogram``'s nearest
+        # rank, always floats (integer LSN lags included).
+        assert _lag_percentiles("lag", [1, 2, 3, 4]) == {
+            "lag_p50": 2.0,
+            "lag_p95": 4.0,
+            "lag_p99": 4.0,
+        }
+        assert all(
+            type(value) is float
+            for value in _lag_percentiles("lag", [3, 1]).values()
+        )
+        assert _lag_percentiles("lag", []) == dict.fromkeys(
+            ("lag_p50", "lag_p95", "lag_p99"), 0.0
+        )
 
 
 class TestHarnessLifetime:

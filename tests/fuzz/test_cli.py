@@ -60,12 +60,14 @@ def test_fuzz_replay_clean_expectation_exits_zero(tmp_path, capsys):
         ({"durable": False, "crash_point": "wal.mid_record"}, "crash point"),
         ({"durable": False, "replicas": 1}, "replicas need a durable"),
         ({"crash_point": "wal.nope"}, "unknown crash point"),
+        ({"replicas": 1, "sync_replicas": 2}, "exceeds replicas 1"),
     ],
     ids=[
         "sharded-replicated",
         "in-memory-crash-point",
         "in-memory-replicas",
         "unknown-crash-point",
+        "sync-beyond-replicas",
     ],
 )
 def test_fuzz_replay_refuses_an_invalid_plan(

@@ -418,6 +418,7 @@ def _drained_manager(root, committed, aborted=()):
         record=lambda name: SimpleNamespace(
             terminated=True, phase=phases[name]
         ),
+        state=SimpleNamespace(stale_indexes=lambda: []),
     )
 
 
@@ -513,3 +514,26 @@ def test_protocol_verify_judges_nested_parents():
         f"{first} read x from successor {second}" in detail
         for detail in tampered.details
     )
+
+
+def test_protocol_verify_compares_kept_indexes_with_a_rebuild():
+    # The state keeps each parent's index current inside ``apply``; an
+    # upkeep slip must fail the run even when every Lemma-4 verdict
+    # holds.
+    tm, parent, first, second = _committed_nested_parent()
+    evidence = _evidence(
+        acked_committed=[parent], nodes=[NodeEvidence(0, manager=tm)]
+    )
+
+    def verdict():
+        return _verdict(
+            run_oracles(evidence, names=["protocol_verify"]),
+            "protocol_verify",
+        )
+
+    assert verdict().ok, verdict().details
+    tm.state.index(parent).kill(first)  # an abort that never happened
+    assert not verdict().ok
+    assert verdict().details == [
+        f"{parent}'s kept ParentIndex differs from a rebuild"
+    ]

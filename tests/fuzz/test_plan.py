@@ -175,12 +175,14 @@ def test_seed_stream_reaches_replication_dimensions():
         {"durable": False, "crash_point": "wal.mid_record"},
         {"durable": False, "replicas": 1},
         {"crash_point": "wal.nope"},
+        {"replicas": 1, "sync_replicas": 2},
     ],
     ids=[
         "sharded-replicated",
         "in-memory-crash-point",
         "in-memory-replicas",
         "unknown-crash-point",
+        "sync-beyond-replicas",
     ],
 )
 def test_contradictory_plans_are_refused_where_loaded_and_run(overrides):

@@ -122,7 +122,7 @@ class TestDefineWithUndo:
         # The committed reader was rolled back to VALIDATED…
         assert tm.phase(reader) is TxnPhase.VALIDATED
         # …and the new transaction precedes it in the partial order.
-        assert tm.order_of(tm.root).precedes(writer, reader)
+        assert tm.state.index(tm.root).precedes(writer, reader)
         # The reader cannot recommit before its new predecessor.
         assert tm.commit(reader).outcome is Outcome.FAILED
         tm.validate(writer)

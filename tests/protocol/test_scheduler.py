@@ -53,6 +53,29 @@ class TestDefinition:
                 predecessors=[b], successors=[a],
             )
 
+    def test_cyclic_define_names_the_parent(self, tm):
+        # Under a nested parent, twelve children deep, so the cycle
+        # closes through siblings whose names do not sort as created.
+        parent = tm.define(tm.root, _spec(), {"x"})
+        tm.validate(parent)
+        chain = [tm.define(parent, _spec(), set())]
+        for __ in range(11):
+            chain.append(
+                tm.define(parent, _spec(), set(), predecessors=[chain[-1]])
+            )
+        assert chain[-2:] == ["t.0.10", "t.0.11"]
+        with pytest.raises(
+            ProtocolError,
+            match=r"defining t\.0\.12 would make t\.0's partial order "
+            r"cyclic: it would both follow and precede t\.0\.2",
+        ):
+            tm.define(
+                parent, _spec(), set(),
+                predecessors=[chain[-1]], successors=[chain[2]],
+            )
+        # Nothing was defined: the next name is still free.
+        assert tm.define(parent, _spec(), set()) == "t.0.12"
+
     def test_unknown_sibling_rejected(self, tm):
         with pytest.raises(ProtocolError):
             tm.define(tm.root, _spec(), {"x"}, predecessors=["t.9"])
