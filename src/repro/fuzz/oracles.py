@@ -605,7 +605,7 @@ def _metrics_consistent(evidence: Any) -> OracleResult:
     )
     if dropped:
         # Fuzz sessions record notifications synchronously — there is
-        # no outbound queue to overflow, so any drop is a server bug.
+        # no transport buffer to fill, so any drop is a server bug.
         details.append(
             f"server.notifications_dropped={dropped} without a "
             "transport queue in the run"

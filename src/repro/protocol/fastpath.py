@@ -48,7 +48,7 @@ ancestors and descendants gain it), :meth:`ParentIndex.kill` on ABORT.
 two calls, which is how a recovered, follower or checkpoint-loaded
 state gets its index on first use.  A define is cyclic iff the new
 child's predecessor closure meets its successor closure
-(:meth:`ParentIndex.closes_cycle`).
+(:meth:`ParentIndex.around`).
 
 Bit order is not name order (``t.10`` sorts before ``t.2``), so the
 candidate lists the manager builds follow version creation order, not
@@ -129,17 +129,16 @@ class ParentIndex:
             mask |= (1 << bit_id) | masks[bit_id]
         return mask
 
-    def closes_cycle(
+    def around(
         self, predecessors: Iterable[str], successors: Iterable[str]
-    ) -> str | None:
-        """A sibling a new child with these neighbours would sit both
-        before and after (None: the order stays acyclic)."""
-        common = self._closure(
-            predecessors, self.pred_masks
-        ) & self._closure(successors, self.succ_masks)
-        if not common:
-            return None
-        return self.names[(common & -common).bit_length() - 1]
+    ) -> tuple[int, int]:
+        """Masks of the siblings a new child with these neighbours
+        would follow and precede (sharing one: the order turns
+        cyclic)."""
+        return (
+            self._closure(predecessors, self.pred_masks),
+            self._closure(successors, self.succ_masks),
+        )
 
     def add(
         self,

@@ -313,13 +313,17 @@ class TransactionManager:
 
         ``predecessors``/``successors`` are existing siblings the new
         transaction must follow/precede in the parent's partial order.
-        Raises :class:`ProtocolError` when the order would become
-        cyclic, or when the new transaction is placed before a
-        *committed* sibling whose input set it updates — unless
-        ``undo_committed_successors`` is set, in which case the paper's
-        alternative option is taken: the committed successor's
+        Raises :class:`ProtocolError` when the new transaction is
+        placed before a *committed* sibling whose input set it updates
+        — unless ``undo_committed_successors`` is set, in which case the
+        paper's alternative option is taken: the committed successor's
         relative commit is undone (see :meth:`undo_relative_commit`)
-        and the definition proceeds.
+        and the definition proceeds.  Also raises when the order would
+        become cyclic or put a reader before the sibling it reads from:
+        a sibling before the one whose version it holds
+        (:meth:`_refuse_order`), or the new transaction before the
+        committed sibling whose release the parent's world holds for an
+        item it reads.
         """
         parent_record = self.record(parent)
         if parent_record.terminated:
@@ -347,6 +351,12 @@ class TransactionManager:
                 raise ProtocolError(
                     f"{sibling} is not an existing child of {parent}"
                 )
+        # Only a successor can close a cycle or order a reader before
+        # the sibling it reads from.  The order checks change nothing,
+        # so they run before any committed successor is undone.
+        following = (
+            self._refuse_order(parent, name, preds, succs) if succs else set()
+        )
         for successor in succs:
             successor_record = self.record(successor)
             if successor_record.phase is TxnPhase.COMMITTED and (
@@ -362,18 +372,19 @@ class TransactionManager:
                     "that the committed transaction read"
                 )
 
-        # Only a successor can close a cycle: the new child would then
-        # sit both after and before some sibling.
-        looped = (
-            self._state.index(parent).closes_cycle(preds, succs)
-            if succs
-            else None
-        )
-        if looped is not None:
-            raise ProtocolError(
-                f"defining {name} would make {parent}'s partial order "
-                f"cyclic: it would both follow and precede {looped}"
-            )
+        # The read check comes last: undoing a successor withdraws its
+        # release from the parent's world.
+        releasers: dict[str, str] = {}
+        if following:
+            for child, released in parent_record.release_log:
+                releasers.update(dict.fromkeys(released, child))
+        for item in sorted(spec.input_constraint.entities()):
+            author = releasers.get(item)
+            if author in following:
+                raise ProtocolError(
+                    f"cannot place {name} before committed {author}: "
+                    f"{name} would read {item} from its release"
+                )
 
         if self._tracer.enabled:
             self._tracer.event(
@@ -396,6 +407,34 @@ class TransactionManager:
             },
         )
         return name
+
+    def _refuse_order(
+        self, parent: str, name: str, preds: list[str], succs: list[str]
+    ) -> set[str]:
+        """The siblings that would follow ``name``, placed after
+        ``preds`` and before ``succs``; refuse the placement if ``P`` would turn
+        cyclic, or if a sibling that would precede ``name`` holds a
+        version written by one that would follow it (Lemma 4: a reader
+        before the sibling it reads from).  Authors count at the
+        parent's level (a write in a subtree is its root's)."""
+        index = self._state.index(parent)
+        above, below = index.around(preds, succs)
+        if above & below:
+            raise ProtocolError(
+                f"defining {name} would make {parent}'s partial order "
+                "cyclic: it would both follow and precede "
+                f"{index.names_from(above & below)[0]}"
+            )
+        following = set(index.names_from(below))
+        for reader in index.names_from(above):
+            for item, version in sorted(self.record(reader).assigned.items()):
+                author = self._sibling_ancestor(version.author, parent)
+                if author in following:
+                    raise ProtocolError(
+                        f"cannot order {reader} before {author}: {reader} "
+                        f"was assigned {author}'s version of {item}"
+                    )
+        return following
 
     # -- phase 2: validation ----------------------------------------------------
 
@@ -1202,7 +1241,7 @@ class TransactionManager:
                     )
         return violations
 
-    def _sibling_ancestor(self, txn: str, parent: str) -> str | None:
+    def _sibling_ancestor(self, txn: str | None, parent: str) -> str | None:
         name: str | None = txn
         while name is not None:
             record = self._records.get(name)

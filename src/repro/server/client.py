@@ -317,8 +317,8 @@ class Client(_Surface):
 
     Unsolicited event frames that arrive while waiting for a response
     are buffered on :attr:`events` (call :meth:`poll_events` to drain
-    them without issuing a request — it pings the server, which flushes
-    anything queued ahead of the pong).
+    them without issuing a request — it pings the server, and every
+    event written before the pong arrives ahead of it).
     """
 
     def __init__(self, sock: socket.socket) -> None:
@@ -397,7 +397,7 @@ class Client(_Surface):
         return reply if decode is None else decode(reply)
 
     def poll_events(self) -> list[dict[str, Any]]:
-        """Ping to flush queued notifications; return and clear them."""
+        """Ping; return and clear the events that arrived before the pong."""
         self.ping()
         drained = list(self.events)
         self.events.clear()

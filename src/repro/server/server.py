@@ -2,24 +2,25 @@
 
 :class:`TransactionServer` binds the wire protocol
 (:mod:`repro.server.protocol`) to the command dispatcher
-(:mod:`repro.server.session`): one reader loop per connection decodes
-frames and submits them, one writer task per connection drains an
-outbound queue (responses *and* unsolicited events), and exactly one
-dispatcher task touches the transaction manager.
+(:mod:`repro.server.session`): each connection is one coroutine that
+reads frames and submits them, replies and unsolicited events are
+written straight to its transport, and exactly one dispatcher task
+touches the transaction manager.
 
 Robustness properties (exercised by ``tests/server/test_faults.py``):
 
 * **malformed frames** are answered with a ``MALFORMED`` error and
-  counted; after ``max_malformed`` bad frames the connection is closed
-  (an oversized frame closes immediately — the stream cannot be
+  counted; after :data:`MAX_MALFORMED` bad frames the connection is
+  closed (an oversized frame closes immediately — the stream cannot be
   resynchronised);
 * **per-session idle timeout** — a connection that sends nothing for
-  ``session_timeout`` seconds is torn down like a disconnect;
+  ``session_timeout`` seconds is torn down like a disconnect, even if
+  its peer has stopped reading;
 * **per-request timeout** — enforced by the dispatcher whether the
   command is still queued or parked on a blocked protocol step;
 * **backpressure** — a full command queue answers ``BUSY`` instantly;
-  a session whose outbound queue overflows drops notifications (never
-  blocks the dispatcher on a slow reader);
+  a peer that stops reading loses frames (counted) once its transport
+  holds :data:`SEND_BUFFER_LIMIT` bytes (never blocks the dispatcher);
 * **disconnect cleanup** — a dropped connection's live transactions
   are aborted through the command queue; resulting cascades notify the
   surviving sessions that own affected transactions;
@@ -37,7 +38,7 @@ import asyncio
 import itertools
 import json
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable
 
 if TYPE_CHECKING:  # pragma: no cover — typing only
@@ -76,7 +77,11 @@ from .protocol import (
 from .router import ShardRouter
 from .session import CommandDispatcher, SessionState
 
-_CLOSE = object()
+#: Unsent bytes past which frames to a connection are dropped: more than
+#: any client pipelines, so a transport this full has a stalled reader.
+SEND_BUFFER_LIMIT = 16 * MAX_FRAME_BYTES
+#: Malformed frames one connection may send before it is closed.
+MAX_MALFORMED = 8
 
 
 def parse_hostport(text: str) -> "tuple[str, int]":
@@ -123,18 +128,12 @@ class ServerConfig:
     queue_size: int = 256
     request_timeout: float = 5.0
     session_timeout: float = 300.0
-    max_malformed: int = 8
     drain_grace: float = 2.0
-    outbound_queue: int = 1024
     wal_dir: str | None = None
     flush_interval: float = 0.005
     checkpoint_every: int = 512
     retain: int = 3
     strict: bool = False
-    #: Max commands one dispatch cycle drains from the queue (see
-    #: :meth:`CommandDispatcher.run`); 1 = the old command-at-a-time
-    #: behaviour.
-    batch_size: int = 32
     #: Size-based WAL segment rolling (0 = roll only at checkpoints).
     segment_bytes: int = 0
     #: Primary: port for the replication listener (``None`` = no
@@ -156,14 +155,13 @@ class ServerConfig:
     shards: int = 1
 
 
-@dataclass
+@dataclass(slots=True)
 class _Connection:
     session: SessionState
     writer: asyncio.StreamWriter
-    out_queue: "asyncio.Queue[Any]"
-    writer_task: asyncio.Task | None = None
+    last_frame: float  # loop time of the last line read
+    watchdog: asyncio.TimerHandle | None = None
     malformed: int = 0
-    pending: set = field(default_factory=set)
 
 
 class TransactionServer:
@@ -270,7 +268,6 @@ class TransactionServer:
                 queue_size=self._config.queue_size,
                 request_timeout=self._config.request_timeout,
                 clock=clock if clock is not None else CLOCK,
-                batch_size=self._config.batch_size,
                 shard=index if self._sharded else None,
                 shards_total=self._config.shards,
             )
@@ -565,7 +562,7 @@ class TransactionServer:
         drained = await self._dispatcher.drain(self._config.drain_grace)
         for connection in list(self._connections.values()):
             self._send(connection, event_frame("shutdown"))
-            self._send(connection, _CLOSE)
+            connection.writer.close()  # flushes what the transport holds
         await self._dispatcher.stop()
         if self._dispatcher_task is not None:
             await self._dispatcher_task
@@ -579,11 +576,10 @@ class TransactionServer:
             if self.replication.applier is not None:
                 self.replication.applier.close()
         for connection in list(self._connections.values()):
-            if connection.writer_task is not None:
-                try:
-                    await asyncio.wait_for(connection.writer_task, 1.0)
-                except (asyncio.TimeoutError, asyncio.CancelledError):
-                    connection.writer_task.cancel()
+            try:
+                await asyncio.wait_for(connection.writer.wait_closed(), 1.0)
+            except (asyncio.TimeoutError, OSError):
+                connection.writer.transport.abort()
         self._drain_summary = {
             "aborted": list(drained["aborted"]),
             "parked_failed": drained["parked_failed"],
@@ -598,39 +594,46 @@ class TransactionServer:
     # -- per-connection plumbing ---------------------------------------------
 
     def _send(self, connection: _Connection, payload: Any) -> None:
-        """Queue an outbound frame; never blocks the caller.
+        """Write one frame to the transport; never blocks the caller.
 
-        A slow reader whose outbound queue is full loses notifications
-        (counted) rather than stalling the dispatcher.
+        A peer whose transport holds :data:`SEND_BUFFER_LIMIT` unsent
+        bytes loses the frame (counted) rather than stalling the
+        dispatcher; a closing transport is skipped.
         """
-        try:
-            connection.out_queue.put_nowait(payload)
-        except asyncio.QueueFull:
+        writer = connection.writer
+        if writer.is_closing():
+            return
+        if writer.transport.get_write_buffer_size() >= SEND_BUFFER_LIMIT:
             self._registry.counter("server.notifications_dropped").inc()
+            return
+        writer.write(encode_frame(payload))
 
-    async def _writer_loop(self, connection: _Connection) -> None:
-        try:
-            while True:
-                payload = await connection.out_queue.get()
-                if payload is _CLOSE:
-                    break
-                connection.writer.write(encode_frame(payload))
-                await connection.writer.drain()
-        except (ConnectionError, asyncio.CancelledError):
-            pass
-        finally:
-            try:
-                connection.writer.close()
-            except Exception:  # noqa: BLE001 — already torn down
-                pass
+    def _watch_idle(self, connection: _Connection) -> None:
+        """Close the connection once ``session_timeout`` passes with no
+        frame; otherwise re-arm for the time that remains."""
+        loop = asyncio.get_running_loop()
+        timeout = self._config.session_timeout
+        remaining = connection.last_frame + timeout - loop.time()
+        if remaining > 0:
+            connection.watchdog = loop.call_later(
+                remaining, self._watch_idle, connection
+            )
+        elif not connection.writer.is_closing():
+            self._registry.counter("server.idle_closed").inc()
+            transport = connection.writer.transport
+            transport.close()
+            if transport.get_write_buffer_size():
+                # close() would hold the handler's EOF back until the
+                # buffer drains, which a peer that stopped reading
+                # never lets happen.
+                transport.abort()
 
     async def _handle_connection(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
+        """The connection's one coroutine: read a frame, submit it."""
         session_id = next(self._session_ids)
-        out_queue: "asyncio.Queue[Any]" = asyncio.Queue(
-            maxsize=self._config.outbound_queue
-        )
+        loop = asyncio.get_running_loop()
         connection = _Connection(
             session=SessionState(
                 session_id=session_id,
@@ -642,53 +645,45 @@ class TransactionServer:
                 peer=str(writer.get_extra_info("peername", "")),
             ),
             writer=writer,
-            out_queue=out_queue,
+            last_frame=loop.time(),
         )
         self._connections[session_id] = connection
-        connection.writer_task = asyncio.create_task(
-            self._writer_loop(connection),
-            name=f"repro-writer-{session_id}",
-        )
+        self._watch_idle(connection)
         self._registry.gauge("server.sessions").inc()
         try:
-            await self._read_loop(connection, reader)
+            while True:
+                try:
+                    line = await reader.readline()
+                except ValueError:
+                    # Oversized frame: the stream cannot be resynchronised.
+                    self._registry.counter("server.malformed").inc()
+                    self._send(
+                        connection,
+                        error_response(
+                            None,
+                            ErrorCode.MALFORMED,
+                            f"frame exceeds {MAX_FRAME_BYTES} bytes",
+                        ),
+                    )
+                    break
+                except ConnectionError:
+                    break
+                if not line:
+                    break  # EOF, or the idle watchdog closed the transport
+                connection.last_frame = loop.time()
+                if not line.strip():
+                    continue  # blank keep-alive line
+                if not self._handle_frame(connection, line):
+                    break
         finally:
+            if connection.watchdog is not None:
+                connection.watchdog.cancel()
             self._registry.gauge("server.sessions").dec()
             self._connections.pop(session_id, None)
-            await self._dispatcher.close_session(connection.session)
-            self._send(connection, _CLOSE)
-
-    async def _read_loop(
-        self, connection: _Connection, reader: asyncio.StreamReader
-    ) -> None:
-        while True:
             try:
-                line = await asyncio.wait_for(
-                    reader.readline(), self._config.session_timeout
-                )
-            except asyncio.TimeoutError:
-                self._registry.counter("server.idle_closed").inc()
-                return
-            except ValueError:
-                # Oversized frame: the stream cannot be resynchronised.
-                self._registry.counter("server.malformed").inc()
-                self._send(
-                    connection,
-                    error_response(
-                        None,
-                        ErrorCode.MALFORMED,
-                        f"frame exceeds {MAX_FRAME_BYTES} bytes",
-                    ),
-                )
-                return
-            except ConnectionError:
-                return
-            if not line:
-                return  # EOF
-            if not line.strip():
-                continue  # blank keep-alive line
-            if not self._handle_frame(connection, line):
-                return
+                await self._dispatcher.close_session(connection.session)
+            finally:
+                writer.close()
 
     def _handle_frame(
         self, connection: _Connection, line: bytes
@@ -707,18 +702,15 @@ class TransactionServer:
                     request_id, ErrorCode.MALFORMED, str(error)
                 ),
             )
-            return connection.malformed < self._config.max_malformed
+            return connection.malformed < MAX_MALFORMED
         outcome = self._dispatcher.submit(connection.session, request)
         if isinstance(outcome, dict):
             self._send(connection, outcome)
             return True
-        connection.pending.add(outcome)
 
         def _deliver(future: "asyncio.Future[dict]") -> None:
-            connection.pending.discard(future)
-            if future.cancelled():
-                return
-            self._send(connection, future.result())
+            if not future.cancelled():
+                self._send(connection, future.result())
 
         outcome.add_done_callback(_deliver)
         return True

@@ -74,6 +74,9 @@ PARKED = object()
 _STOP = object()
 """Queue sentinel that terminates the dispatcher loop."""
 
+BATCH_SIZE = 32
+"""Max commands one dispatch cycle drains (:meth:`CommandDispatcher.run`)."""
+
 
 @dataclass(slots=True)
 class SessionState:
@@ -140,7 +143,6 @@ class CommandDispatcher:
         queue_size: int = 256,
         request_timeout: float = 5.0,
         clock: Callable[[], float] = CLOCK,
-        batch_size: int = 32,
         shard: int | None = None,
         shards_total: int = 1,
     ) -> None:
@@ -159,7 +161,6 @@ class CommandDispatcher:
         )
         self._request_timeout = request_timeout
         self._clock = clock
-        self._batch_size = max(1, batch_size)
         # txn name -> the one command parked on it.
         self._lock_waiters: dict[str, Command] = {}
         self._commit_waiters: dict[str, Command] = {}
@@ -316,7 +317,7 @@ class CommandDispatcher:
 
         Commands are drained in *batches*: after the blocking dequeue
         of the first command, whatever else is already queued (up to
-        ``batch_size``) is drained without yielding to the event loop
+        :data:`BATCH_SIZE`) is drained without yielding to the event loop
         and processed in one dispatch cycle.  FIFO order and the
         single-threaded manager invariant are untouched — batching
         only amortises the per-cycle bookkeeping (gauge updates, clock
@@ -332,7 +333,7 @@ class CommandDispatcher:
                     break
                 assert isinstance(item, Command)
                 batch.append(item)
-                if len(batch) >= self._batch_size:
+                if len(batch) >= BATCH_SIZE:
                     break
                 try:
                     item = self._queue.get_nowait()

@@ -301,34 +301,41 @@ def _closes_cycle(
 def _orders_before_a_writer(
     tm: TransactionManager,
     parent: str,
+    reads: list[str],
     predecessors: list[str],
     successors: list[str],
-) -> bool:
-    """Would the placement put the new child before a committed
-    sibling, or any sibling before the sibling (subtree) that wrote a
-    version it is assigned?  ``define`` admits both today, and either
-    lets a transaction read a ``P``-successor's write (the first
-    through the parent's world view, which holds the committed
-    sibling's release), which Lemma 4's check then reports — so the
-    session never asks for them."""
+) -> tuple[bool, bool]:
+    """Would the placement order a reader before the sibling it reads
+    from?  (a) the last release into the parent's world of an item the
+    new child reads came from a sibling that would follow it; (b) a
+    sibling that would precede the new child is assigned a version
+    written in the subtree of one that would follow it.  Asked of a
+    :class:`PartialOrder` and the records, independently of the
+    manager's index and helpers; ``define`` must refuse both."""
     record = tm.record(parent)
     pairs = set(record.order_pairs)
     pairs.update((pred, "new") for pred in predecessors)
     pairs.update(("new", succ) for succ in successors)
     order = PartialOrder([*record.children, "new"], pairs)
-    if any(
-        tm.phase(after) is TxnPhase.COMMITTED
-        for after in order.successors("new")
-    ):
-        return True
-    for child in record.children:
-        for version in tm.record(child).assigned.values():
-            author = version.author
-            while author is not None and tm.record(author).parent != parent:
-                author = tm.record(author).parent
-            if author is not None and order.precedes(child, author):
-                return True
-    return False
+    following = set(order.successors("new"))
+
+    def sibling_of(author):
+        while author is not None and tm.record(author).parent != parent:
+            author = tm.record(author).parent
+        return author
+
+    releaser = {}
+    for child, released in record.release_log:
+        for item in released:
+            releaser[item] = child
+    reads_a_follower = any(releaser.get(item) in following for item in reads)
+    holds_a_follower = any(
+        sibling_of(version.author) in following
+        for reader in record.children
+        if order.precedes(reader, "new")
+        for version in tm.record(reader).assigned.values()
+    )
+    return reads_a_follower, holds_a_follower
 
 
 class _Session:
@@ -383,10 +390,13 @@ class _Session:
             Predicate.true(),
         )
         cyclic = _closes_cycle(self.fast, parent, predecessors, successors)
-        if not cyclic and _orders_before_a_writer(
-            self.fast, parent, predecessors, successors
-        ):
-            return None
+        reads_a_follower, holds_a_follower = (
+            (False, False)
+            if cyclic
+            else _orders_before_a_writer(
+                self.fast, parent, reads, predecessors, successors
+            )
+        )
         kind, value = self.step(
             lambda tm: tm.define(
                 parent,
@@ -396,7 +406,21 @@ class _Session:
                 successors=successors,
             )
         )
+        # (b) is checked before a committed successor's update clash,
+        # (a) after it; each refusal happens exactly when it is due.
+        clash = any(
+            self.fast.phase(succ) is TxnPhase.COMMITTED
+            and writes & self.fast.record(succ).input_set
+            for succ in successors
+        )
+        if holds_a_follower:
+            assert kind == "err" and value.startswith("cannot order"), value
+        elif reads_a_follower and not clash:
+            assert kind == "err" and "would read" in value, value
         if kind == "err":
+            assert holds_a_follower == value.startswith("cannot order"), value
+            if "would read" in value:
+                assert reads_a_follower, value
             if "cyclic" in value:
                 assert cyclic and f"{parent}'s partial order" in value
             return None
@@ -445,7 +469,9 @@ class _Session:
                 self.step(lambda tm: tuple(tm.abort(txn)))
 
 
-@pytest.mark.parametrize("seed", range(6))
+# Seed 6 is the first whose session meets a refusal by rule (a) alone,
+# and 14 the first that meets one by rule (b) (see ``_Session.define``).
+@pytest.mark.parametrize("seed", [*range(7), 14])
 def test_lockstep_past_ten_children(tmp_path, seed):
     """More than ten children, successors, aborts and a nested parent,
     then a restart from the closing checkpoint and more of the same."""

@@ -76,6 +76,60 @@ class TestDefinition:
         # Nothing was defined: the next name is still free.
         assert tm.define(parent, _spec(), set()) == "t.0.12"
 
+    def test_placing_a_reader_before_a_committed_author_is_refused(
+        self, tm
+    ):
+        # t.1's only version of y would be the parent's world view,
+        # which holds t.0's release: it would read its successor.
+        author = tm.define(tm.root, _spec("y >= 0"), {"y"})
+        tm.validate(author)
+        tm.write(author, "y", 7)
+        assert tm.commit(author).outcome is Outcome.OK
+        with pytest.raises(
+            ProtocolError,
+            match=r"cannot place t\.1 before committed t\.0: "
+            r"t\.1 would read y",
+        ):
+            tm.define(tm.root, _spec("y >= 0"), set(), successors=[author])
+        # Nothing was defined: the next name is still free.
+        assert tm.define(tm.root, _spec("y >= 0"), set()) == "t.1"
+
+    def test_ordering_a_reader_before_its_author_is_refused(self, tm):
+        # t.1 read t.0's y while the two were unordered; t.2 between
+        # them would order t.1 before t.0.
+        author = tm.define(tm.root, _spec("y >= 0"), {"y"})
+        tm.validate(author)
+        tm.write(author, "y", 0)
+        reader = tm.define(tm.root, _spec("y >= 0"), set())
+        tm.validate(reader)
+        assert tm.read(reader, "y").value == 0
+        with pytest.raises(
+            ProtocolError,
+            match=r"cannot order t\.1 before t\.0: "
+            r"t\.1 was assigned t\.0's version of y",
+        ):
+            tm.define(
+                tm.root, _spec(), set(),
+                predecessors=[reader], successors=[author],
+            )
+        assert not tm.state.index(tm.root).precedes(reader, author)
+        assert tm.define(tm.root, _spec(), set()) == "t.2"
+
+    def test_a_refused_order_undoes_no_successor(self, tm):
+        # t.2 updates y, which committed t.0 read, so the undo option
+        # would undo t.0's commit; the cycle refuses t.2 first.
+        read_y = tm.define(tm.root, _spec("y >= 0"), set())
+        tm.validate(read_y)
+        assert tm.commit(read_y).outcome is Outcome.OK
+        later = tm.define(tm.root, _spec(), set(), predecessors=[read_y])
+        with pytest.raises(ProtocolError, match="cyclic"):
+            tm.define(
+                tm.root, _spec(), {"y"},
+                predecessors=[later], successors=[read_y],
+                undo_committed_successors=True,
+            )
+        assert tm.phase(read_y) is TxnPhase.COMMITTED
+
     def test_unknown_sibling_rejected(self, tm):
         with pytest.raises(ProtocolError):
             tm.define(tm.root, _spec(), {"x"}, predecessors=["t.9"])

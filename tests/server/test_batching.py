@@ -1,10 +1,9 @@
 """The dispatcher's batched drain loop (live-path fast lane).
 
 One blocking ``get`` then opportunistic ``get_nowait`` up to
-``batch_size`` — FIFO order preserved, every queued command still
-served, the ``server.batch.size`` histogram records what the loop
-actually drained, and ``batch_size=1`` reproduces the old
-command-at-a-time behaviour exactly.
+:data:`~repro.server.session.BATCH_SIZE` — FIFO order preserved, every
+queued command still served, and the ``server.batch.size`` histogram
+records what the loop actually drained.
 """
 
 from __future__ import annotations
@@ -13,6 +12,7 @@ import asyncio
 
 from repro.obs.metrics import MetricsRegistry
 from repro.protocol.scheduler import TransactionManager
+from repro.server import session as session_module
 from repro.server.protocol import Request
 from repro.server.session import CommandDispatcher, SessionState
 
@@ -23,13 +23,11 @@ def _session() -> SessionState:
     return SessionState(session_id=1, notify=lambda frame: None)
 
 
-async def _drive(batch_size: int, count: int) -> tuple[list, MetricsRegistry]:
+async def _drive(count: int) -> tuple[list, MetricsRegistry]:
     """Queue ``count`` defines before the loop starts, then drain."""
     registry = MetricsRegistry()
     dispatcher = CommandDispatcher(
-        TransactionManager(tiny_db()),
-        registry=registry,
-        batch_size=batch_size,
+        TransactionManager(tiny_db()), registry=registry
     )
     session = _session()
     futures = []
@@ -53,38 +51,35 @@ async def _drive(batch_size: int, count: int) -> tuple[list, MetricsRegistry]:
 
 class TestBatchedDrain:
     def test_queued_burst_is_one_batch(self):
-        responses, registry = run(_drive(batch_size=32, count=5))
+        responses, registry = run(_drive(count=5))
         assert all(r["ok"] for r in responses)
         sizes = registry.histogram("server.batch.size").values
         assert sizes and max(sizes) == 5
 
     def test_fifo_order_within_a_batch(self):
-        responses, _ = run(_drive(batch_size=32, count=6))
+        responses, _ = run(_drive(count=6))
         names = [r["txn"] for r in responses]
         # Child naming is allocation-ordered, so FIFO dispatch means
         # the n-th submitted define receives the n-th child name.
         assert names == sorted(names, key=lambda n: int(n.rsplit(".", 1)[1]))
 
-    def test_batch_size_one_is_command_at_a_time(self):
-        responses, registry = run(_drive(batch_size=1, count=4))
-        assert all(r["ok"] for r in responses)
-        sizes = registry.histogram("server.batch.size").values
-        assert sizes and set(sizes) == {1} and len(sizes) >= 4
-
-    def test_batch_cap_splits_bursts(self):
-        responses, registry = run(_drive(batch_size=2, count=5))
+    def test_batch_cap_splits_bursts(self, monkeypatch):
+        monkeypatch.setattr(session_module, "BATCH_SIZE", 2)
+        responses, registry = run(_drive(count=5))
         assert all(r["ok"] for r in responses)
         sizes = registry.histogram("server.batch.size").values
         assert max(sizes) <= 2 and sum(sizes) == 5
 
 
 class TestBatchedServerEndToEnd:
-    def test_server_round_trip_with_tiny_batches(self):
+    def test_server_round_trip_with_tiny_batches(self, monkeypatch):
         # The whole lifecycle still works when every batch is size 1.
         from repro.server import AsyncClient
 
+        monkeypatch.setattr(session_module, "BATCH_SIZE", 1)
+
         async def body():
-            async with serving(batch_size=1) as server:
+            async with serving() as server:
                 client = await AsyncClient.connect(
                     "127.0.0.1", server.port
                 )

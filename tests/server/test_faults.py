@@ -22,6 +22,7 @@ from repro.server import (
     TransactionServer,
 )
 from repro.server.protocol import Request, decode_frame
+from repro.server.server import MAX_MALFORMED
 from repro.server.session import CommandDispatcher, SessionState
 
 from .conftest import run, serving, tiny_db
@@ -56,12 +57,12 @@ class TestMalformedFrames:
 
     def test_connection_closes_after_too_many_bad_frames(self):
         async def body():
-            async with serving(max_malformed=3) as server:
+            async with serving() as server:
                 reader, writer = await _raw_connection(server.port)
-                for _ in range(3):
+                for _ in range(MAX_MALFORMED):
                     writer.write(b"garbage\n")
                 await writer.drain()
-                for _ in range(3):
+                for _ in range(MAX_MALFORMED):
                     frame = await _read_frame(reader)
                     assert frame["error"]["code"] == "MALFORMED"
                 assert await reader.readline() == b""  # EOF

@@ -18,11 +18,13 @@ commit is refused and changes nothing.
 from __future__ import annotations
 
 import asyncio
+import socket
 import time
 from collections import Counter
 
 import pytest
 
+from repro.protocol import TxnPhase
 from repro.protocol.scheduler import TransactionManager
 from repro.server import (
     AsyncClient,
@@ -30,8 +32,8 @@ from repro.server import (
     ServerConfig,
     TransactionServer,
 )
-from repro.server.protocol import Request
-from repro.server.server import ServerThread, _Connection
+from repro.server.protocol import MAX_FRAME_BYTES, Request, encode_frame
+from repro.server.server import SEND_BUFFER_LIMIT, ServerThread
 from repro.server.session import CommandDispatcher, SessionState
 
 from .conftest import run, serving, tiny_db
@@ -62,52 +64,94 @@ async def _request(dispatcher, session, rid, op, **params):
 # -- satellite: notifications_dropped metric + drain summary ----------------
 
 
+async def _stalled_connection(server, *requests):
+    """A connected client that never reads once ``requests`` are
+    answered, with small socket buffers on both ends, and the server's
+    side of it."""
+    sock = socket.socket()
+    sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+    sock.setblocking(False)
+    await asyncio.get_running_loop().sock_connect(
+        sock, ("127.0.0.1", server.port)
+    )
+    reader, writer = await asyncio.open_connection(sock=sock)
+    for request in (*requests, {"id": 0, "op": "ping"}):
+        writer.write(encode_frame(request))
+        await writer.drain()
+        await reader.readline()  # answered: the server holds the session
+    (connection,) = server._connections.values()
+    connection.writer.get_extra_info("socket").setsockopt(
+        socket.SOL_SOCKET, socket.SO_SNDBUF, 4096
+    )
+    return writer, connection
+
+
+_PAD = {"event": "pad", "data": "x" * (MAX_FRAME_BYTES // 2)}
+
+
 def test_slow_reader_drops_are_counted_and_summarized():
     async def body():
-        server = TransactionServer(
-            tiny_db(), ServerConfig(outbound_queue=1)
-        )
-        # A connection whose writer never drains: one slot, no task.
-        connection = _Connection(
-            session=SessionState(session_id=1, notify=lambda p: None),
-            writer=None,
-            out_queue=asyncio.Queue(maxsize=1),
-        )
-        server._connections[1] = connection
-        server._send(connection, {"event": "first"})  # fills the queue
-        server._send(connection, {"event": "second"})  # dropped
-        server._send(connection, {"event": "third"})  # dropped
+        server = TransactionServer(tiny_db(), ServerConfig())
+        await server.start()
+        client, connection = await _stalled_connection(server)
+        for _ in range(100):
+            server._send(connection, _PAD)
         counter = server.registry.counter(
             "server.notifications_dropped"
         )
-        assert counter.value == 2
+        dropped = counter.value
+        assert dropped > 0
         summary = await server.shutdown()
-        # shutdown() pushes a shutdown event + close sentinel at the
-        # same full queue, so the summary includes those drops too.
-        assert summary["notifications_dropped"] == counter.value >= 2
+        # shutdown() writes its shutdown event to the same full
+        # transport, so the summary includes that drop too.
+        assert summary["notifications_dropped"] == dropped + 1
         assert summary["parked_failed"] == 0
         assert summary["aborted"] == []
+        client.close()
 
     run(body())
 
 
 def test_send_never_blocks_the_caller():
     async def body():
-        server = TransactionServer(
-            tiny_db(), ServerConfig(outbound_queue=1)
-        )
-        connection = _Connection(
-            session=SessionState(session_id=1, notify=lambda p: None),
-            writer=None,
-            out_queue=asyncio.Queue(maxsize=1),
-        )
-        start = time.monotonic()
-        for index in range(100):
-            server._send(connection, {"event": index})
-        assert time.monotonic() - start < 1.0
-        assert connection.out_queue.qsize() == 1
+        async with serving() as server:
+            client, connection = await _stalled_connection(server)
+            start = time.monotonic()
+            for _ in range(100):
+                server._send(connection, _PAD)
+            assert time.monotonic() - start < 1.0
+            held = connection.writer.transport.get_write_buffer_size()
+            assert SEND_BUFFER_LIMIT <= held < SEND_BUFFER_LIMIT + (
+                MAX_FRAME_BYTES
+            )
+            client.close()
 
     run(body())
+
+
+def test_idle_close_of_a_stalled_reader_releases_its_session():
+    # Unsent bytes would hold off the handler's EOF until they drain,
+    # which a peer that stopped reading never lets happen.
+    async def body():
+        async with serving(session_timeout=0.3) as server:
+            client, connection = await _stalled_connection(
+                server,
+                {"id": 1, "op": "define", "updates": ["x"]},
+                {"id": 2, "op": "validate", "txn": "t.0"},
+            )
+            for _ in range(100):
+                server._send(connection, _PAD)
+            assert connection.writer.transport.get_write_buffer_size()
+            sessions = server.registry.gauge("server.sessions")
+            assert sessions.value == 1
+            while sessions.value:
+                await asyncio.sleep(0.05)
+            counters = server.registry.snapshot()["counters"]
+            assert counters["server.idle_closed"] == 1
+            assert server.manager.phase("t.0") is TxnPhase.ABORTED
+            client.close()
+
+    run(body(), timeout=10.0)
 
 
 # -- satellite: ServerThread.stop detects a wedged loop ---------------------
