@@ -29,7 +29,7 @@ from typing import Any, Callable, NamedTuple
 from ..errors import RecoveryError
 from ..obs.metrics import MetricsRegistry
 from ..protocol.scheduler import TransactionManager
-from ..protocol.state import ProtocolState, TxnPhase
+from ..protocol.state import ProtocolState, TxnPhase, values
 from .records import (
     OP_ABORT,
     OP_COMMIT,
@@ -419,23 +419,21 @@ def _check_committed_prefix(
                 "visible after recovery"
             )
 
-    # Root-view equality: fold the surviving root-level releases in
-    # commit order and compare with the recovered manager's world.
+    # Replay takes each release from the releasing record: the logged
+    # values must be what that record releases, and the root-level
+    # ones, folded in commit order, must give the recovered world.  A
+    # commit before the scanned window has only its record to go by.
     fold_view = manager.database.initial_state.as_dict()
     for name in result.committed:
-        parent = fold_parents.get(name) or state.records[name].parent
-        if parent != state.root:
-            continue
-        values = fold_released.get(name)
-        if values is None:
-            # Commit predates the scanned window; trust the
-            # checkpointed release log entry instead.
-            for child, released in state.records[state.root].release_log:
-                if child == name:
-                    values = dict(released)
-                    break
-        if values:
-            fold_view.update(values)
+        released = values(state.records[name].released())
+        logged = fold_released.get(name, released)
+        if logged != released:
+            violations.append(
+                f"{name}'s logged release {logged} is not what its "
+                f"record releases ({released})"
+            )
+        if (fold_parents.get(name) or state.records[name].parent) == state.root:
+            fold_view.update(logged)
     recovered_view = manager.view(manager.root)
     if fold_view != recovered_view:
         diff = {

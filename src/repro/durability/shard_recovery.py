@@ -35,7 +35,7 @@ from typing import Any
 
 from ..errors import RecoveryError
 from ..obs.metrics import MetricsRegistry
-from ..protocol.state import TxnPhase, TxnRecord
+from ..protocol.state import TxnPhase, TxnRecord, values
 from .records import OP_COMMIT
 from .recovery import RecoveryResult, recover, redo
 from .wal import WriteAheadLog
@@ -138,7 +138,7 @@ def resolve_in_doubt(
                 wal.append(
                     OP_COMMIT,
                     txn.name,
-                    {"released": txn.released()},
+                    {"released": values(txn.released())},
                 )
             wal.flush()
         finally:

@@ -69,6 +69,7 @@ from .state import (
     TxnPhase,
     TxnRecord,
     encode,
+    values,
     version_ref,
 )
 from .validation import DSet, select_versions
@@ -352,39 +353,36 @@ class TransactionManager:
                     f"{sibling} is not an existing child of {parent}"
                 )
         # Only a successor can close a cycle or order a reader before
-        # the sibling it reads from.  The order checks change nothing,
-        # so they run before any committed successor is undone.
+        # the sibling it reads from.  Every check runs before anything
+        # is undone, so a refused definition changes nothing.
         following = (
             self._refuse_order(parent, name, preds, succs) if succs else set()
         )
+        undo: list[str] = []
         for successor in succs:
             successor_record = self.record(successor)
-            if successor_record.phase is TxnPhase.COMMITTED and (
-                updates & successor_record.input_set
-            ):
-                if undo_committed_successors:
-                    undone = self.undo_relative_commit(successor)
-                    if undone.outcome is Outcome.OK:
-                        continue
-                raise ProtocolError(
-                    f"cannot place {name} before committed {successor}: "
-                    f"it updates items {sorted(updates & successor_record.input_set)} "
-                    "that the committed transaction read"
-                )
-
-        # The read check comes last: undoing a successor withdraws its
-        # release from the parent's world.
-        releasers: dict[str, str] = {}
-        if following:
-            for child, released in parent_record.release_log:
-                releasers.update(dict.fromkeys(released, child))
+            clash = updates & successor_record.input_set
+            if successor_record.phase is TxnPhase.COMMITTED and clash:
+                if not undo_committed_successors:
+                    raise ProtocolError(
+                        f"cannot place {name} before committed "
+                        f"{successor}: it updates items {sorted(clash)} "
+                        "that the committed transaction read"
+                    )
+                undo.append(successor)
+        # Rule (a) reads the world as it stands once ``undo`` is undone.
+        world = parent_record.world_without(undo) if undo else parent_record.world
         for item in sorted(spec.input_constraint.entities()):
-            author = releasers.get(item)
+            version = world.get(item)
+            author = version and self._sibling_ancestor(version.author, parent)
             if author in following:
                 raise ProtocolError(
                     f"cannot place {name} before committed {author}: "
                     f"{name} would read {item} from its release"
                 )
+        # The parent is live, so each relative commit can be undone.
+        for successor in undo:
+            self.undo_relative_commit(successor)
 
         if self._tracer.enabled:
             self._tracer.event(
@@ -427,7 +425,7 @@ class TransactionManager:
             )
         following = set(index.names_from(below))
         for reader in index.names_from(above):
-            for item, version in sorted(self.record(reader).assigned.items()):
+            for item, version in self._subtree_reads(reader):
                 author = self._sibling_ancestor(version.author, parent)
                 if author in following:
                     raise ProtocolError(
@@ -565,25 +563,19 @@ class TransactionManager:
         return d_sets
 
     def _parent_world_version(self, parent: str, item: str) -> Version:
-        """The parent's world view of one item, as a version.
+        """The version of one item the parent offers its children.
 
-        The parent's own assigned version, unless a committed child has
-        already released a newer one into the parent's world.
+        The last release of a committed child, else the parent's own
+        assigned version, else what the grandparent offers: a parent's
+        version state covers every entity (docs/paper_map.md).
         """
-        parent_record = self.record(parent)
-        merged = parent_record.merged_child_writes.get(item)
-        if merged is not None:
-            # Find the youngest surviving version carrying that value,
-            # authored within the parent's subtree.
-            for version in reversed(self._db.store.versions(item)):
-                if version.value == merged:
-                    return version
-        assigned = parent_record.assigned.get(item)
-        if assigned is not None:
-            return assigned
-        if parent_record.parent is None:
+        record = self.record(parent)
+        version = record.world.get(item) or record.assigned.get(item)
+        if version is not None:
+            return version
+        if record.parent is None:
             return self._db.store.initial(item)
-        return self._parent_world_version(parent_record.parent, item)
+        return self._parent_world_version(record.parent, item)
 
     # -- phase 3: execution --------------------------------------------------------
 
@@ -841,23 +833,14 @@ class TransactionManager:
     def view(self, txn: str) -> dict[str, int]:
         """The transaction's world view over all entities.
 
-        Own writes shadow merged child writes, which shadow the
-        assigned input versions, which shadow the parent's view.
+        Own writes shadow the versions committed children released,
+        which shadow the assigned input versions, which shadow the
+        parent's view.
         """
         record = self.record(txn)
-        if record.parent is None:
-            base = {
-                name: version.value
-                for name, version in record.assigned.items()
-            }
-        else:
-            base = self.view(record.parent)
-        for item, version in record.assigned.items():
-            base[item] = version.value
-        for item, value in record.merged_child_writes.items():
-            base[item] = value
-        for item, version in record.writes.items():
-            base[item] = version.value
+        base = {} if record.parent is None else self.view(record.parent)
+        for versions in (record.assigned, record.world, record.writes):
+            base.update(values(versions))
         return base
 
     @step
@@ -1001,10 +984,10 @@ class TransactionManager:
             return StepResult(Outcome.FAILED, reason=reason)
         if span is not None:
             tracer.end(span, outcome="committed")
-        # The record releases this transaction's world (its writes and
-        # its children's merged writes) into the parent's world view.
+        # The record releases this transaction's versions (its writes
+        # over its children's releases) into the parent's world view.
         self._fire(
-            OP_COMMIT, txn, {"released": self.record(txn).released()}
+            OP_COMMIT, txn, {"released": values(self.record(txn).released())}
         )
         unblocked = self._locks.release_all(txn)
         result = StepResult(Outcome.OK)
@@ -1200,10 +1183,13 @@ class TransactionManager:
     def verify_parent_based(self, parent: str) -> list[str]:
         """Lemma 4: every committed child read only parent/sibling state.
 
-        Returns violation descriptions (empty = parent-based).  Checks
-        that each committed child's assigned versions were authored by
-        ``t_0``/the parent's world or by a sibling that is not a
-        partial-order successor.
+        Returns violation descriptions (empty = parent-based).  A child
+        reads what its subtree was assigned.  Each version must be
+        authored by a sibling that is not a partial-order successor, or
+        come from outside the parent's subtree: then it is the parent's
+        own version of the item, if the parent has one, and otherwise
+        one the parent offers from its own parent, whose check judges
+        it (docs/paper_map.md).
         """
         violations: list[str] = []
         parent_record = self.record(parent)
@@ -1212,34 +1198,36 @@ class TransactionManager:
         order = PartialOrder(
             parent_record.children, parent_record.order_pairs
         )
-        children = set(parent_record.children)
         for child in parent_record.children:
-            child_record = self.record(child)
-            if child_record.phase is not TxnPhase.COMMITTED:
+            if self.record(child).phase is not TxnPhase.COMMITTED:
                 continue
-            for item, version in child_record.assigned.items():
-                author = version.author
-                if author is None or author == parent:
-                    continue
-                if author in children:
-                    if order.precedes(child, author):
-                        violations.append(
-                            f"{child} read {item} from successor {author}"
-                        )
-                    continue
-                # Authored deeper in a sibling subtree: find the
-                # sibling ancestor.
-                sibling = self._sibling_ancestor(author, parent)
+            for item, version in self._subtree_reads(child):
+                if version.author is None:
+                    continue  # t_0 precedes every transaction
+                sibling = self._sibling_ancestor(version.author, parent)
                 if sibling is None:
-                    violations.append(
-                        f"{child} read {item} from non-sibling {author}"
-                    )
+                    offered = parent_record.assigned.get(item, version)
+                    if version != offered:
+                        violations.append(
+                            f"{child} read {item} from non-sibling "
+                            f"{version.author}"
+                        )
                 elif order.precedes(child, sibling):
+                    kind = "" if sibling == version.author else " subtree"
                     violations.append(
-                        f"{child} read {item} from successor subtree "
+                        f"{child} read {item} from successor{kind} "
                         f"{sibling}"
                     )
         return violations
+
+    def _subtree_reads(self, txn: str) -> Iterator[tuple[str, Version]]:
+        """What ``txn``'s subtree reads: the versions assigned in it,
+        aborted transactions left out."""
+        record = self.record(txn)
+        if record.phase is not TxnPhase.ABORTED:
+            yield from sorted(record.assigned.items())
+            for child in record.children:
+                yield from self._subtree_reads(child)
 
     def _sibling_ancestor(self, txn: str | None, parent: str) -> str | None:
         name: str | None = txn

@@ -77,8 +77,11 @@ class TxnRecord:
     assigned: dict[str, Version] = field(default_factory=dict)
     read_items: set[str] = field(default_factory=set)
     writes: dict[str, Version] = field(default_factory=dict)
-    merged_child_writes: dict[str, int] = field(default_factory=dict)
-    release_log: list[tuple[str, dict[str, int]]] = field(
+    #: Per item, the version the last committed child released: the
+    #: world view offered to the children beyond the assignment.
+    world: dict[str, Version] = field(default_factory=dict)
+    #: Each committed child's release, in commit order.
+    release_log: list[tuple[str, dict[str, Version]]] = field(
         default_factory=list
     )
     child_counter: int = 0
@@ -100,14 +103,18 @@ class TxnRecord:
     def terminated(self) -> bool:
         return self.phase in (TxnPhase.COMMITTED, TxnPhase.ABORTED)
 
-    def released(self) -> dict[str, int]:
-        """What committing releases to the parent: the merged child
-        releases, overlaid with the transaction's own final values."""
-        released = dict(self.merged_child_writes)
-        released.update(
-            {item: version.value for item, version in self.writes.items()}
-        )
-        return released
+    def released(self) -> dict[str, Version]:
+        """What committing releases to the parent: the world its
+        children released, overlaid with the transaction's own writes."""
+        return {**self.world, **self.writes}
+
+    def world_without(self, children: Iterable[str]) -> dict[str, Version]:
+        """The world view with ``children``'s releases taken back out."""
+        world: dict[str, Version] = {}
+        for child, released in self.release_log:
+            if child not in children:
+                world.update(released)
+        return world
 
     def stamps(self) -> dict[str, int]:
         """The assignment as ``item -> sequence stamp``."""
@@ -124,6 +131,11 @@ class TxnRecord:
 
 def version_ref(version: Version) -> list[Any]:
     return [version.value, version.author, version.sequence]
+
+
+def values(versions: dict[str, Version]) -> dict[str, int]:
+    """``item -> value``: the form a release takes on disk."""
+    return {item: version.value for item, version in versions.items()}
 
 
 def _refs(assigned: dict[str, Version]) -> dict[str, list[Any]]:
@@ -213,10 +225,10 @@ def _dump_record(record: TxnRecord) -> dict[str, Any]:
             for entity, version in record.writes.items()
         },
         "release_log": [
-            [child, dict(released)]
+            [child, values(released)]
             for child, released in record.release_log
         ],
-        "merged_child_writes": dict(record.merged_child_writes),
+        "merged_child_writes": values(record.world),
         # A begun write is volatile (its W lock); the key stays for
         # readers of the old format.
         "in_flight_writes": [],
@@ -243,11 +255,6 @@ def _load_record(ordinal: int, payload: dict[str, Any]) -> TxnRecord:
             entity: Version(entity, value, name, sequence)
             for entity, (value, sequence) in payload["writes"].items()
         },
-        merged_child_writes=dict(payload["merged_child_writes"]),
-        release_log=[
-            (child, dict(released))
-            for child, released in payload["release_log"]
-        ],
         child_counter=payload["child_counter"],
         did_data_access=payload["did_data_access"],
         commit_lsn=payload.get("commit_lsn"),
@@ -353,22 +360,29 @@ class ProtocolState:
                     payload["txns"].items()
                 )
             }
+            # Each release is rebuilt from the child's record, children
+            # before parents, and must be what the checkpoint logged.
+            # Only a committed child's release counts: checkpoints from
+            # before ``apply`` was the only mutator could keep one of a
+            # child aborted later.
+            for record in reversed(list(records.values())):
+                for child, logged in payload["txns"][record.name]["release_log"]:
+                    if records[child].phase is not TxnPhase.COMMITTED:
+                        continue
+                    released = records[child].released()
+                    if values(released) != logged:
+                        raise RecoveryError(
+                            f"malformed checkpoint state: {record.name} logs "
+                            f"{child}'s release as {logged}, {child}'s record "
+                            f"releases {values(released)}"
+                        )
+                    record.release_log.append((child, released))
+                    record.world.update(released)
             state = cls(database, payload["root"], records)
         except (KeyError, TypeError) as error:
             raise RecoveryError(
                 f"malformed checkpoint state: {error}"
             ) from None
-        # A release is logged iff its child is committed.  Checkpoints
-        # from before ``apply`` was the only mutator could keep the
-        # release of a child aborted after its commit: drop those.
-        for record in records.values():
-            gone = {
-                child
-                for child, __ in record.release_log
-                if records[child].phase is not TxnPhase.COMMITTED
-            }
-            if gone:
-                state._withdraw(record, gone)
         return state
 
     # -- the parent indexes ---------------------------------------------------
@@ -511,12 +525,13 @@ class ProtocolState:
         record.prepared = None
         self.active.pop(txn, None)
         if record.parent is not None:
-            # Release this transaction's world (its writes and its
-            # children's merged writes) into the parent's world view.
+            # Release this transaction's versions (its writes over its
+            # children's releases) into the parent's world view.  The
+            # record's ``released`` values are the log's form of them.
             parent = self._record(record.parent)
-            released = data["released"]
+            released = record.released()
             parent.release_log.append((txn, released))
-            parent.merged_child_writes.update(released)
+            parent.world.update(released)
 
     def _apply_undo_commit(self, txn, data, lsn) -> None:
         record = self._record(txn)
@@ -528,15 +543,12 @@ class ProtocolState:
 
     def _withdraw(self, parent: TxnRecord, children: set[str]) -> None:
         """Take ``children``'s releases back out of ``parent``'s world."""
+        parent.world = parent.world_without(children)
         parent.release_log = [
             entry
             for entry in parent.release_log
             if entry[0] not in children
         ]
-        rebuilt: dict[str, int] = {}
-        for __, released in parent.release_log:
-            rebuilt.update(released)
-        parent.merged_child_writes = rebuilt
 
     def _apply_abort(self, txn, data, lsn) -> None:
         """Idempotent per name and per version: an enclosing abort's
@@ -580,9 +592,9 @@ class ProtocolState:
         return [record.name for record in committed]
 
     def root_view(self) -> dict[str, int]:
-        """The root's world view: initial values + merged releases."""
+        """The root's world view: initial values + released versions."""
         view = self.database.initial_state.as_dict()
-        view.update(self.records[self.root].merged_child_writes)
+        view.update(values(self.records[self.root].world))
         return view
 
 

@@ -147,9 +147,27 @@ def compute_d_sets_object(
             order,
             update_sets,
             versions_by,
-            manager._parent_world_version(record.parent, item),
+            parent_world_version(manager, record.parent, item),
         )
     return d_sets
+
+
+def parent_world_version(
+    manager: TransactionManager, parent: str, item: str
+) -> Version:
+    """``X(parent)(item)`` read off the records: the newest release of
+    the item in the parent's release log, else the parent's assigned
+    version, else what the grandparent offers — a parent's version
+    state covers every entity."""
+    record = manager.record(parent)
+    for __, released in reversed(record.release_log):
+        if item in released:
+            return released[item]
+    if item in record.assigned:
+        return record.assigned[item]
+    if record.parent is None:
+        return manager.database.store.initial(item)
+    return parent_world_version(manager, record.parent, item)
 
 
 def select_versions_dpll(

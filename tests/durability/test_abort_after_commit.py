@@ -69,7 +69,9 @@ def test_nested_commit_abort_withdraws_the_release(
 
     assert tm.abort(first) == [first]
     assert tm.view(parent) == {"x": 5, "y": 80, "z": 5}
-    assert tm.record(parent).release_log == [(second, {"y": 80})]
+    released = tm.record(second).writes["y"]
+    assert released.value == 80
+    assert tm.record(parent).release_log == [(second, {"y": released})]
     assert tm.commit(parent).outcome is Outcome.OK
 
     live = tm.view(tm.root)

@@ -6,6 +6,7 @@ import json
 
 import pytest
 
+from repro.core import Domain, Entity, Schema
 from repro.durability import DurableTransactionManager, recover
 from repro.durability.records import (
     OP_COMMIT,
@@ -16,6 +17,7 @@ from repro.durability.snapshot import CheckpointStore, _digest
 from repro.durability.wal import list_segments, scan_wal
 from repro.errors import RecoveryError
 from repro.protocol.scheduler import Outcome, TxnPhase
+from repro.storage import Database
 
 from .conftest import make_database, run_leaf, spec
 
@@ -195,12 +197,26 @@ class TestDamage:
             recover(wal_dir)
 
 
+def _wide_database():
+    """``make_database`` with a domain that admits values the
+    consistency predicate refuses."""
+    database = make_database()
+    schema = Schema(
+        [Entity(name, Domain(-10, 100)) for name in database.schema.names]
+    )
+    return Database(schema, database.constraint, {"x": 5, "y": 5, "z": 5})
+
+
 class TestVerification:
     def test_tampered_commit_fails_consistency(self, wal_dir):
-        manager = open_fresh(wal_dir)
+        manager, __ = DurableTransactionManager.open(wal_dir, _wide_database)
         run_leaf(manager, "x", 11)
-        # A forged release that breaks the consistency predicate: the
-        # CRC is recomputed, so only verification can catch it.
+        # A forged write, and the release that carries it, breaking the
+        # consistency predicate: the CRCs are recomputed, so only
+        # verification can catch it.
+        rewrite_record(
+            wal_dir, op=OP_WRITE, mutate=lambda data: data.update(value=-1)
+        )
         rewrite_record(
             wal_dir,
             op=OP_COMMIT,
@@ -212,6 +228,24 @@ class TestVerification:
             "consistency" in violation
             for violation in result.violations
         )
+
+    def test_forged_release_is_not_what_the_record_releases(self, wal_dir):
+        manager = open_fresh(wal_dir)
+        run_leaf(manager, "x", 11)
+        # Replay takes the release from the writer's record, so the
+        # forged value never reaches the world; verification compares.
+        rewrite_record(
+            wal_dir,
+            op=OP_COMMIT,
+            mutate=lambda data: data.update(released={"x": -1}),
+        )
+        result = recover(wal_dir)
+        assert result.manager.view(result.manager.root)["x"] == 11
+        assert any(
+            "logged release {'x': -1} is not what its record releases"
+            in violation
+            for violation in result.violations
+        ), result.violations
 
     def test_open_refuses_unverified_state(self, wal_dir):
         manager = open_fresh(wal_dir)
@@ -228,15 +262,17 @@ class TestVerification:
         manager = open_fresh(wal_dir)
         run_leaf(manager, "x", 42)
         manager.checkpoint()
-        # Forge the checkpoint (valid sha) to claim x=43; the WAL's
+        # Forge the checkpoint (valid sha) to claim x=43 throughout:
+        # the write, the stored version and the release.  The WAL's
         # COMMIT record still says 42, and the independent fold wins.
         path = CheckpointStore(wal_dir).checkpoints()[-1]
         payload = json.loads(path.read_bytes())
         state = payload["state"]
-        root = state["txns"][state["root"]]
-        root["merged_child_writes"]["x"] = 43
-        for entry in root["release_log"]:
-            entry[1]["x"] = 43
+        _forge_release(state, "x", 43)
+        state["txns"]["t.0"]["writes"]["x"][0] = 43
+        for row in state["store"]["versions"]:
+            if row[2] == "t.0":
+                row[1] = 43
         payload["sha256"] = _digest(payload["last_lsn"], state)
         path.write_text(json.dumps(payload, sort_keys=True))
         result = recover(wal_dir)
@@ -244,6 +280,21 @@ class TestVerification:
         assert any(
             "diverges" in violation for violation in result.violations
         )
+
+    def test_checkpoint_release_unlike_its_record_is_refused(self, wal_dir):
+        manager = open_fresh(wal_dir)
+        run_leaf(manager, "x", 42)
+        manager.checkpoint()
+        # Only the release is forged: it is resolved from t.0's record,
+        # which still writes 42, so the checkpoint contradicts itself.
+        path = CheckpointStore(wal_dir).checkpoints()[-1]
+        payload = json.loads(path.read_bytes())
+        state = payload["state"]
+        _forge_release(state, "x", 43)
+        payload["sha256"] = _digest(payload["last_lsn"], state)
+        path.write_text(json.dumps(payload, sort_keys=True))
+        with pytest.raises(RecoveryError, match="t.0's record releases"):
+            recover(wal_dir)
 
     def test_verify_false_skips_verification(self, wal_dir):
         manager = open_fresh(wal_dir)
@@ -255,6 +306,13 @@ class TestVerification:
         )
         result = recover(wal_dir, verify=False)
         assert result.violations == []
+
+
+def _forge_release(state, item, value):
+    root = state["txns"][state["root"]]
+    root["merged_child_writes"][item] = value
+    for entry in root["release_log"]:
+        entry[1][item] = value
 
 
 class TestReopenContinuity:

@@ -130,6 +130,26 @@ class TestDefinition:
             )
         assert tm.phase(read_y) is TxnPhase.COMMITTED
 
+        # Rule (a) refuses t.4 for t.3's release of x, which t.3 keeps
+        # once t.2 is undone: the refusal comes before any undo.
+        reader = tm.define(tm.root, _spec("y >= 0"), set())
+        tm.validate(reader)
+        tm.read(reader, "y")
+        assert tm.commit(reader).outcome is Outcome.OK
+        writer = tm.define(tm.root, _spec(), {"x"}, predecessors=[reader])
+        tm.validate(writer)
+        tm.write(writer, "x", 7)
+        assert tm.commit(writer).outcome is Outcome.OK
+        with pytest.raises(
+            ProtocolError, match=f"before committed {writer}: .* would read x"
+        ):
+            tm.define(
+                tm.root, _spec("x >= 0"), {"y"},
+                successors=[reader],
+                undo_committed_successors=True,
+            )
+        assert tm.phase(reader) is TxnPhase.COMMITTED
+
     def test_unknown_sibling_rejected(self, tm):
         with pytest.raises(ProtocolError):
             tm.define(tm.root, _spec(), {"x"}, predecessors=["t.9"])
