@@ -15,13 +15,13 @@ from repro.classes import (
     is_conflict_predicate_correct,
     is_view_serializable,
 )
-from repro.core import (
-    VersionState,
+from repro.core import VersionState
+from repro.sat import (
     lemma1_instance,
+    random_formula,
     theorem1_instance,
     verify_certificate,
 )
-from repro.sat import random_formula
 from repro.schedules import random_schedule
 
 from conftest import report

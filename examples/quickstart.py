@@ -14,11 +14,10 @@ from repro.core import (
     Predicate,
     Schema,
     Spec,
-    lemma1_instance,
 )
 from repro.obs import RecordingTracer, render_timeline
 from repro.protocol import Outcome, TransactionManager
-from repro.sat import CNFFormula
+from repro.sat import CNFFormula, lemma1_instance
 from repro.schedules import Schedule
 from repro.storage import Database
 

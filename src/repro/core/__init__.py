@@ -2,16 +2,11 @@
 
 Public surface: entities and schemas, the three state notions, CNF
 predicates with objects, hierarchical names, partial orders, nested
-transactions with specifications, executions ``(R, X)``, correctness
-checking/searching, and the NP-completeness constructions.
+transactions with specifications, executions ``(R, X)``, and
+correctness checking/searching.  The NP-completeness constructions
+build on the SAT machinery and live in :mod:`repro.sat.complexity`.
 """
 
-from .complexity import (
-    ExecutionCorrectnessInstance,
-    lemma1_instance,
-    theorem1_instance,
-    verify_certificate,
-)
 from .correctness import (
     CheckReport,
     check_execution,
@@ -50,7 +45,6 @@ __all__ = [
     "Effect",
     "Entity",
     "Execution",
-    "ExecutionCorrectnessInstance",
     "Expr",
     "LeafTransaction",
     "NestedTransaction",
@@ -72,9 +66,6 @@ __all__ = [
     "has_correct_execution",
     "increment",
     "iter_correct_executions",
-    "lemma1_instance",
     "parse",
     "source_provides",
-    "theorem1_instance",
-    "verify_certificate",
 ]

@@ -6,9 +6,9 @@ write-ahead log attached as the sink of its step records, plus the
 directory plumbing around it: open/recover, checkpoints and the closing
 flush (flushing and the durable 2PC promise need only the sink, so the
 base class has them).  The manager itself emits one logical record
-per state transition (writes ahead of the version they create, aborts
-with their full cascade, re-assignments as they are decided), so
-replay never re-runs selection or Figure-4 logic.
+per state transition (writes ahead of the version they create, one
+ABORT per aborted transaction, re-assignments as they are decided),
+so replay never re-runs selection or Figure-4 logic.
 
 Use :meth:`DurableTransactionManager.open` to bind a WAL directory:
 it recovers (with verification — refusing to serve on a mismatch) when

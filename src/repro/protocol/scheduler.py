@@ -118,8 +118,6 @@ def step(method):
             result = method(self, *args, **kwargs)
         finally:
             self._depth -= 1
-            if not self._depth:
-                self._cascade = None  # nothing of it outlives the step
         if not self._depth:
             self._after_step()
         return result
@@ -134,8 +132,6 @@ class TransactionManager:
     #: write-ahead log's ``append(op, txn, data)``.
     _sink: Any = None
     _depth = 0
-    #: The innermost running abort's ``(expunged, moved)`` tally.
-    _cascade: "tuple[list, dict] | None" = None
 
     def __init__(
         self,
@@ -323,8 +319,8 @@ class TransactionManager:
         become cyclic or put a reader before the sibling it reads from:
         a sibling before the one whose version it holds
         (:meth:`_refuse_order`), or the new transaction before the
-        committed sibling whose release the parent's world holds for an
-        item it reads.
+        committed sibling whose release the parent's world holds for
+        any item (the new transaction's subtree may read it).
         """
         parent_record = self.record(parent)
         if parent_record.terminated:
@@ -371,10 +367,11 @@ class TransactionManager:
                     )
                 undo.append(successor)
         # Rule (a) reads the world as it stands once ``undo`` is undone.
+        # It covers every item, not just the input set: a child nested
+        # under the new transaction reads any item through its parent.
         world = parent_record.world_without(undo) if undo else parent_record.world
-        for item in sorted(spec.input_constraint.entities()):
-            version = world.get(item)
-            author = version and self._sibling_ancestor(version.author, parent)
+        for item in sorted(world):
+            author = self._sibling_ancestor(world[item].author, parent)
             if author in following:
                 raise ProtocolError(
                     f"cannot place {name} before committed {author}: "
@@ -1057,14 +1054,11 @@ class TransactionManager:
         is withdrawn from the parent's world); once it has committed
         under the root, or its parent has committed, it is too late.
 
-        A cascade's later decisions read its earlier effects, so each
-        effect — this transaction's own death, a survivor's
-        re-selection — is applied as it is decided, and every abort it
-        causes is a full step with its own records.  What this step
-        *records* comes last and sums the cascade up: one ABORT naming
-        everything that died and was expunged while it ran, then one
-        REASSIGN per survivor whose assignment moved.  Applying them
-        again changes nothing (the log format predates this structure).
+        Each decision is recorded as it is made: the children's aborts
+        first (each a step of its own), then this transaction's ABORT,
+        which names only itself and its own versions, then the cascade,
+        where every victim's abort is again its own step and every
+        re-selected survivor whose assignment changed gets a REASSIGN.
         """
         record = self.record(txn)
         if record.phase is TxnPhase.ABORTED:
@@ -1081,13 +1075,6 @@ class TransactionManager:
                 raise ProtocolError(
                     f"{txn} is committed beyond its parent; too late to abort"
                 )
-        apply = self._state.apply
-        enclosing = self._cascade
-        # What this abort and the ones it causes expunge, and each
-        # re-selected survivor's assignment stamps from before.
-        expunged: list[list[Any]] = []
-        moved: dict[str, dict[str, int]] = {}
-        self._cascade = (expunged, moved)
         aborted: list[str] = []
         for child in list(record.children):
             if not self.record(child).terminated:
@@ -1098,24 +1085,20 @@ class TransactionManager:
                 if write_span is not None:
                     self._tracer.end(write_span, outcome="aborted")
         store = self._db.store
+        # Entity-major, creation order within an entity.
+        rank = self._db.schema.names.index
         own = [
             [entity, version.sequence]
-            for entity in record.writes
+            for entity in sorted(record.writes, key=rank)
             for version in store.versions(entity)
             if version.author == txn
         ]
-        apply(
+        if self._tracer.enabled:
+            self._tracer.event("abort", txn, reason=reason, expunged=len(own))
+        self._fire(
             OP_ABORT, txn, {"aborted": [txn], "reason": reason, "expunged": own}
         )
-        expunged.extend(own)
         self._locks.release_all(txn)
-        if self._tracer.enabled:
-            self._tracer.event(
-                "abort",
-                txn,
-                reason=reason,
-                expunged=len(own),
-            )
         aborted.append(txn)
 
         # Cascade: siblings whose assigned versions died with us.  Only
@@ -1152,30 +1135,10 @@ class TransactionManager:
                             reason="no valid versions after cascade",
                         )
                     )
-                else:
-                    moved.setdefault(other.name, other.stamps())
-                    apply(OP_REASSIGN, other.name, {"assigned": assignment})
-        self._cascade = enclosing
-
-        # Entity-major, creation order within an entity.
-        rank = self._db.schema.names.index
-        expunged.sort(key=lambda ref: (rank(ref[0]), ref[1]))
-        self._fire(
-            OP_ABORT,
-            txn,
-            {"aborted": aborted, "reason": reason, "expunged": expunged},
-        )
-        records = self._records
-        for name in sorted(moved, key=lambda name: records[name].ordinal):
-            survivor = records[name]
-            if not survivor.terminated and survivor.stamps() != moved[name]:
-                self._fire(
-                    OP_REASSIGN, name, {"assigned": survivor.assigned}
-                )
-        if enclosing is not None:
-            enclosing[0].extend(expunged)
-            for name, stamps in moved.items():
-                enclosing[1].setdefault(name, stamps)
+                elif assignment != other.assigned:
+                    self._fire(
+                        OP_REASSIGN, other.name, {"assigned": assignment}
+                    )
         return aborted
 
     # -- verification (Lemma 4 / Theorem 2) -----------------------------------------

@@ -116,13 +116,6 @@ class TxnRecord:
                 world.update(released)
         return world
 
-    def stamps(self) -> dict[str, int]:
-        """The assignment as ``item -> sequence stamp``."""
-        return {
-            item: version.sequence
-            for item, version in self.assigned.items()
-        }
-
 
 # ---------------------------------------------------------------------------
 # JSON forms: WAL payloads and the checkpoint
@@ -551,8 +544,11 @@ class ProtocolState:
         ]
 
     def _apply_abort(self, txn, data, lsn) -> None:
-        """Idempotent per name and per version: an enclosing abort's
-        record repeats what the aborts it caused already recorded.
+        """Idempotent per name and per version.  The manager's ABORT
+        names one transaction, but logs written before it did repeat,
+        in an enclosing abort's record, the names and versions that the
+        aborts it caused had already recorded, and recovery's unlogged
+        undo names every in-flight transaction at once.
 
         A name that had (relatively) committed takes its release back
         out of its parent's world, exactly as an undone commit does.

@@ -17,29 +17,24 @@ also chart how the honest exponential search scales against DPLL.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
-from .correctness import find_correct_execution
-from .execution import Execution
-from .naming import TxnName
-from .predicates import Predicate
-from .states import DatabaseState, VersionState
-from .transactions import (
+from ..core.correctness import find_correct_execution
+from ..core.execution import Execution
+from ..core.naming import TxnName
+from ..core.predicates import Predicate
+from ..core.states import DatabaseState, VersionState
+from ..core.transactions import (
     Effect,
     LeafTransaction,
     NestedTransaction,
     Spec,
 )
-
-if TYPE_CHECKING:  # imported lazily at runtime to break the sat↔core cycle
-    from ..sat.cnf import CNFFormula
-    from ..sat.reduction import VersionCorrectnessInstance
+from .cnf import CNFFormula
+from .reduction import VersionCorrectnessInstance, sat_to_version_correctness
 
 
-def lemma1_instance(formula: "CNFFormula") -> "VersionCorrectnessInstance":
+def lemma1_instance(formula: CNFFormula) -> VersionCorrectnessInstance:
     """Lemma 1: SAT ≤p one-transaction version correctness."""
-    from ..sat.reduction import sat_to_version_correctness
-
     return sat_to_version_correctness(formula)
 
 
@@ -69,7 +64,7 @@ class ExecutionCorrectnessInstance:
 
 
 def theorem1_instance(
-    formula: "CNFFormula",
+    formula: CNFFormula,
 ) -> ExecutionCorrectnessInstance:
     """Theorem 1: embed the Lemma-1 instance into execution correctness.
 

@@ -5,13 +5,15 @@ from __future__ import annotations
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import (
-    VersionState,
+from repro.core import VersionState
+from repro.sat import (
+    CNFFormula,
+    brute_force_solve,
     lemma1_instance,
+    random_formula,
     theorem1_instance,
     verify_certificate,
 )
-from repro.sat import CNFFormula, brute_force_solve, random_formula
 from repro.sat.reduction import decode_version_state
 
 

@@ -51,6 +51,39 @@ def run_leaf(
     return name
 
 
+def abort_cascade_session(manager) -> None:
+    """One session with every kind of abort decision.
+
+    * A nested parent dies with its children: ``c0`` wrote x, ``c1``
+      read c0's x and dies with it, then the parent itself.
+    * Under the root, ``author`` wrote y; ``reader`` read it and dies
+      with it; ``bystander`` was assigned it without reading, is
+      re-selected onto the initial y and commits.
+    """
+    root = manager.root
+    run_leaf(manager, "z", 11)
+    nest = manager.define(root, spec(), ["x"])
+    assert manager.validate(nest).outcome is Outcome.OK
+    c0 = run_leaf(manager, "x", 3, parent=nest, commit=False)
+    c1 = manager.define(nest, spec("x >= 0"), [])
+    assert manager.validate(c1).outcome is Outcome.OK
+    assert manager.read(c1, "x").value == 3
+    assert manager.abort(nest) == [c0, c1, nest]
+
+    author = run_leaf(manager, "y", 3, commit=False)
+    reader = manager.define(root, spec("y >= 0"), [])
+    assert manager.validate(reader).outcome is Outcome.OK
+    assert manager.read(reader, "y").value == 3
+    bystander = manager.define(root, spec("y >= 0"), [])
+    assert manager.validate(bystander).outcome is Outcome.OK
+    assert manager.record(bystander).assigned["y"].author == author
+    assert manager.abort(author) == [author, reader]
+    assert manager.record(bystander).assigned["y"].author is None
+    assert manager.read(bystander, "y").value == 5
+    assert manager.commit(bystander).outcome is Outcome.OK
+    run_leaf(manager, "z", 22, commit=False)  # caught in flight
+
+
 @pytest.fixture
 def wal_dir(tmp_path):
     return tmp_path / "wal"

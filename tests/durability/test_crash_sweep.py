@@ -24,7 +24,7 @@ from repro.durability.crashpoints import CRASH_POINTS
 from repro.durability.harness import MODES
 from repro.protocol.state import TxnPhase
 
-from .conftest import make_database, run_leaf
+from .conftest import abort_cascade_session, make_database, run_leaf
 
 #: Crash points at which the not-yet-acknowledged commit vanishes.
 LOSS_OK = {
@@ -41,11 +41,16 @@ def workload(manager):
     run_leaf(manager, "z", 77, commit=False)  # caught in flight
 
 
-def sweep_one(tmp_path, crash_point, mode, at_hit=1):
+#: How often :func:`abort_cascade_session` hits each WAL crash point
+#: under sync commit: every append, and every fsync.
+CASCADE_HITS = {"wal.mid_record": 35, "wal.after_flush": 7}
+
+
+def sweep_one(tmp_path, crash_point, mode, at_hit=1, session=workload):
     out = simulate_crash(
         tmp_path,
         make_database,
-        workload,
+        session,
         crash_point=crash_point,
         at_hit=at_hit,
         mode=mode,
@@ -96,6 +101,35 @@ class TestEveryCrashPoint:
 
     def test_third_hit(self, tmp_path, crash_point, mode):
         sweep_one(tmp_path, crash_point, mode, at_hit=3)
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize(
+    "crash_point, at_hit",
+    [
+        (point, hit)
+        for point, hits in CASCADE_HITS.items()
+        for hit in range(1, hits + 1)
+    ],
+)
+def test_abort_cascade_every_append(tmp_path, crash_point, at_hit, mode):
+    """A crash anywhere in a cascade — between a cause's ABORT and its
+    victims', before a survivor's REASSIGN — recovers verified."""
+    sweep_one(
+        tmp_path, crash_point, mode, at_hit, session=abort_cascade_session
+    )
+
+
+@pytest.mark.parametrize("crash_point", CASCADE_HITS)
+def test_the_cascade_sweep_covers_every_hit(tmp_path, crash_point):
+    out = simulate_crash(
+        tmp_path,
+        make_database,
+        abort_cascade_session,
+        crash_point=crash_point,
+        at_hit=CASCADE_HITS[crash_point] + 1,
+    )
+    assert not out.fired and out.error is None
 
 
 class TestSweepDetails:

@@ -9,6 +9,7 @@ from repro.durability.records import (
     OP_ABORT,
     OP_REASSIGN,
     OP_UNDO_COMMIT,
+    OP_VALIDATE,
     OP_WRITE,
 )
 from repro.durability.snapshot import CheckpointStore
@@ -16,7 +17,7 @@ from repro.durability.wal import scan_wal
 from repro.errors import RecoveryError
 from repro.protocol.scheduler import Outcome, TransactionManager
 
-from .conftest import make_database, run_leaf, spec
+from .conftest import abort_cascade_session, make_database, run_leaf, spec
 
 
 class TestLiveParity:
@@ -106,6 +107,46 @@ class TestLoggedOperations:
         # The author's record carries the expunged x-version.
         assert any(record.data["expunged"] for record in aborts)
         manager.close()
+
+    def test_each_abort_records_only_itself(self, wal_dir, fresh_manager):
+        abort_cascade_session(fresh_manager)
+        fresh_manager.flush()
+        records = scan_wal(wal_dir).records
+        authors = {
+            (record.data["entity"], record.data["sequence"]): record.txn
+            for record in records
+            if record.op == OP_WRITE
+        }
+        aborts = [record for record in records if record.op == OP_ABORT]
+        for record in aborts:
+            assert record.data["aborted"] == [record.txn]
+            expunged = [tuple(ref) for ref in record.data["expunged"]]
+            assert expunged == sorted(expunged)  # entity-major here
+            assert set(expunged) == {
+                ref for ref, author in authors.items()
+                if author == record.txn
+            }
+        # Children before their parent; a cause before its victim.
+        assert [record.txn for record in aborts] == [
+            "t.1.0", "t.1.1", "t.1", "t.2", "t.3"
+        ]
+        assert aborts[1].data["reason"] == "read a version aborted with t.1.0"
+        assert aborts[4].data["reason"] == "read a version aborted with t.2"
+        # The survivor's REASSIGN is written where it is decided, and
+        # it moves the assignment.
+        tail = [
+            (record.op, record.txn)
+            for record in records
+            if record.lsn >= aborts[3].lsn
+        ]
+        assert tail[:3] == [
+            (OP_ABORT, "t.2"), (OP_ABORT, "t.3"), (OP_REASSIGN, "t.4")
+        ]
+        assigned = {}
+        for record in records:
+            if record.op in (OP_VALIDATE, OP_REASSIGN):
+                assert record.data["assigned"] != assigned.get(record.txn)
+                assigned[record.txn] = record.data["assigned"]
 
     def test_cascade_reassignments_logged_and_replayable(self, wal_dir):
         manager, _ = DurableTransactionManager.open(

@@ -302,15 +302,15 @@ def _closes_cycle(
 def _orders_before_a_writer(
     tm: TransactionManager,
     parent: str,
-    reads: list[str],
     predecessors: list[str],
     successors: list[str],
 ) -> tuple[bool, bool]:
     """Would the placement order a reader before the sibling it reads
-    from?  (a) the last release into the parent's world of an item the
-    new child reads came from a sibling that would follow it; (b) a
-    sibling that would precede the new child is assigned a version
-    written in the subtree of one that would follow it.  Asked of a
+    from?  (a) the last release into the parent's world of any item
+    (the new child, or a child nested under it, may read it) came from
+    a sibling that would follow it; (b) a sibling that would precede
+    the new child is assigned a version written in the subtree of one
+    that would follow it.  Asked of a
     :class:`PartialOrder` and the records, independently of the
     manager's index and helpers; ``define`` must refuse both."""
     record = tm.record(parent)
@@ -340,7 +340,7 @@ def _orders_before_a_writer(
     for child, released in record.release_log:
         for item in released:
             releaser[item] = child
-    reads_a_follower = any(releaser.get(item) in following for item in reads)
+    reads_a_follower = any(child in following for child in releaser.values())
     holds_a_follower = any(
         sibling_of(version.author) in following
         for reader in record.children
@@ -406,7 +406,7 @@ class _Session:
             (False, False)
             if cyclic
             else _orders_before_a_writer(
-                self.fast, parent, reads, predecessors, successors
+                self.fast, parent, predecessors, successors
             )
         )
         kind, value = self.step(

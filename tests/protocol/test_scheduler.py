@@ -94,6 +94,29 @@ class TestDefinition:
         # Nothing was defined: the next name is still free.
         assert tm.define(tm.root, _spec("y >= 0"), set()) == "t.1"
 
+    def test_placing_a_parent_before_a_committed_author_is_refused(
+        self, tm
+    ):
+        # t.1 reads nothing itself, but a child nested under it would
+        # read x through it: t.0's release, from t.1's successor.
+        author = tm.define(tm.root, _spec(), {"x"})
+        tm.validate(author)
+        tm.write(author, "x", 7)
+        assert tm.commit(author).outcome is Outcome.OK
+        with pytest.raises(
+            ProtocolError,
+            match=r"cannot place t\.1 before committed t\.0: "
+            r"t\.1 would read x",
+        ):
+            tm.define(tm.root, _spec(), set(), successors=[author])
+        nest = tm.define(tm.root, _spec(), set())
+        child = tm.define(nest, _spec("x >= 0"), set())
+        assert tm.validate(child).outcome is Outcome.OK
+        assert tm.read(child, "x").value == 7
+        assert tm.commit(child).outcome is Outcome.OK
+        assert tm.commit(nest).outcome is Outcome.OK
+        assert tm.verify_parent_based(tm.root) == []
+
     def test_ordering_a_reader_before_its_author_is_refused(self, tm):
         # t.1 read t.0's y while the two were unordered; t.2 between
         # them would order t.1 before t.0.

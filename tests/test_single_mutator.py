@@ -4,8 +4,9 @@ An AST scan of the serving stack: outside ``protocol/state.py`` nothing
 under ``protocol/``, ``durability/``, ``replication/`` or ``server/``
 assigns to, or mutates in place, an attribute named like a
 :class:`TxnRecord` field, and nothing writes to or expunges from the
-version store.  The dynamic twin of this test is replay ≡ live
-(``tests/durability/shadow.py``).
+version store; and in the manager only ``_fire``, which hands each
+record to the log first, reaches ``apply``.  The dynamic twin of this
+test is replay ≡ live (``tests/durability/shadow.py``).
 """
 
 from __future__ import annotations
@@ -156,3 +157,31 @@ def test_apply_handlers_have_one_home():
         if "def _apply_" in path.read_text(encoding="utf-8")
     ]
     assert homes == ["protocol/state.py"]
+
+
+def _state_apply_sites(path: pathlib.Path) -> list[str]:
+    """The functions in ``path`` that touch ``<...>._state.apply``
+    (a call or an alias), innermost function first."""
+    sites: list[str] = []
+
+    def visit(node: ast.AST, function: str) -> None:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        if (
+            isinstance(node, ast.Attribute)
+            and node.attr == "apply"
+            and _terminal_name(node.value) == "_state"
+        ):
+            sites.append(function)
+        for child in ast.iter_child_nodes(node):
+            visit(child, function)
+
+    visit(ast.parse(path.read_text(encoding="utf-8")), "<module>")
+    return sites
+
+
+def test_the_manager_applies_only_what_it_records():
+    """decide → record → apply: in the manager, only ``_fire`` — which
+    hands the record to the log first — reaches the state's ``apply``."""
+    sites = _state_apply_sites(SRC / "protocol" / "scheduler.py")
+    assert sites == ["_fire"]
