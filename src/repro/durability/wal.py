@@ -166,28 +166,42 @@ def _require_no_valid_suffix(path: Path, data: bytes, offset: int) -> None:
         )
 
 
+#: Where a ship cursor resumes: ``(first LSN of the segment, byte offset
+#: of the next unread record in it)``.
+ShipPosition = tuple[int, int]
+
+
 def read_batch(
     wal_dir: Path,
     after_lsn: int,
     *,
     up_to_lsn: int,
     max_records: int = 512,
-) -> "list[WalRecord] | None":
+    position: "ShipPosition | None" = None,
+) -> "tuple[list[WalRecord], ShipPosition | None] | None":
     """Read records ``after_lsn < lsn <= up_to_lsn`` off the disk log.
 
     This is the replication ship cursor: it reads segment *files*, never
-    the live appender, so the primary's single-threaded manager is
-    untouched.  Damaged or incomplete lines simply end the batch — the
-    caller only asks for LSNs at or below the primary's ``durable_lsn``,
-    which are guaranteed whole, so a short read just means the bytes are
-    still in flight.
+    the live appender, so the primary's manager is untouched.  Damaged
+    or incomplete lines simply end the batch — the caller only asks for
+    LSNs at or below the primary's ``durable_lsn``, which are guaranteed
+    whole, so a short read just means the bytes are still in flight.
 
-    Returns ``None`` when the cursor is *lost*: checkpoint retention has
-    deleted the segment holding ``after_lsn + 1``, so the caller must
-    fall back to snapshot shipping.
+    ``position`` is where the previous batch stopped.  When it names the
+    segment holding ``after_lsn + 1``, reading starts at its offset, so a
+    batch decodes only the records appended since; otherwise (no
+    position yet, or that record opens a later segment) the segment is
+    read from its start.  Every record read is CRC-checked and must
+    continue the LSN sequence either way.
+
+    Returns ``(records, position)`` — the new position is where the
+    record after the last one returned starts — or ``None`` when the
+    cursor is *lost*: checkpoint retention has deleted the segment
+    holding ``after_lsn + 1``, so the caller must fall back to snapshot
+    shipping.
     """
     if after_lsn >= up_to_lsn:
-        return []
+        return [], position
     segments = list_segments(wal_dir)
     if not segments:
         return None
@@ -202,28 +216,35 @@ def read_batch(
         return None  # history before the oldest retained segment
     batch: list[WalRecord] = []
     for path in segments[start_index:]:
-        data = path.read_bytes()
+        first_lsn = segment_first_lsn(path)
+        base = 0
+        if position is not None and position[0] == first_lsn:
+            base = position[1]
+        with open(path, "rb") as handle:
+            handle.seek(base)
+            data = handle.read()
         offset = 0
         while offset < len(data):
-            newline = data.find(b"\n", offset)
+            start, newline = offset, data.find(b"\n", offset)
             if newline < 0:
                 break  # in-flight append; stop cleanly
             try:
-                record = WalRecord.decode(data[offset:newline])
+                record = WalRecord.decode(data[start:newline])
             except TornRecord:
                 break  # torn tail; nothing durable beyond it
             offset = newline + 1
             if record.lsn <= after_lsn:
-                continue
+                continue  # before the cursor: met only in a scan from 0
             if record.lsn != want:
                 return None  # hole: cursor points into dropped history
             if record.lsn > up_to_lsn:
-                return batch
+                return batch, (first_lsn, base + start)
             batch.append(record)
             want = record.lsn + 1
             if len(batch) >= max_records:
-                return batch
-    return batch
+                return batch, (first_lsn, base + offset)
+        position = (first_lsn, base + offset)
+    return batch, position
 
 
 def truncate_torn_tail(scan: ScanResult) -> bool:
@@ -268,8 +289,10 @@ class WriteAheadLog:
         self._next_lsn = next_lsn
         self.flush_interval = flush_interval
         #: Roll to a new segment once the current one reaches this many
-        #: bytes (0 = only roll at checkpoints).  Keeps ship batches and
-        #: tail scans bounded.
+        #: bytes (0 = only roll at checkpoints).  Bounds the one
+        #: start-of-segment scan a ship cursor without a position pays
+        #: (after registration, a reconnect or a snapshot), and lets
+        #: checkpoint retention drop history in smaller files.
         self.segment_bytes = segment_bytes
         #: Called with the new durable LSN after every fsync that made
         #: records durable — the replication shipper's wakeup.

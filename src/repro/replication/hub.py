@@ -9,12 +9,16 @@ loop, while production wraps the same core in
 
 Ship batches are read from the segment *files* on disk
 (:func:`repro.durability.wal.read_batch`), never from the live
-appender, so shipping adds zero work to the dispatcher's single
-thread.  The only coupling to the write path is the WAL's ``on_flush``
-hook: every group-commit fsync advances the ship horizon and wakes the
-shippers — records are shipped exactly when they became durable on the
-primary, never earlier (a follower can never hold history the primary
-itself would lose in a crash).
+appender, so the manager is never touched.  Shippers do run on the
+server's event loop, beside the dispatcher, so each slot keeps the
+byte position where its next unshipped record starts: a batch costs
+the bytes it ships, not a decode of its segment from the start (that
+full scan is paid once per registration, reconnect or snapshot).  The
+only coupling to the write path is the WAL's ``on_flush`` hook: every
+group-commit fsync advances the ship horizon and wakes the shippers —
+records are shipped exactly when they became durable on the primary,
+never earlier (a follower can never hold history the primary itself
+would lose in a crash).
 
 Sync replication: with ``sync_replicas = k``, a commit's reply is
 withheld (parked by the dispatcher) until at least ``k`` followers
@@ -33,7 +37,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable
 
 from ..durability.manager import DurableTransactionManager
-from ..durability.wal import read_batch
+from ..durability.wal import ShipPosition, read_batch
 from ..obs.metrics import MetricsRegistry
 from ..obs.trace import NULL_TRACER, Tracer
 from .messages import (
@@ -59,6 +63,10 @@ class FollowerSlot:
     slot_id: int
     node: str
     cursor_lsn: int
+    #: Where the record after ``cursor_lsn`` starts on disk (``None``:
+    #: not known yet, so the next batch scans its segment from the
+    #: start).
+    position: ShipPosition | None = None
     acked_lsn: int = 0
     wake: asyncio.Event = field(default_factory=asyncio.Event)
     snapshots_sent: int = 0
@@ -160,6 +168,7 @@ class ReplicationHub:
             )
         state, last_lsn = loaded
         slot.cursor_lsn = last_lsn
+        slot.position = None
         slot.snapshots_sent += 1
         if self._registry is not None:
             self._registry.counter("repl.ship.snapshots").inc()
@@ -178,14 +187,16 @@ class ReplicationHub:
         if slot.cursor_lsn >= horizon:
             return None
         started = self._clock()
-        batch = read_batch(
+        read = read_batch(
             self._wal_dir,
             slot.cursor_lsn,
             up_to_lsn=horizon,
             max_records=self.batch_records,
+            position=slot.position,
         )
-        if batch is None:
+        if read is None:
             return self._snapshot_for(slot)
+        batch, slot.position = read
         if not batch:
             return None
         slot.cursor_lsn = batch[-1].lsn

@@ -71,6 +71,10 @@ from .protocol import (
 PARKED = object()
 """Sentinel returned by op handlers that parked their command."""
 
+ANSWERED = object()
+"""Sentinel returned by op handlers that answered their command
+themselves (before running the step's side effects)."""
+
 _STOP = object()
 """Queue sentinel that terminates the dispatcher loop."""
 
@@ -510,7 +514,7 @@ class CommandDispatcher:
             result = self._execute(command)
         except Exception as error:  # noqa: BLE001 — fault barrier
             result = error_reply(command.request_id, error)
-        if result is PARKED:
+        if result is PARKED or result is ANSWERED:
             return
         self._resolve(command, result)
 
@@ -778,6 +782,13 @@ class CommandDispatcher:
         step = self._tm.commit(txn)
         self._count("server.txns.committed")
         self._end_txn_span(txn, outcome="committed")
+        # Answer (or repl-park) this commit before its side effects
+        # release the commits parked behind it: their replies, and
+        # their places in the replication-ack queue, come after this
+        # one, so acks follow WAL commit order.
+        reply = self._commit_reply(command, txn)
+        if reply is not PARKED:
+            self._resolve(command, reply)
         self._handle_side_effects(step)
         if self._tm.strict:
             # A commit makes the committer's versions strict-visible;
@@ -785,6 +796,13 @@ class CommandDispatcher:
             # so re-run every parked waiter (they re-park if still
             # blocked, keeping their original deadline).
             self._resume_all_lock_waiters()
+        return ANSWERED
+
+    def _commit_reply(
+        self, command: Command, txn: str
+    ) -> dict[str, Any] | object:
+        """The reply to the commit of ``txn``, or ``PARKED`` until
+        enough followers ack it."""
         # The commit LSN doubles as the client's read-your-writes
         # session token: a later ``follower_read`` passing it as
         # ``min_applied_lsn`` is guaranteed to observe this commit.

@@ -12,7 +12,9 @@ Each test pins one fix from the fuzzer-driven sweep:
   not double-execute a parked command (the stale-snapshot race).
 
 Plus one from the state unification: an abort after an acknowledged
-commit is refused and changes nothing.
+commit is refused and changes nothing; and one from the fuzzer's
+``committed_prefix`` oracle: a commit that releases a parked commit is
+answered before it.
 """
 
 from __future__ import annotations
@@ -318,5 +320,50 @@ def test_abort_after_an_acked_commit_is_refused_and_changes_nothing():
             assert manager.view(manager.root)["x"] == 5
             assert manager.phase(writer).value == "committed"
             await client.close()
+
+    run(body())
+
+
+# -- acks follow WAL commit order -------------------------------------------
+
+
+def test_a_commit_is_answered_before_the_commits_it_releases():
+    """The successor's commit parks on its partial-order predecessor;
+    the predecessor's commit releases it.  The predecessor is first in
+    the WAL, so its reply must go out first — a client that sees the
+    successor acked may rely on everything before it being acked."""
+    async def body():
+        manager = TransactionManager(tiny_db())
+        dispatcher = CommandDispatcher(
+            manager, queue_size=32, request_timeout=5.0
+        )
+        runner = asyncio.ensure_future(dispatcher.run())
+        s1 = SessionState(session_id=1, notify=lambda p: None)
+        s2 = SessionState(session_id=2, notify=lambda p: None)
+        first = (await _request(dispatcher, s1, 1, "define"))["txn"]
+        second = (
+            await _request(
+                dispatcher, s2, 1, "define", predecessors=[first]
+            )
+        )["txn"]
+        await _request(dispatcher, s1, 2, "validate", txn=first)
+        await _request(dispatcher, s2, 2, "validate", txn=second)
+
+        answered: list[str] = []
+        parked = dispatcher.submit(s2, Request(3, "commit", {"txn": second}))
+        parked.add_done_callback(lambda _: answered.append(second))
+        await asyncio.sleep(0.02)
+        assert dispatcher.parked_count == 1
+        releasing = dispatcher.submit(
+            s1, Request(3, "commit", {"txn": first})
+        )
+        releasing.add_done_callback(lambda _: answered.append(first))
+        assert (await releasing)["outcome"] == "committed"
+        assert (await parked)["outcome"] == "committed"
+        await asyncio.sleep(0)  # let the last done-callback run
+        assert answered == [first, second]
+
+        await dispatcher.stop()
+        await runner
 
     run(body())
