@@ -136,7 +136,7 @@ class DurableTransactionManager(TransactionManager):
             return None
         self._sink.flush()
         last_lsn = self._sink.last_lsn
-        path = self._checkpoints.write(self._state.dump(), last_lsn)
+        path = self._checkpoints.write(self._state.encoded(), last_lsn)
         self._sink.rotate()
         oldest = self._checkpoints.oldest_retained_lsn()
         if oldest is not None:

@@ -3,11 +3,15 @@
 A checkpoint is one JSON file ``checkpoint-{last_lsn:012d}.json``
 holding the full logical state of the manager (see
 :meth:`repro.protocol.state.ProtocolState.dump`) as of WAL position ``last_lsn``,
-protected by a SHA-256 over the canonical payload.  Publication is the
-classic atomic dance: write to a temp file, fsync it, ``os.replace``
-into place, fsync the directory — a crash at any point leaves either
-the old set of checkpoints or the old set plus a complete new one,
-never a half-written one with a valid name.
+protected by a SHA-256 over the canonical payload.  The writer takes
+the state already encoded (:class:`~repro.protocol.state.EncodedState`),
+so a live manager re-encodes only the records that changed since its
+last checkpoint; the bytes are those of ``json.dumps`` of the whole
+payload.  Publication is the classic atomic dance: write to a temp
+file, fsync it, ``os.replace`` into place, fsync the directory — a
+crash at any point leaves either the old set of checkpoints or the old
+set plus a complete new one, never a half-written one with a valid
+name.
 
 Retention keeps the newest ``retain`` checkpoints; recovery falls back
 through them newest-first, skipping any that fail their checksum.
@@ -23,6 +27,7 @@ from typing import Any
 
 from ..errors import DurabilityError
 from ..obs.metrics import MetricsRegistry
+from ..protocol.state import EncodedState
 from .crashpoints import NULL_CRASH_POINTS, CrashPoints, SimulatedCrash
 from .wal import _fsync_dir
 
@@ -93,16 +98,22 @@ class CheckpointStore:
 
     # -- write -------------------------------------------------------------
 
-    def write(self, state: dict[str, Any], last_lsn: int) -> Path:
-        """Publish a checkpoint atomically; prune beyond ``retain``."""
+    def write(self, state: EncodedState, last_lsn: int) -> Path:
+        """Publish a checkpoint atomically; prune beyond ``retain``.
+
+        The bytes are ``json.dumps(payload, sort_keys=True)`` and the
+        digest is :func:`_digest`'s, spliced from ``state``'s two forms.
+        """
         target = self._dir / checkpoint_name(last_lsn)
-        payload = {
-            "format": FORMAT_VERSION,
-            "last_lsn": last_lsn,
-            "sha256": _digest(last_lsn, state),
-            "state": state,
-        }
-        encoded = json.dumps(payload, sort_keys=True).encode("utf-8")
+        digest = hashlib.sha256(
+            f'{{"last_lsn":{last_lsn},"state":{state.canonical}}}'.encode(
+                "utf-8"
+            )
+        ).hexdigest()
+        encoded = (
+            f'{{"format": {FORMAT_VERSION}, "last_lsn": {last_lsn}, '
+            f'"sha256": "{digest}", "state": {state.text}}}'
+        ).encode("utf-8")
         tmp = target.with_suffix(target.suffix + ".tmp")
         fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o644)
         try:

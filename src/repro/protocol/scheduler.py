@@ -526,7 +526,8 @@ class TransactionManager:
         keeps current; :mod:`repro.reference.validation` holds the
         rule-by-rule transcription it must match — the same members,
         and the same candidates up to order (the differential property
-        tests run both).
+        tests run both).  Members stay bitmasks: nothing here turns
+        them into names.
         """
         assert record.parent is not None
         parent = record.parent
@@ -552,8 +553,8 @@ class TransactionManager:
                 used_parent = True
             d_sets[item] = DSet(
                 item=item,
-                members=frozenset(index.names_from(members_mask)),
-                predecessors=frozenset(index.names_from(pred_mask)),
+                members=members_mask,
+                predecessors=pred_mask,
                 candidates=tuple(candidates),
                 used_parent_version=used_parent,
             )
@@ -1043,7 +1044,7 @@ class TransactionManager:
 
     @step
     def abort(self, txn: str, reason: str = "requested") -> list[str]:
-        """Abort a transaction (and its active subtree), cascading.
+        """Abort a transaction (and its subtree), cascading.
 
         Expunges every version the subtree authored; any *sibling*
         transaction whose assignment referenced an expunged version is
@@ -1053,6 +1054,8 @@ class TransactionManager:
         commit is only relative to a live, nested parent (its release
         is withdrawn from the parent's world); once it has committed
         under the root, or its parent has committed, it is too late.
+        Its children's commits are relative to it, so every child not
+        already aborted aborts with it, committed ones included.
 
         Each decision is recorded as it is made: the children's aborts
         first (each a step of its own), then this transaction's ABORT,
@@ -1075,10 +1078,19 @@ class TransactionManager:
                 raise ProtocolError(
                     f"{txn} is committed beyond its parent; too late to abort"
                 )
+        return self._abort(record, reason)
+
+    def _abort(self, record: TxnRecord, reason: str) -> list[str]:
+        """:meth:`abort` past its too-late check, which a child aborting
+        with its parent does not take."""
+        txn = record.name
         aborted: list[str] = []
         for child in list(record.children):
-            if not self.record(child).terminated:
-                aborted.extend(self.abort(child, reason=f"parent {txn} aborted"))
+            child_record = self.record(child)
+            if child_record.phase is not TxnPhase.ABORTED:
+                aborted.extend(
+                    self._abort(child_record, f"parent {txn} aborted")
+                )
         if self._tracer.enabled:
             for entity in self._locks.writing(txn):
                 write_span = self._write_spans.pop((txn, entity), None)

@@ -14,17 +14,19 @@ A step's record is ``(op, txn, data)`` with ``data`` holding live values
 (a :class:`Spec`, :class:`Version` objects); :func:`encode` /
 :func:`decode` convert to and from the JSON payload the write-ahead log
 stores, and :meth:`ProtocolState.dump` / :meth:`ProtocolState.load` are
-the checkpoint payload.  Recovery is ``load`` the newest checkpoint,
-``apply`` the WAL suffix, then decide what the crash caught
-mid-execution and ``apply`` one more (unlogged) ABORT — see
-:func:`repro.durability.recovery.undo_in_flight`.
+the checkpoint payload, which :meth:`ProtocolState.encoded` encodes
+from a per-record cache that ``apply`` keeps current.  Recovery is
+``load`` the newest checkpoint, ``apply`` the WAL suffix, then decide
+what the crash caught mid-execution and ``apply`` one more (unlogged)
+ABORT — see :func:`repro.durability.recovery.undo_in_flight`.
 """
 
 from __future__ import annotations
 
 import enum
+import json
 from dataclasses import dataclass, field
-from typing import Any, Iterable
+from typing import Any, Iterable, NamedTuple
 
 from ..core.entities import Domain, Entity, Schema
 from ..core.naming import TxnName
@@ -256,6 +258,58 @@ def _load_record(ordinal: int, payload: dict[str, Any]) -> TxnRecord:
     )
 
 
+class EncodedState(NamedTuple):
+    """A checkpoint payload encoded as ``json.dumps(..., sort_keys=True)``
+    writes it, in both forms a checkpoint file needs."""
+
+    #: Compact separators: the form the checkpoint's sha256 covers.
+    canonical: str
+    #: Default separators: the form the file holds.
+    text: str
+
+
+def _member(key: str, value: Any) -> tuple[str, str]:
+    """``"key": value`` as an object member, in both forms."""
+    name = json.dumps(key)
+    return (
+        f"{name}:{json.dumps(value, sort_keys=True, separators=(',', ':'))}",
+        f"{name}: {json.dumps(value, sort_keys=True)}",
+    )
+
+
+def _object(members: dict[str, tuple[str, str]]) -> tuple[str, str]:
+    """The object holding these encoded members, in both forms, keys
+    sorted as ``sort_keys`` sorts them."""
+    ordered = [members[key] for key in sorted(members)]
+    return (
+        "{" + ",".join(member[0] for member in ordered) + "}",
+        "{" + ", ".join(member[1] for member in ordered) + "}",
+    )
+
+
+def _encode_state(
+    payload: dict[str, Any], txns: dict[str, tuple[str, str]]
+) -> EncodedState:
+    """``payload``'s fields other than ``txns`` encoded here, around the
+    already-encoded ``txns`` members."""
+    members = {
+        key: _member(key, value)
+        for key, value in payload.items()
+        if key != "txns"
+    }
+    canonical, text = _object(txns)
+    members["txns"] = ('"txns":' + canonical, '"txns": ' + text)
+    return EncodedState(*_object(members))
+
+
+def encode_state(payload: dict[str, Any]) -> EncodedState:
+    """A :meth:`ProtocolState.dump` payload, encoded from scratch."""
+    return _encode_state(
+        payload,
+        {name: _member(name, txn) for name, txn in payload["txns"].items()},
+    )
+
+
 # ---------------------------------------------------------------------------
 # The state
 # ---------------------------------------------------------------------------
@@ -281,6 +335,9 @@ class ProtocolState:
         #: parent -> its children's bitmask index, built on first use
         #: and from then on kept current by ``apply``.
         self._indexes: dict[str, ParentIndex] = {}
+        #: name -> its record's encoded checkpoint member, filled by
+        #: :meth:`encoded`; ``apply`` drops the records a step touches.
+        self._encoded: dict[str, tuple[str, str]] = {}
 
     @classmethod
     def fresh(
@@ -316,7 +373,8 @@ class ProtocolState:
 
     # -- the checkpoint payload --------------------------------------------
 
-    def dump(self) -> dict[str, Any]:
+    def _header(self) -> dict[str, Any]:
+        """The payload's fields other than ``txns``."""
         database = self.database
         schema = database.schema
         return {
@@ -327,12 +385,26 @@ class ProtocolState:
             "constraint": str(database.constraint),
             "initial": database.initial_state.as_dict(),
             "store": database.store.snapshot(),
-            "txns": {
-                name: _dump_record(record)
-                for name, record in self.records.items()
-            },
             "root": self.root,
         }
+
+    def dump(self) -> dict[str, Any]:
+        payload = self._header()
+        payload["txns"] = {
+            name: _dump_record(record)
+            for name, record in self.records.items()
+        }
+        return payload
+
+    def encoded(self) -> EncodedState:
+        """:func:`encode_state` of :meth:`dump`, re-encoding only the
+        records changed since the last call (the header and the store
+        are encoded afresh)."""
+        cache = self._encoded
+        for name, record in self.records.items():
+            if name not in cache:
+                cache[name] = _member(name, _dump_record(record))
+        return _encode_state(self._header(), cache)
 
     @classmethod
     def load(cls, payload: dict[str, Any]) -> "ProtocolState":
@@ -417,8 +489,26 @@ class ProtocolState:
     def apply(
         self, op: str, txn: str, data: dict[str, Any], lsn: int | None = None
     ) -> None:
-        """Fire one record.  ``lsn`` is its WAL position, if logged."""
-        _HANDLERS[op](self, txn, data, lsn)
+        """Fire one record.  ``lsn`` is its WAL position, if logged.
+
+        Drops the encoded members of every record the step can change:
+        ``txn`` and its parent, and for an ABORT each name it aborts
+        and that name's parent.
+        """
+        try:
+            _HANDLERS[op](self, txn, data, lsn)
+        finally:
+            self._drop_encoded(txn)
+            if op == OP_ABORT:
+                for name in data["aborted"]:
+                    self._drop_encoded(name)
+
+    def _drop_encoded(self, name: str) -> None:
+        cache = self._encoded
+        cache.pop(name, None)
+        record = self.records.get(name)
+        if record is not None and record.parent is not None:
+            cache.pop(record.parent, None)
 
     def apply_record(self, record: Any) -> None:
         """Fire one WAL record as read back from disk or the wire."""

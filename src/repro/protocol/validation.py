@@ -29,11 +29,20 @@ from ..storage.version_store import Version
 
 @dataclass(frozen=True, slots=True)
 class DSet:
-    """The validation-phase candidate set for one data item."""
+    """The validation-phase candidate set for one data item.
+
+    ``members`` is the set ``D`` the three exclusion rules leave, and
+    ``predecessors`` its members that precede the transaction in
+    ``P+``.  Selection reads neither, only ``candidates``, so each side
+    keeps them in the form it computes them in: the manager's live path
+    as :class:`~repro.protocol.fastpath.ParentIndex` bitmasks over the
+    parent's children (``index.names_from`` turns one into names), the
+    rule-by-rule transcription in :mod:`repro.reference` as names.
+    """
 
     item: str
-    members: frozenset[str]
-    predecessors: frozenset[str]
+    members: int | frozenset[str]
+    predecessors: int | frozenset[str]
     candidates: tuple[Version, ...]
     used_parent_version: bool
 

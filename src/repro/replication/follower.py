@@ -37,7 +37,7 @@ from ..durability.wal import (
 from ..errors import RecoveryError
 from ..obs.metrics import MetricsRegistry
 from ..obs.trace import NULL_TRACER, Tracer
-from ..protocol.state import ProtocolState
+from ..protocol.state import ProtocolState, encode_state
 from .messages import (
     KIND_RECORDS,
     KIND_SNAPSHOT,
@@ -148,7 +148,7 @@ class FollowerApplier:
         """Replace local history with a shipped checkpoint state."""
         started = self._clock()
         self._wipe()
-        self._checkpoints.write(state_dict, last_lsn)
+        self._checkpoints.write(encode_state(state_dict), last_lsn)
         self.state = ProtocolState.load(state_dict)
         self.applied_lsn = last_lsn
         self.primary_durable_lsn = max(

@@ -7,7 +7,10 @@ line, so a JSON round-trip loss shows — and, each time an outermost
 step returns, requires the replica's ``dump()`` to equal the live one.
 Any record-field assignment outside ``ProtocolState.apply``, any value
 the WAL payload does not carry, breaks the equality at the step that
-made it.
+made it.  Each check also requires the live state's checkpoint
+encoding, kept per record across steps, to equal a from-scratch
+``json.dumps`` of its ``dump()`` in both forms — any record a step
+changes without ``apply`` dropping its cached encoding shows there.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ import json
 
 from repro.durability.records import WalRecord
 from repro.durability.snapshot import CheckpointStore
-from repro.protocol.state import ProtocolState
+from repro.protocol.state import EncodedState, ProtocolState
 
 
 def canonical(payload: dict) -> str:
@@ -48,8 +51,13 @@ class Shadow:
         manager._after_step = checked_after_step
 
     def check(self) -> None:
-        live = canonical(self.manager.state.dump())
+        state = self.manager.state
+        dump = state.dump()
+        live = canonical(dump)
         assert canonical(self.replica.dump()) == live, self._diff()
+        assert state.encoded() == EncodedState(
+            json.dumps(dump, sort_keys=True, separators=(",", ":")), live
+        )
         self.steps += 1
 
     def _diff(self) -> str:

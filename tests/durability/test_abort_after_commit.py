@@ -83,3 +83,28 @@ def test_nested_commit_abort_withdraws_the_release(
     assert result.manager.view(tm.root) == live
     assert result.manager.view(parent) == tm.view(parent)
     assert _follower_view(wal_dir, tmp_path) == live
+
+
+def test_parent_abort_takes_its_committed_children(
+    wal_dir, fresh_manager, tmp_path
+):
+    """A child's commit is relative to its parent: when the parent
+    aborts, the child aborts too and its versions leave the store."""
+    tm = fresh_manager  # shadowed: replay == live after every step
+    parent = tm.define(tm.root, spec(), ["x"])
+    tm.validate(parent)
+    child = run_leaf(tm, "x", 3, parent=parent)
+    assert tm.phase(child) is TxnPhase.COMMITTED
+
+    assert tm.abort(parent) == [child, parent]
+    assert tm.phase(child) is TxnPhase.ABORTED
+    assert tm.state.committed_names() == []
+    assert [v.author for v in tm.database.store.versions("x")] == [None]
+    assert tm.view(tm.root) == {"x": 5, "y": 5, "z": 5}
+
+    tm.flush()
+    result = recover(wal_dir, verify=True)
+    assert result.verified, result.violations
+    assert result.committed == []
+    assert result.manager.phase(child) is TxnPhase.ABORTED
+    assert _follower_view(wal_dir, tmp_path) == tm.view(tm.root)

@@ -37,6 +37,7 @@ from repro.protocol import (
     TransactionManager,
     TxnPhase,
 )
+from repro.protocol.fastpath import ParentIndex
 from repro.reference import (
     ReferenceTransactionManager,
     compute_d_sets_object,
@@ -148,9 +149,22 @@ def _canonical(d_sets: dict[str, DSet]) -> dict[str, DSet]:
 
 
 def _dsets_agree(tm: TransactionManager, txn: str) -> None:
-    """The two D-set computations agree on identical manager state."""
+    """The two D-set computations agree on identical manager state —
+    members and predecessors by name, read off the index's masks."""
     record = tm.record(txn)
-    fast_sets = _canonical(TransactionManager._compute_d_sets(tm, record))
+    names_from = tm.state.index(record.parent).names_from
+    fast_sets = _canonical(
+        {
+            item: replace(
+                d_set,
+                members=frozenset(names_from(d_set.members)),
+                predecessors=frozenset(names_from(d_set.predecessors)),
+            )
+            for item, d_set in TransactionManager._compute_d_sets(
+                tm, record
+            ).items()
+        }
+    )
     object_sets = _canonical(compute_d_sets_object(tm, record))
     assert fast_sets == object_sets, (txn, fast_sets, object_sets)
 
@@ -275,6 +289,36 @@ def test_d_sets_agree_under_aborted_and_intervening_updaters(seed):
         for peer in validated:
             if tm.phase(peer) is TxnPhase.VALIDATED:
                 _dsets_agree(tm, peer)
+
+
+def test_validate_builds_no_d_set_name_set(monkeypatch):
+    """The live D-set keeps its members as masks: a validate with
+    tracing off never turns one into names, however many siblings
+    the rules admit."""
+    tm = TransactionManager(_database())
+    spec = Spec(Predicate.parse("x >= 0 & y >= 0"), Predicate.true())
+    for value in range(12):
+        txn = tm.define(tm.root, spec, {"x", "y"})
+        assert tm.validate(txn).outcome is Outcome.OK
+        tm.write(txn, "x", value)
+        tm.commit(txn)
+    live = tm.define(tm.root, spec, {"x"})
+    tm.define(tm.root, spec, {"y"}, predecessors=[live])
+    reader = tm.define(tm.root, spec, set(), predecessors=[live])
+    calls = []
+    original = ParentIndex.names_from
+
+    def counted(self, mask):
+        calls.append(mask)
+        return original(self, mask)
+
+    monkeypatch.setattr(ParentIndex, "names_from", counted)
+    assert not tm._tracer.enabled
+    assert tm.validate(reader).outcome is Outcome.OK
+    assert calls == []
+    # x's members: the twelve committed updaters and ``live``.
+    d_sets = TransactionManager._compute_d_sets(tm, tm.record(reader))
+    assert len(original(tm.state.index(tm.root), d_sets["x"].members)) == 13
 
 
 # -- past ten children: creation order is not name order -----------------

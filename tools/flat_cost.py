@@ -18,7 +18,10 @@ and how many ``PartialOrder`` and ``ParentIndex`` objects were
 constructed while it ran.  A transaction's cost is the process CPU
 time it took: the fsync each commit waits for is the same for every
 transaction and only adds noise to the ratio (it is in the wall
-time).
+time).  Beside it, the wall time of one ``checkpoint()`` at the end of
+the first and of the last tenth, each taken one tenth after the
+previous checkpoint, so both write the same amount of change over a
+history of different length.
 
     PYTHONPATH=src python tools/flat_cost.py
     PYTHONPATH=src python tools/flat_cost.py --seed 7 --serial 1500 --chained 300
@@ -87,14 +90,24 @@ def session(count: int, seed: int, chained: bool) -> dict:
     orders = _counting(PartialOrder)
     indexes = _counting(fastpath.ParentIndex)
     costs: list[float] = []
+    checkpoints: list[float] = []
     committed = 0
+    tenth = max(1, len(txns) // 10)
     with tempfile.TemporaryDirectory() as wal_dir:
         tm, _ = DurableTransactionManager.open(
             wal_dir, workload.fresh_database
         )
+
+        def checkpoint() -> None:
+            begun = time.perf_counter()
+            tm.checkpoint()
+            checkpoints.append((time.perf_counter() - begun) * 1e3)
+
         previous: "str | None" = None
         started = time.perf_counter()
-        for txn in txns:
+        for index, txn in enumerate(txns):
+            if index == len(txns) - tenth and index > tenth:
+                tm.checkpoint()  # the last tenth's one comes a tenth on
             begun = time.process_time()
             name = _run_txn(
                 tm, txn, [previous] if chained and previous else []
@@ -103,9 +116,11 @@ def session(count: int, seed: int, chained: bool) -> dict:
             if name is not None:
                 committed += 1
                 previous = name
+            if index + 1 == tenth:
+                checkpoint()
+        checkpoint()
         wall = time.perf_counter() - started
         tm.close()
-    tenth = max(1, len(costs) // 10)
     first = fmean(costs[:tenth]) * 1e3
     last = fmean(costs[-tenth:]) * 1e3
     return {
@@ -115,6 +130,8 @@ def session(count: int, seed: int, chained: bool) -> dict:
         "first_decile_ms": first,
         "last_decile_ms": last,
         "growth": last / first,
+        "checkpoint_first_ms": checkpoints[0],
+        "checkpoint_last_ms": checkpoints[-1],
         "partial_orders": orders[0],
         "parent_indexes": indexes[0],
     }
@@ -141,6 +158,8 @@ def main(argv: "list[str] | None" = None) -> int:
             f"first decile {result['first_decile_ms']:.2f} ms  "
             f"last decile {result['last_decile_ms']:.2f} ms  "
             f"growth x{result['growth']:.1f}  "
+            f"checkpoint {result['checkpoint_first_ms']:.1f} -> "
+            f"{result['checkpoint_last_ms']:.1f} ms  "
             f"PartialOrder {result['partial_orders']}  "
             f"ParentIndex {result['parent_indexes']}"
         )
