@@ -21,21 +21,16 @@ See ``examples/`` for protocol-level walkthroughs and ``benchmarks/``
 for the experiment suite (DESIGN.md maps experiments to modules).
 """
 
-# ``repro.baselines`` and ``repro.sim`` are imported where used, so the
-# serving stack (``repro serve``) never loads them.
-from . import (
-    analysis,
-    classes,
-    core,
-    protocol,
-    sat,
-    schedules,
-    storage,
-)
+from importlib import import_module
+
 from .errors import ReproError
 
 __version__ = "1.0.0"
 
+# The subpackages load on first attribute access (PEP 562), so
+# importing one part of ``repro`` (the serving stack behind ``repro
+# serve``) does not load the Section-4 model with it.
+# ``repro.baselines`` and ``repro.sim`` are imported where used.
 __all__ = [
     "ReproError",
     "__version__",
@@ -47,3 +42,13 @@ __all__ = [
     "schedules",
     "storage",
 ]
+
+
+def __getattr__(name: str):
+    if name in __all__:
+        return import_module(f".{name}", __name__)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

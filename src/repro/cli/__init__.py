@@ -50,6 +50,24 @@ def _version() -> str:
         return __version__
 
 
+class _VersionAction(argparse.Action):
+    """``--version``: looks the version up only when it is asked for
+    (``importlib.metadata`` costs every other command its import)."""
+
+    def __init__(self, option_strings: Sequence[str], dest: str) -> None:
+        super().__init__(
+            option_strings,
+            dest=argparse.SUPPRESS,
+            default=argparse.SUPPRESS,
+            nargs=0,
+            help="show program's version number and exit",
+        )
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        print(f"{parser.prog} {_version()}")
+        parser.exit()
+
+
 def _add_commands(
     parser: argparse.ArgumentParser,
     commands: Sequence[Command],
@@ -80,11 +98,7 @@ def build_parser() -> argparse.ArgumentParser:
             "Correctness Without Serializability' — reproduction tools"
         ),
     )
-    parser.add_argument(
-        "--version",
-        action="version",
-        version=f"%(prog)s {_version()}",
-    )
+    parser.add_argument("--version", action=_VersionAction)
     _add_commands(parser, COMMANDS, "command", required=True)
     return parser
 

@@ -58,6 +58,8 @@ class Histogram:
     server): when set, ``values`` keeps only the most recent window
     and percentiles describe that window, while ``count``, ``total``,
     ``mean``, ``max`` and ``min`` stay exact over the full lifetime.
+    A full window is a ring: each sample overwrites the oldest one in
+    O(1), so ``values`` is in ring order, not arrival order.
     """
 
     name: str
@@ -67,17 +69,21 @@ class Histogram:
     _total: float = field(default=0.0, repr=False)
     _max: float | None = field(default=None, repr=False)
     _min: float | None = field(default=None, repr=False)
+    _oldest: int = field(default=0, repr=False)  # ring slot to reuse
 
     def observe(self, value: float) -> None:
-        self.values.append(value)
+        window = self.max_samples
+        if window is None or len(self.values) < window:
+            self.values.append(value)
+        else:
+            self.values[self._oldest] = value
+            self._oldest = (self._oldest + 1) % window
         self._count += 1
         self._total += value
         if self._max is None or value > self._max:
             self._max = value
         if self._min is None or value < self._min:
             self._min = value
-        if self.max_samples is not None and len(self.values) > self.max_samples:
-            del self.values[0]
 
     @property
     def count(self) -> int:

@@ -35,6 +35,7 @@ from ..durability.wal import (
     truncate_torn_tail,
 )
 from ..errors import RecoveryError
+from ..framing import LineProtocol
 from ..obs.metrics import MetricsRegistry
 from ..obs.trace import NULL_TRACER, Tracer
 from ..protocol.state import ProtocolState, encode_state
@@ -296,6 +297,23 @@ def _node_seed(node: str) -> int:
     return zlib.crc32(node.encode("utf-8"))
 
 
+class _PrimaryConnection(LineProtocol):
+    """The follower's end of one link: every shipped message is applied
+    (and acked) inside the read callback that completed it."""
+
+    def __init__(self, link: "FollowerLink") -> None:
+        super().__init__(REPL_MAX_FRAME_BYTES)
+        self._link = link
+
+    def line_received(self, line: bytes) -> None:
+        try:
+            applied_lsn = self._link._apply(decode_message(line))
+        except (ReplicationError, KeyError, TypeError, ValueError):
+            self.transport.close()  # re-handshake on a new connection
+            return
+        self.transport.write(encode_message(ack_message(applied_lsn)))
+
+
 class FollowerLink:
     """The follower's connection to the primary, with reconnect."""
 
@@ -326,71 +344,63 @@ class FollowerLink:
         )
         self.connected = False
         self._stopped = False
+        self._connection: _PrimaryConnection | None = None
 
     def stop(self) -> None:
+        """Stop applying: the current connection closes at once."""
         self._stopped = True
+        if self._connection is not None:
+            self._connection.transport.close()
 
     async def run(self) -> None:
         """Connect, stream, reconnect — until cancelled or stopped."""
+        loop = asyncio.get_running_loop()
         while not self._stopped:
             try:
-                reader, writer = await asyncio.open_connection(
-                    self.host,
-                    self.port,
-                    limit=REPL_MAX_FRAME_BYTES + 2,
+                _, connection = await loop.create_connection(
+                    lambda: _PrimaryConnection(self), self.host, self.port
                 )
             except OSError:
                 await asyncio.sleep(self.backoff.next_delay())
                 continue
+            self._connection = connection
             try:
-                await self._stream(reader, writer)
-            except (
-                ReplicationError,
-                ConnectionError,
-                asyncio.IncompleteReadError,
-                asyncio.LimitOverrunError,
-            ):
+                await self._stream(connection)
+            except ConnectionError:
                 pass
             finally:
                 self.connected = False
-                writer.close()
-                try:
-                    await writer.wait_closed()
-                except ConnectionError:
-                    pass
+                self._connection = None
+                connection.transport.close()
+                await connection.wait_closed()
             if not self._stopped:
                 await asyncio.sleep(self.backoff.next_delay())
 
-    async def _stream(
-        self,
-        reader: asyncio.StreamReader,
-        writer: asyncio.StreamWriter,
-    ) -> None:
-        writer.write(
+    async def _stream(self, connection: _PrimaryConnection) -> None:
+        """Say hello, then wait while the connection applies what the
+        primary ships, until either side closes it."""
+        connection.transport.write(
             encode_message(
                 hello_message(self._applier.applied_lsn, self.node)
             )
         )
-        await writer.drain()
+        await connection.drain()
         self.connected = True
         self.backoff.reset()
-        while not self._stopped:
-            line = await reader.readline()
-            if not line:
-                return
-            message = decode_message(line)
-            kind = message.get("kind")
-            if kind == KIND_SNAPSHOT:
-                self._applier.install_snapshot(
-                    message["state"], int(message["last_lsn"])
-                )
-            elif kind == KIND_RECORDS:
-                self._applier.apply_records(message)
-            else:
-                raise ReplicationError(
-                    f"unexpected message kind {kind!r} from primary"
-                )
-            writer.write(
-                encode_message(ack_message(self._applier.applied_lsn))
+        await connection.wait_closed()
+
+    def _apply(self, message: dict[str, Any]) -> int:
+        """Apply one message from the primary (a snapshot or a records
+        batch); returns the LSN to ack."""
+        kind = message.get("kind")
+        if kind == KIND_SNAPSHOT:
+            self._applier.install_snapshot(
+                message["state"], int(message["last_lsn"])
             )
-            await writer.drain()
+        elif kind == KIND_RECORDS:
+            self._applier.apply_records(message)
+        else:
+            raise ReplicationError(
+                f"unexpected message kind {kind!r} from primary"
+            )
+        return self._applier.applied_lsn

@@ -4,7 +4,8 @@ The hub is transport-agnostic on purpose: the deterministic fuzzer
 drives :meth:`ReplicationHub.register` / :meth:`next_batch` /
 :meth:`ack` directly with coroutine followers on the virtual-clock
 loop, while production wraps the same core in
-:class:`ReplicationListener` (a TCP acceptor) and one
+:class:`ReplicationListener` (a TCP acceptor whose connections read
+through :class:`repro.framing.LineProtocol`) and one
 :class:`WalShipper` per connection.
 
 Ship batches are read from the segment *files* on disk
@@ -38,6 +39,7 @@ from typing import Any, Callable
 
 from ..durability.manager import DurableTransactionManager
 from ..durability.wal import ShipPosition, read_batch
+from ..framing import LineProtocol
 from ..obs.metrics import MetricsRegistry
 from ..obs.trace import NULL_TRACER, Tracer
 from .messages import (
@@ -283,33 +285,90 @@ class WalShipper:
         self,
         hub: ReplicationHub,
         slot: FollowerSlot,
-        writer: asyncio.StreamWriter,
+        link: LineProtocol,
         *,
         heartbeat_interval: float = HEARTBEAT_INTERVAL,
     ) -> None:
         self._hub = hub
         self._slot = slot
-        self._writer = writer
+        self._link = link
         self._heartbeat = heartbeat_interval
 
     async def run(self) -> None:
-        while True:
-            # Clear before reading: a flush landing mid-read leaves the
-            # event set, so the next iteration re-reads instead of
-            # sleeping through it.
-            self._slot.wake.clear()
-            message = self._hub.next_batch(self._slot)
-            if message is None:
-                try:
-                    await asyncio.wait_for(
-                        self._slot.wake.wait(), self._heartbeat
-                    )
-                except asyncio.TimeoutError:
-                    message = self._hub.heartbeat()
-                else:
-                    continue
-            self._writer.write(encode_message(message))
-            await self._writer.drain()
+        """Ship until the connection is lost (or the task cancelled)."""
+        try:
+            while True:
+                # Clear before reading: a flush landing mid-read leaves
+                # the event set, so the next iteration re-reads instead
+                # of sleeping through it.
+                self._slot.wake.clear()
+                message = self._hub.next_batch(self._slot)
+                if message is None:
+                    try:
+                        await asyncio.wait_for(
+                            self._slot.wake.wait(), self._heartbeat
+                        )
+                    except asyncio.TimeoutError:
+                        message = self._hub.heartbeat()
+                    else:
+                        continue
+                self._link.transport.write(encode_message(message))
+                await self._link.drain()
+        except ConnectionError:
+            pass
+
+
+class _FollowerConnection(LineProtocol):
+    """The primary's end of one follower link: a ``hello``, then acks.
+
+    The hello registers the follower (writing its initial snapshot, if
+    any) and starts the connection's :class:`WalShipper`; losing the
+    connection stops the shipper and unregisters the slot.
+    """
+
+    def __init__(self, listener: "ReplicationListener") -> None:
+        super().__init__(REPL_MAX_FRAME_BYTES)
+        self._listener = listener
+        self._hub = listener.hub
+        self._slot: FollowerSlot | None = None
+        self._shipper: asyncio.Task | None = None
+
+    def connection_made(self, transport: asyncio.BaseTransport) -> None:
+        super().connection_made(transport)
+        self._listener.links.add(self)
+
+    def line_received(self, line: bytes) -> None:
+        try:
+            message = decode_message(line)
+            if self._slot is None:
+                self._hello(message)
+            elif message.get("kind") == KIND_ACK:
+                self._hub.ack(self._slot, int(message["applied_lsn"]))
+        except (ReplicationError, KeyError, TypeError, ValueError):
+            self.transport.close()
+
+    def _hello(self, hello: dict[str, Any]) -> None:
+        if hello.get("kind") != KIND_HELLO:
+            raise ReplicationError(
+                f"expected hello, got {hello.get('kind')!r}"
+            )
+        self._slot, initial = self._hub.register(
+            int(hello.get("from_lsn", 0)),
+            str(hello.get("node", "follower")),
+        )
+        if initial is not None:
+            self.transport.write(encode_message(initial))
+        self._shipper = asyncio.get_running_loop().create_task(
+            WalShipper(self._hub, self._slot, self).run()
+        )
+
+    def connection_lost(self, exc: Exception | None) -> None:
+        super().connection_lost(exc)
+        self._listener.links.discard(self)
+        if self._shipper is not None:
+            self._shipper.cancel()
+        if self._slot is not None:
+            self._hub.unregister(self._slot)
 
 
 class ReplicationListener:
@@ -321,17 +380,16 @@ class ReplicationListener:
         host: str = "127.0.0.1",
         port: int = 0,
     ) -> None:
-        self._hub = hub
+        self.hub = hub
         self._host = host
         self._port = port
         self._server: asyncio.AbstractServer | None = None
+        #: The connected followers' links.
+        self.links: set[_FollowerConnection] = set()
 
     async def start(self) -> None:
-        self._server = await asyncio.start_server(
-            self._handle,
-            self._host,
-            self._port,
-            limit=REPL_MAX_FRAME_BYTES + 2,
+        self._server = await asyncio.get_running_loop().create_server(
+            lambda: _FollowerConnection(self), self._host, self._port
         )
 
     @property
@@ -340,67 +398,18 @@ class ReplicationListener:
         return self._server.sockets[0].getsockname()[1]
 
     async def close(self) -> None:
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-            self._server = None
-
-    async def _handle(
-        self,
-        reader: asyncio.StreamReader,
-        writer: asyncio.StreamWriter,
-    ) -> None:
-        slot: FollowerSlot | None = None
-        shipper_task: asyncio.Task | None = None
-        try:
-            line = await reader.readline()
-            if not line:
-                return
-            hello = decode_message(line)
-            if hello.get("kind") != KIND_HELLO:
-                raise ReplicationError(
-                    f"expected hello, got {hello.get('kind')!r}"
-                )
-            slot, initial = self._hub.register(
-                int(hello.get("from_lsn", 0)),
-                str(hello.get("node", "follower")),
-            )
-            if initial is not None:
-                writer.write(encode_message(initial))
-                await writer.drain()
-            shipper_task = asyncio.ensure_future(
-                WalShipper(self._hub, slot, writer).run()
-            )
-            while True:
-                line = await reader.readline()
-                if not line:
-                    break
-                message = decode_message(line)
-                if message.get("kind") == KIND_ACK:
-                    self._hub.ack(slot, int(message["applied_lsn"]))
-        except (
-            ReplicationError,
-            ConnectionError,
-            asyncio.IncompleteReadError,
-        ):
-            pass
-        except asyncio.CancelledError:
-            # Shutdown cancelled this handler mid-read; finish the
-            # cleanup below and end the task cleanly (a task left in
-            # the cancelled state makes asyncio's stream machinery
-            # log a spurious error on close).
-            pass
-        finally:
-            if shipper_task is not None:
-                shipper_task.cancel()
-                try:
-                    await shipper_task
-                except (asyncio.CancelledError, ConnectionError):
-                    pass
-            if slot is not None:
-                self._hub.unregister(slot)
-            writer.close()
+        """Stop accepting, then close every link (what each transport
+        holds is flushed for up to a second, then it is aborted)."""
+        if self._server is None:
+            return
+        self._server.close()
+        for link in list(self.links):
+            link.transport.close()
+        for link in list(self.links):
             try:
-                await writer.wait_closed()
-            except (ConnectionError, asyncio.CancelledError):
-                pass
+                await asyncio.wait_for(link.wait_closed(), 1.0)
+            except asyncio.TimeoutError:
+                link.transport.abort()
+                await link.wait_closed()
+        await self._server.wait_closed()
+        self._server = None

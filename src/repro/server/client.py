@@ -32,6 +32,7 @@ import itertools
 import socket
 from typing import Any, Iterable
 
+from ..framing import LineProtocol
 from .errors import ServerError, error_for_code
 from .protocol import (
     MAX_FRAME_BYTES,
@@ -203,16 +204,31 @@ class _Surface:
         return self._invoke("promote", _given(listen_port=listen_port))
 
 
-class AsyncClient(_Surface):
-    """One connection, pipelined requests, background frame router."""
+class _Replies(LineProtocol):
+    """An :class:`AsyncClient`'s framer: hands it each line as read."""
 
-    def __init__(
-        self,
-        reader: asyncio.StreamReader,
-        writer: asyncio.StreamWriter,
-    ) -> None:
-        self._reader = reader
-        self._writer = writer
+    def __init__(self, client: "AsyncClient") -> None:
+        super().__init__(MAX_FRAME_BYTES)
+        self._client = client
+
+    def line_received(self, line: bytes) -> None:
+        self._client._line_received(line)
+
+    def connection_lost(self, exc: Exception | None) -> None:
+        super().connection_lost(exc)
+        self._client._connection_lost()
+
+
+class AsyncClient(_Surface):
+    """One connection, pipelined requests, routed inside the read.
+
+    Each reply resolves its request's future in the read callback that
+    completed the line (there is no reader Task), and events are
+    queued there too.
+    """
+
+    def __init__(self) -> None:
+        self._stream = _Replies(self)
         self._ids = itertools.count(1)
         self._pending: dict[int, "asyncio.Future[dict[str, Any]]"] = {}
         self.events: list[dict[str, Any]] = []
@@ -220,9 +236,6 @@ class AsyncClient(_Surface):
             asyncio.Queue()
         )
         self._closed = False
-        self._reader_task = asyncio.create_task(
-            self._read_loop(), name="repro-client-reader"
-        )
 
     @classmethod
     async def connect(
@@ -234,13 +247,15 @@ class AsyncClient(_Surface):
         retry_delay: float = 0.2,
     ) -> "AsyncClient":
         """Connect, optionally retrying while the server comes up."""
+        loop = asyncio.get_running_loop()
         last: OSError | None = None
         for attempt in range(retries + 1):
+            client = cls()
             try:
-                reader, writer = await asyncio.open_connection(
-                    host, port, limit=MAX_FRAME_BYTES + 2
+                await loop.create_connection(
+                    lambda: client._stream, host, port
                 )
-                return cls(reader, writer)
+                return client
             except OSError as error:
                 last = error
                 if attempt < retries:
@@ -248,30 +263,28 @@ class AsyncClient(_Surface):
         assert last is not None
         raise last
 
-    async def _read_loop(self) -> None:
+    def _line_received(self, line: bytes) -> None:
         try:
-            while True:
-                line = await self._reader.readline()
-                if not line:
-                    break
-                frame = decode_frame(line)
-                if is_event(frame):
-                    self.events.append(frame)
-                    self.event_queue.put_nowait(frame)
-                    continue
-                future = self._pending.pop(frame.get("id"), None)
-                if future is not None and not future.done():
-                    future.set_result(frame)
-        except (ConnectionError, asyncio.CancelledError, ServerError):
-            pass
-        finally:
-            self._closed = True
-            for future in self._pending.values():
-                if not future.done():
-                    future.set_exception(
-                        ConnectionError("connection closed by server")
-                    )
-            self._pending.clear()
+            frame = decode_frame(line)
+        except ServerError:
+            self._stream.transport.close()  # an undecodable reply
+            return
+        if is_event(frame):
+            self.events.append(frame)
+            self.event_queue.put_nowait(frame)
+            return
+        future = self._pending.pop(frame.get("id"), None)
+        if future is not None and not future.done():
+            future.set_result(frame)
+
+    def _connection_lost(self) -> None:
+        self._closed = True
+        for future in self._pending.values():
+            if not future.done():
+                future.set_exception(
+                    ConnectionError("connection closed by server")
+                )
+        self._pending.clear()
 
     async def request(self, op: str, **params: Any) -> dict[str, Any]:
         """Send one request and await its response (raises on error)."""
@@ -282,25 +295,17 @@ class AsyncClient(_Surface):
             asyncio.get_running_loop().create_future()
         )
         self._pending[request_id] = future
-        self._writer.write(
+        self._stream.transport.write(
             encode_frame({"id": request_id, "op": op, **params})
         )
-        await self._writer.drain()
+        await self._stream.drain()
         response = await future
         return _raise_for_response(response)
 
     async def close(self) -> None:
         self._closed = True
-        self._reader_task.cancel()
-        try:
-            await self._reader_task
-        except asyncio.CancelledError:
-            pass
-        try:
-            self._writer.close()
-            await self._writer.wait_closed()
-        except (ConnectionError, OSError):
-            pass
+        self._stream.transport.close()
+        await self._stream.wait_closed()
 
     async def _invoke(self, op, params, decode=None, on_error=None):
         try:

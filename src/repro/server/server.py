@@ -2,17 +2,18 @@
 
 :class:`TransactionServer` binds the wire protocol
 (:mod:`repro.server.protocol`) to the command dispatcher
-(:mod:`repro.server.session`): each connection is one coroutine that
-reads frames and submits them, replies and unsolicited events are
-written straight to its transport, and exactly one dispatcher task
-touches the transaction manager.
+(:mod:`repro.server.session`): each connection is one
+:class:`~repro.framing.LineProtocol` whose read callback submits every
+frame it completes, replies and unsolicited events are written straight
+to its transport, and exactly one dispatcher task touches the
+transaction manager.
 
 Robustness properties (exercised by ``tests/server/test_faults.py``):
 
 * **malformed frames** are answered with a ``MALFORMED`` error and
   counted; after :data:`MAX_MALFORMED` bad frames the connection is
-  closed (an oversized frame closes immediately — the stream cannot be
-  resynchronised);
+  closed (an oversized frame closes it once the frame's end is read —
+  the stream cannot be trusted after it);
 * **per-session idle timeout** — a connection that sends nothing for
   ``session_timeout`` seconds is torn down like a disconnect, even if
   its peer has stopped reading;
@@ -49,6 +50,7 @@ from ..durability import (
     resolve_in_doubt,
     shard_wal_dir,
 )
+from ..framing import LineProtocol
 from ..obs.metrics import MetricsRegistry
 from ..obs.trace import Tracer
 from ..protocol.scheduler import TransactionManager
@@ -82,6 +84,10 @@ from .session import CommandDispatcher, SessionState
 SEND_BUFFER_LIMIT = 16 * MAX_FRAME_BYTES
 #: Malformed frames one connection may send before it is closed.
 MAX_MALFORMED = 8
+#: Samples each histogram of a registry the server builds itself keeps:
+#: percentiles describe the most recent window, while count, total and
+#: max stay exact, so an arbitrarily long uptime holds bounded metrics.
+HISTOGRAM_WINDOW = 8192
 
 
 def parse_hostport(text: str) -> "tuple[str, int]":
@@ -155,13 +161,33 @@ class ServerConfig:
     shards: int = 1
 
 
-@dataclass(slots=True)
-class _Connection:
-    session: SessionState
-    writer: asyncio.StreamWriter
-    last_frame: float  # loop time of the last line read
-    watchdog: asyncio.TimerHandle | None = None
-    malformed: int = 0
+class _Connection(LineProtocol):
+    """One client connection: its framer, transport and session.
+
+    Every callback goes to the server, which owns the connection table.
+    """
+
+    def __init__(self, server: "TransactionServer") -> None:
+        super().__init__(MAX_FRAME_BYTES)
+        self.server = server
+        self.session: SessionState | None = None
+        self.last_frame = 0.0  # loop time of the last line read
+        self.watchdog: asyncio.TimerHandle | None = None
+        self.malformed = 0
+
+    def connection_made(self, transport: asyncio.BaseTransport) -> None:
+        super().connection_made(transport)
+        self.server._connection_made(self)
+
+    def line_received(self, line: bytes) -> None:
+        self.server._line_received(self, line)
+
+    def line_too_long(self) -> None:
+        self.server._frame_too_long(self)
+
+    def connection_lost(self, exc: Exception | None) -> None:
+        super().connection_lost(exc)
+        self.server._connection_lost(self)
 
 
 class TransactionServer:
@@ -183,7 +209,9 @@ class TransactionServer:
         crash points armed) and drive the server on a virtual clock;
         normal servers leave all three unset and the config decides."""
         self._config = config or ServerConfig()
-        self._registry = registry or MetricsRegistry()
+        self._registry = registry or MetricsRegistry(
+            default_max_samples=HISTOGRAM_WINDOW
+        )
         self.recovery: "RecoveryResult | None" = None
         self.replication: ReplicationContext | None = None
         self._repl_listener: ReplicationListener | None = None
@@ -297,6 +325,9 @@ class TransactionServer:
         self._dispatcher_task: asyncio.Task | None = None
         self._flush_task: asyncio.Task | None = None
         self._connections: dict[int, _Connection] = {}
+        #: One ``close_session`` Task per disconnected connection, kept
+        #: until it finishes (shutdown waits for them).
+        self._cleanups: set[asyncio.Task] = set()
         self._session_ids = itertools.count(1)
         self._stopping = False
         self._drain_summary: dict[str, Any] = {}
@@ -458,12 +489,10 @@ class TransactionServer:
 
     async def _take_over_port(self, port: int) -> None:
         """Bind the dead primary's client port on the promoted node."""
+        loop = asyncio.get_running_loop()
         try:
-            self._takeover_server = await asyncio.start_server(
-                self._handle_connection,
-                self._config.host,
-                port,
-                limit=MAX_FRAME_BYTES + 2,
+            self._takeover_server = await loop.create_server(
+                lambda: _Connection(self), self._config.host, port
             )
         except OSError:
             self._registry.counter("repl.takeover_failed").inc()
@@ -474,11 +503,8 @@ class TransactionServer:
         self._dispatcher_task = asyncio.create_task(
             self._dispatcher.run(), name="repro-dispatcher"
         )
-        self._server = await asyncio.start_server(
-            self._handle_connection,
-            self._config.host,
-            self._config.port,
-            limit=MAX_FRAME_BYTES + 2,
+        self._server = await asyncio.get_running_loop().create_server(
+            lambda: _Connection(self), self._config.host, self._config.port
         )
         if self._config.metrics_port is not None:
             self._metrics_http = MetricsHTTPServer(
@@ -554,18 +580,20 @@ class TransactionServer:
         if self._takeover_server is not None:
             self._takeover_server.close()
             await self._takeover_server.wait_closed()
-        if self._repl_listener is not None:
-            await self._repl_listener.close()
         if self.replication is not None and self.replication.link is not None:
             self.replication.link.stop()
         await _cancelled(self._link_task)
         drained = await self._dispatcher.drain(self._config.drain_grace)
         for connection in list(self._connections.values()):
             self._send(connection, event_frame("shutdown"))
-            connection.writer.close()  # flushes what the transport holds
+            connection.transport.close()  # flushes what it holds
         await self._dispatcher.stop()
         if self._dispatcher_task is not None:
             await self._dispatcher_task
+        if self._repl_listener is not None:
+            # Only now: followers keep acking while the drain finishes
+            # the commits that wait for them.
+            await self._repl_listener.close()
         await _cancelled(self._flush_task)
         for dispatcher in self._dispatchers:
             # Durable manager: final checkpoint + flush, clean WAL.
@@ -577,9 +605,15 @@ class TransactionServer:
                 self.replication.applier.close()
         for connection in list(self._connections.values()):
             try:
-                await asyncio.wait_for(connection.writer.wait_closed(), 1.0)
-            except (asyncio.TimeoutError, OSError):
-                connection.writer.transport.abort()
+                await asyncio.wait_for(connection.wait_closed(), 1.0)
+            except asyncio.TimeoutError:
+                connection.transport.abort()
+        if self._cleanups:
+            # Mid-drain every ``close_session`` returns at once; one
+            # still waiting here waits on a dispatcher that is gone.
+            await asyncio.wait(list(self._cleanups), timeout=1.0)
+            for task in list(self._cleanups):
+                await _cancelled(task)
         self._drain_summary = {
             "aborted": list(drained["aborted"]),
             "parked_failed": drained["parked_failed"],
@@ -600,13 +634,13 @@ class TransactionServer:
         bytes loses the frame (counted) rather than stalling the
         dispatcher; a closing transport is skipped.
         """
-        writer = connection.writer
-        if writer.is_closing():
+        transport = connection.transport
+        if transport.is_closing():
             return
-        if writer.transport.get_write_buffer_size() >= SEND_BUFFER_LIMIT:
+        if transport.get_write_buffer_size() >= SEND_BUFFER_LIMIT:
             self._registry.counter("server.notifications_dropped").inc()
             return
-        writer.write(encode_frame(payload))
+        transport.write(encode_frame(payload))
 
     def _watch_idle(self, connection: _Connection) -> None:
         """Close the connection once ``session_timeout`` passes with no
@@ -618,72 +652,63 @@ class TransactionServer:
             connection.watchdog = loop.call_later(
                 remaining, self._watch_idle, connection
             )
-        elif not connection.writer.is_closing():
+        elif not connection.transport.is_closing():
             self._registry.counter("server.idle_closed").inc()
-            transport = connection.writer.transport
+            transport = connection.transport
             transport.close()
             if transport.get_write_buffer_size():
-                # close() would hold the handler's EOF back until the
-                # buffer drains, which a peer that stopped reading
-                # never lets happen.
+                # close() would hold the connection's loss (and its
+                # session's cleanup) back until the buffer drains,
+                # which a peer that stopped reading never lets happen.
                 transport.abort()
 
-    async def _handle_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        """The connection's one coroutine: read a frame, submit it."""
+    def _connection_made(self, connection: _Connection) -> None:
         session_id = next(self._session_ids)
-        loop = asyncio.get_running_loop()
-        connection = _Connection(
-            session=SessionState(
-                session_id=session_id,
-                notify=lambda payload: self._send(
-                    self._connections[session_id], payload
-                )
-                if session_id in self._connections
-                else None,
-                peer=str(writer.get_extra_info("peername", "")),
-            ),
-            writer=writer,
-            last_frame=loop.time(),
+        connection.session = SessionState(
+            session_id=session_id,
+            notify=lambda payload: self._send(connection, payload)
+            if session_id in self._connections
+            else None,
+            peer=str(connection.transport.get_extra_info("peername", "")),
         )
+        connection.last_frame = asyncio.get_running_loop().time()
         self._connections[session_id] = connection
         self._watch_idle(connection)
         self._registry.gauge("server.sessions").inc()
-        try:
-            while True:
-                try:
-                    line = await reader.readline()
-                except ValueError:
-                    # Oversized frame: the stream cannot be resynchronised.
-                    self._registry.counter("server.malformed").inc()
-                    self._send(
-                        connection,
-                        error_response(
-                            None,
-                            ErrorCode.MALFORMED,
-                            f"frame exceeds {MAX_FRAME_BYTES} bytes",
-                        ),
-                    )
-                    break
-                except ConnectionError:
-                    break
-                if not line:
-                    break  # EOF, or the idle watchdog closed the transport
-                connection.last_frame = loop.time()
-                if not line.strip():
-                    continue  # blank keep-alive line
-                if not self._handle_frame(connection, line):
-                    break
-        finally:
-            if connection.watchdog is not None:
-                connection.watchdog.cancel()
-            self._registry.gauge("server.sessions").dec()
-            self._connections.pop(session_id, None)
-            try:
-                await self._dispatcher.close_session(connection.session)
-            finally:
-                writer.close()
+
+    def _line_received(self, connection: _Connection, line: bytes) -> None:
+        """One frame, inside the read callback: submit it, or close
+        the connection after too many malformed ones."""
+        connection.last_frame = asyncio.get_running_loop().time()
+        if line.isspace():
+            return  # blank keep-alive line
+        if not self._handle_frame(connection, line):
+            connection.transport.close()
+
+    def _frame_too_long(self, connection: _Connection) -> None:
+        # The framer closes the connection after the frame's end.
+        self._registry.counter("server.malformed").inc()
+        self._send(
+            connection,
+            error_response(
+                None,
+                ErrorCode.MALFORMED,
+                f"frame exceeds {MAX_FRAME_BYTES} bytes",
+            ),
+        )
+
+    def _connection_lost(self, connection: _Connection) -> None:
+        """EOF, a reset, or a close from this side: release the session
+        (its live transactions abort through the command queue)."""
+        if connection.watchdog is not None:
+            connection.watchdog.cancel()
+        self._registry.gauge("server.sessions").dec()
+        self._connections.pop(connection.session.session_id, None)
+        task = asyncio.get_running_loop().create_task(
+            self._dispatcher.close_session(connection.session)
+        )
+        self._cleanups.add(task)
+        task.add_done_callback(self._cleanups.discard)
 
     def _handle_frame(
         self, connection: _Connection, line: bytes

@@ -21,7 +21,7 @@ from repro.server import (
     ShuttingDown,
     TransactionServer,
 )
-from repro.server.protocol import Request, decode_frame
+from repro.server.protocol import MAX_FRAME_BYTES, Request, decode_frame
 from repro.server.server import MAX_MALFORMED
 from repro.server.session import CommandDispatcher, SessionState
 
@@ -94,6 +94,46 @@ class TestMalformedFrames:
                 assert "exceeds" in frame["error"]["message"]
                 assert await reader.readline() == b""  # EOF
                 writer.close()
+
+        run(body())
+
+    def test_a_frame_of_exactly_the_limit_is_served(self):
+        head = b'{"id": 3, "op": "ping"'
+        frame = head + b" " * (MAX_FRAME_BYTES - len(head) - 2) + b"}\n"
+        assert len(frame) == MAX_FRAME_BYTES
+
+        async def body():
+            async with serving() as server:
+                reader, writer = await _raw_connection(server.port)
+                writer.write(frame)
+                await writer.drain()
+                assert await _read_frame(reader) == {
+                    "id": 3,
+                    "ok": True,
+                    "pong": True,
+                }
+                writer.close()
+
+        run(body())
+
+    def test_one_byte_over_the_limit_is_refused_then_a_clean_eof(self):
+        # Every byte sent is read before the close, so the peer gets
+        # the reply and a FIN, never a reset.
+        head = b'{"id": 3, "op": "ping"'
+        frame = head + b" " * (MAX_FRAME_BYTES - len(head) - 1) + b"}\n"
+
+        async def body():
+            async with serving() as server:
+                reader, writer = await _raw_connection(server.port)
+                writer.write(frame)
+                await writer.drain()
+                reply = await _read_frame(reader)
+                assert reply["error"]["code"] == "MALFORMED"
+                assert "exceeds" in reply["error"]["message"]
+                assert await reader.readline() == b""  # EOF, no reset
+                writer.close()
+                counters = server.registry.snapshot()["counters"]
+                assert counters["server.malformed"] == 1
 
         run(body())
 

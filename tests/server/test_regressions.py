@@ -82,7 +82,7 @@ async def _stalled_connection(server, *requests):
         await writer.drain()
         await reader.readline()  # answered: the server holds the session
     (connection,) = server._connections.values()
-    connection.writer.get_extra_info("socket").setsockopt(
+    connection.transport.get_extra_info("socket").setsockopt(
         socket.SOL_SOCKET, socket.SO_SNDBUF, 4096
     )
     return writer, connection
@@ -122,7 +122,7 @@ def test_send_never_blocks_the_caller():
             for _ in range(100):
                 server._send(connection, _PAD)
             assert time.monotonic() - start < 1.0
-            held = connection.writer.transport.get_write_buffer_size()
+            held = connection.transport.get_write_buffer_size()
             assert SEND_BUFFER_LIMIT <= held < SEND_BUFFER_LIMIT + (
                 MAX_FRAME_BYTES
             )
@@ -143,7 +143,7 @@ def test_idle_close_of_a_stalled_reader_releases_its_session():
             )
             for _ in range(100):
                 server._send(connection, _PAD)
-            assert connection.writer.transport.get_write_buffer_size()
+            assert connection.transport.get_write_buffer_size()
             sessions = server.registry.gauge("server.sessions")
             assert sessions.value == 1
             while sessions.value:

@@ -11,8 +11,10 @@ import json
 import socket
 
 from repro.obs import LiveTracer, SpanRing
-from repro.server import ServerConfig, ServerThread
+from repro.obs.metrics import MetricsRegistry
+from repro.server import ServerConfig, ServerThread, TransactionServer
 from repro.server.client import Client
+from repro.server.server import HISTOGRAM_WINDOW
 
 from .conftest import tiny_db
 
@@ -121,3 +123,27 @@ class TestMetricsEndpoint:
                 handle.server.metrics_port, "/healthz?verbose=1"
             )
         assert status == "HTTP/1.1 200 OK"
+
+
+class TestServerHistogramWindow:
+    """A registry the server builds keeps a fixed window per histogram;
+    one passed in (the fuzzer's) is left as it was built."""
+
+    def test_latency_histograms_stay_bounded(self):
+        server = TransactionServer(tiny_db())
+        histogram = server.registry.histogram("server.request.latency")
+        samples = [float(i % 997) for i in range(20_000)]
+        for value in samples:
+            histogram.observe(value)
+        assert len(histogram.values) == HISTOGRAM_WINDOW
+        assert sorted(histogram.values) == sorted(samples[-HISTOGRAM_WINDOW:])
+        assert histogram.count == len(samples)
+        assert histogram.total == sum(samples)
+        assert histogram.max == max(samples)
+
+    def test_a_registry_passed_in_keeps_every_sample(self):
+        server = TransactionServer(tiny_db(), registry=MetricsRegistry())
+        histogram = server.registry.histogram("server.request.latency")
+        for value in range(HISTOGRAM_WINDOW + 5):
+            histogram.observe(float(value))
+        assert len(histogram.values) == HISTOGRAM_WINDOW + 5

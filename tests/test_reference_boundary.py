@@ -3,8 +3,10 @@
 The paper's small model stays at the bottom: ``core``, ``sat``,
 ``schedules`` and ``obs`` import nothing above them, ``storage`` sits
 on ``core``, and the Section-5 ``protocol`` sees only ``core``,
-``storage``, ``obs`` and ``errors``.  ``repro.reference`` holds test
-oracles; the serving stack never imports or loads it.
+``storage``, ``obs`` and ``errors``.  The line framer ``framing``, which
+``server`` and ``replication`` both read through, imports nothing.
+``repro.reference`` holds test oracles; the serving stack never imports
+or loads it.
 
 Every ``import`` counts, including lazy ones inside functions.
 """
@@ -27,6 +29,7 @@ ALLOWED = {
     "sat": {"core", "errors"},
     "schedules": {"core", "errors"},
     "obs": {"errors"},
+    "framing": set(),
     "storage": {"core", "errors"},
     "protocol": {"core", "storage", "obs", "errors"},
 }
@@ -112,6 +115,29 @@ def test_importing_the_serving_stack_does_not_load_reference():
     code = (
         f"import sys, repro, repro.cli, {modules}\n"
         "loaded = [m for m in sys.modules if m.startswith('repro.reference')]\n"
+        "assert not loaded, loaded\n"
+    )
+    subprocess.run(
+        [sys.executable, "-c", code],
+        check=True,
+        env={"PYTHONPATH": str(SRC)},
+        timeout=60,
+    )
+
+
+def test_the_serving_stack_starts_without_the_section4_model():
+    # ``repro serve``'s cold start: the CLI, the serving packages and
+    # the parser, but not the schedule model or the package metadata.
+    modules = ", ".join(f"repro.{package}" for package in PRODUCTION)
+    code = (
+        f"import sys, repro.cli, {modules}\n"
+        "repro.cli.build_parser()\n"
+        "model = {'analysis', 'classes', 'sat', 'schedules'}\n"
+        "loaded = sorted(\n"
+        "    m for m in sys.modules\n"
+        "    if m == 'importlib.metadata'\n"
+        "    or m.startswith('repro.') and m.split('.')[1] in model\n"
+        ")\n"
         "assert not loaded, loaded\n"
     )
     subprocess.run(
